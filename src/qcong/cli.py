@@ -17,6 +17,7 @@ import sys
 from . import verify as v
 from .cyclotomic import FactoredPoly, cyclotomic
 from .divisors import DIVISOR_FAMILIES
+from .perms import SizeLimitExceeded
 from .poly import IntPoly
 from .qbinom import gauss
 from .sequences import SEQUENCE_FAMILIES, family_value
@@ -240,46 +241,38 @@ def main(argv=None) -> int:
     if args.command == "compute":
         for rec, text in _compute_records(args, parser):
             lines.append(json.dumps(rec) if args.format == "json" else text)
-    elif args.command == "verify":
-        if args.suite == "all":
-            names = tuple(SUITES)
+    else:
+        if args.command == "verify":
+            names = tuple(SUITES) if args.suite == "all" else (args.suite,)
+            runs = [(name, SUITES[name]) for name in names]
+            summary = {"suite": args.suite}
+            words = ("passed", "failed")
         else:
-            names = (args.suite,)
+            runs = [(args.conjecture, CONJECTURES[args.conjecture])]
+            summary = {"conjecture": args.conjecture}
+            words = ("holds", "fails")
         reports = []
-        for name in names:
-            runner, defaults = SUITES[name]
-            reports.extend(runner(_resolve_bounds(args, defaults, cap)))
+        for name, (runner, defaults) in runs:
+            try:
+                reports.extend(runner(_resolve_bounds(args, defaults, cap)))
+            except (v.PreconditionViolation, SizeLimitExceeded) as exc:
+                parser.error(f"{name}: {exc}")
         checked, passed, failed = v.summarize(reports)
+        if checked == 0:
+            parser.error(f"{args.command}: no instances within these bounds")
         for r in reports:
             lines.append(
                 json.dumps(report_record(r)) if args.format == "json" else r.describe()
             )
-        summary = {"suite": args.suite, "checked": checked, "passed": passed, "failed": failed}
+        summary.update(checked=checked, passed=passed, failed=failed)
         lines.append(
             json.dumps(summary)
             if args.format == "json"
-            else f"checked={checked} passed={passed} failed={failed}"
+            else f"checked={checked} {words[0]}={passed} {words[1]}={failed}"
         )
-        exit_code = 0 if failed == 0 else 1
-    else:  # explore
-        runner, defaults = CONJECTURES[args.conjecture]
-        reports = runner(_resolve_bounds(args, defaults, cap))
-        checked, holds, fails = v.summarize(reports)
-        for r in reports:
-            lines.append(
-                json.dumps(report_record(r)) if args.format == "json" else r.describe()
-            )
-        summary = {
-            "conjecture": args.conjecture,
-            "checked": checked,
-            "passed": holds,
-            "failed": fails,
-        }
-        lines.append(
-            json.dumps(summary)
-            if args.format == "json"
-            else f"checked={checked} holds={holds} fails={fails}"
-        )
+        # conjecture explorers report, they never assert
+        if args.command == "verify" and failed:
+            exit_code = 1
 
     text = "\n".join(lines) + "\n"
     if args.out:

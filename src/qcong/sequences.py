@@ -19,6 +19,8 @@ same coefficient comparison:
     T_{2n+1}  = (-1)^n  - sum_{k<n} (-1)^{n-k} [2n+1 over 2k+1] T_{2k+1}
 
 All functions are memoized, so asking for index n fills the prefix 0..n once.
+gen_euler_at_one runs the generalized Euler recurrence over the integers,
+for the checks that only read values at q = 1.
 Index convention: the argument n is the recurrence index; the polynomial
 subscript is 2n for the even families, 2n+1 for the tangent family, and c*n
 for the generalized Euler family with parameter c.
@@ -27,9 +29,27 @@ for the generalized Euler family with parameter c.
 from __future__ import annotations
 
 import functools
+from math import comb
 
 from .poly import IntPoly, ONE, ZERO, q_power
 from .qbinom import gauss
+
+
+def _gen_euler_step(k: int, n: int, binom, prefix, zero):
+    """-sum_{j<n} binom(kn, kj) * prefix(j): the E^(k)_{kn} recurrence in any
+    ring, given the image `binom` of the Gaussian binomial there, the earlier
+    values `prefix(j)` and the ring's `zero`."""
+    total = zero
+    for j in range(n):
+        total = total + binom(k * n, k * j) * prefix(j)
+    return -total
+
+
+def _check_gen_euler(k: int, n: int) -> None:
+    if k < 1:
+        raise ValueError("family parameter must be positive")
+    if n < 0:
+        raise ValueError("index must be nonnegative")
 
 
 @functools.lru_cache(maxsize=None)
@@ -39,25 +59,37 @@ def euler(n: int) -> IntPoly:
         raise ValueError("index must be nonnegative")
     if n == 0:
         return ONE
-    total = ZERO
-    for k in range(n):
-        total = total + gauss(2 * n, 2 * k) * euler(k)
-    return -total
+    return _gen_euler_step(2, n, gauss, euler, ZERO)
 
 
 @functools.lru_cache(maxsize=None)
 def gen_euler(k: int, n: int) -> IntPoly:
     """Generalized q-Euler numbers E^(k)_{kn}(q); the k = 2 family is euler()."""
-    if k < 1:
-        raise ValueError("family parameter must be positive")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+    _check_gen_euler(k, n)
     if n == 0:
         return ONE
-    total = ZERO
-    for j in range(n):
-        total = total + gauss(k * n, k * j) * gen_euler(k, j)
-    return -total
+    return _gen_euler_step(k, n, gauss, functools.partial(gen_euler, k), ZERO)
+
+
+def gen_euler_at_one(k: int, n: int) -> int:
+    """E^(k)_{kn}(1), the image of gen_euler(k, n) under q -> 1.
+
+    Evaluation at 1 is a ring map Z[q] -> Z sending [a over b]_q to C(a, b),
+    so the same recurrence run over the integers gives the exact value
+    without building the polynomial.  The table is filled bottom-up, so the
+    call depth stays constant in n.
+    """
+    _check_gen_euler(k, n)
+    for i in range(n):
+        _gen_euler_at_one(k, i)
+    return _gen_euler_at_one(k, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _gen_euler_at_one(k: int, n: int) -> int:
+    if n == 0:
+        return 1
+    return _gen_euler_step(k, n, comb, functools.partial(_gen_euler_at_one, k), 0)
 
 
 @functools.lru_cache(maxsize=None)

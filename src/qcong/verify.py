@@ -20,6 +20,7 @@ from .residues import inject, root_power
 from .sequences import (
     euler,
     gen_euler,
+    gen_euler_at_one,
     salie,
     salie_bar,
     salie_hat,
@@ -356,8 +357,8 @@ def check_corollary52_and_stern(k: int, m: int, n: int) -> ConjectureReport:
     s = v2(m-n) + 1; for k = 1 the congruence is 2-adically exact (Stern)."""
     _require(k >= 1 and m > n >= 0, "need k >= 1 and m > n >= 0")
     fam = 1 << k
-    a = gen_euler(fam, m).eval_int(1)
-    b = gen_euler(fam, n).eval_int(1)
+    a = gen_euler_at_one(fam, m)
+    b = gen_euler_at_one(fam, n)
     s = _v2(m - n) + 1
     diff = a - b
     holds = diff % (1 << s) == 0
@@ -375,8 +376,8 @@ def check_stern(m: int, n: int) -> ConjectureReport:
     """Both directions of Stern's congruence at q = 1:
     v2(E_{2m}(1) - E_{2n}(1)) equals v2(2m - 2n) exactly."""
     _require(m > n >= 0, "need m > n >= 0")
-    a = euler(m).eval_int(1)
-    b = euler(n).eval_int(1)
+    a = gen_euler_at_one(2, m)
+    b = gen_euler_at_one(2, n)
     target = _v2(2 * (m - n))
     actual = _v2(a - b) if a != b else -1
     return ConjectureReport(
@@ -397,7 +398,7 @@ def explore_conjecture51(k_max: int, m_max: int) -> list[ConjectureReport]:
     reports = []
     for k in range(1, k_max + 1):
         fam = 1 << k
-        values = [gen_euler(fam, i).eval_int(1) for i in range(m_max + 1)]
+        values = [gen_euler_at_one(fam, i) for i in range(m_max + 1)]
         for m in range(1, m_max + 1):
             for n in range(m):
                 s = _v2(m - n) + 1

@@ -163,3 +163,34 @@ def test_out_file(tmp_path):
 def test_missing_subcommand_usage_error():
     proc = run()
     assert proc.returncode == 2
+
+
+def assert_usage_error(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("qcong: error: ")
+    assert proc.stdout == ""
+
+
+def test_enumeration_cap_is_usage_error():
+    assert_usage_error(run("verify", "--suite", "perm-salie", "--n-max", "6"))
+
+
+def test_explorer_precondition_is_usage_error():
+    assert_usage_error(run("explore", "--conjecture", "conj61", "--n-max", "0"))
+
+
+def test_empty_sweep_is_usage_error():
+    assert_usage_error(run("verify", "--suite", "theorem2", "--n-max", "0"))
+    assert_usage_error(run("verify", "--suite", "stern", "--m-max", "-3"))
+    assert_usage_error(run("verify", "--suite", "theorem2",
+                           env_extra={"QCONG_MAX_N": "-2"}))
+
+
+def test_all_suites_under_small_cap_succeed():
+    # some suites are empty under the cap, but the total is not
+    proc = run("verify", "--suite", "all", "--format", "json",
+               env_extra={"QCONG_MAX_N": "1"})
+    assert proc.returncode == 0
+    summary = json_lines(proc.stdout)[-1]
+    assert summary["checked"] > 0 and summary["failed"] == 0

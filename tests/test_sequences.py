@@ -1,9 +1,11 @@
 """Family generators against printed values, classical specializations, and
 the cross-identities that tie the derived recurrences together."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcong.poly import IntPoly, ONE, Q, q_power
 from qcong.qbinom import gauss
@@ -11,13 +13,15 @@ from qcong.sequences import (
     euler,
     family_value,
     gen_euler,
+    gen_euler_at_one,
     salie,
     salie_bar,
     salie_hat,
     salie_tilde,
     tangent,
 )
-from oracles import gen_euler_at_one, zigzag_numbers
+import oracles
+from oracles import zigzag_numbers
 
 
 def poly(*coeffs):
@@ -79,6 +83,10 @@ def test_negative_index_rejected():
             fn(-1)
     with pytest.raises(ValueError):
         gen_euler(0, 1)
+    with pytest.raises(ValueError):
+        gen_euler_at_one(0, 1)
+    with pytest.raises(ValueError):
+        gen_euler_at_one(2, -1)
 
 
 # generalized family ---------------------------------------------------------
@@ -102,8 +110,40 @@ def test_gen_euler_k1_is_monomial():
 
 def test_gen_euler_at_one_matches_integer_recurrence():
     for k in (1, 2, 3, 4):
-        expected = gen_euler_at_one(k, 9)
+        expected = oracles.gen_euler_at_one(k, 9)
         assert [gen_euler(k, n).eval_int(1) for n in range(9)] == expected
+
+
+# the integer route at q = 1 ---------------------------------------------------
+
+
+def test_gen_euler_at_one_matches_polynomial_route():
+    for k in range(1, 9):
+        for n in range(10):
+            assert gen_euler_at_one(k, n) == gen_euler(k, n).eval_int(1), (k, n)
+
+
+def test_gen_euler_at_one_is_signed_secant():
+    # the Seidel triangle only adds, so it shares no arithmetic with the route
+    zz = zigzag_numbers(121)
+    for n in range(61):
+        assert gen_euler_at_one(2, n) == (-1) ** n * zz[2 * n]
+
+
+@given(st.integers(1, 8), st.integers(0, 8))
+def test_gen_euler_at_one_matches_oracle(k, n):
+    assert gen_euler_at_one(k, n) == oracles.gen_euler_at_one(k, n + 1)[n]
+
+
+def test_gen_euler_at_one_needs_no_deep_recursion():
+    # the table is filled bottom-up: index 400 runs under a 200-frame limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        value = gen_euler_at_one(1, 400)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == (-1) ** 400
 
 
 # classical specializations at q = 1 -----------------------------------------
