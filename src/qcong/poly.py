@@ -6,6 +6,14 @@ coefficient is nonzero, and the zero polynomial is the empty tuple.  Values
 are immutable and hashable, hence safe to share across threads; every
 operation returns a new polynomial.
 
+Products are computed by Kronecker substitution: both factors are evaluated
+at q = 2^(8w), the two integers are multiplied once (CPython does the
+convolution in C, by Karatsuba for large operands), and the coefficients are
+read back from the bytes of the result, w bytes each.  No product
+coefficient exceeds max|a| * max|b| * min(len a, len b) in absolute value,
+and w is chosen so that this bound plus a sign bit fits in a slot; slots
+therefore never overlap and the result is the exact schoolbook product.
+
 >>> p = IntPoly((1, 1))
 >>> print(p * p)
 1 + 2q + q^2
@@ -43,6 +51,32 @@ def _as_poly(value) -> "IntPoly | None":
     if isinstance(value, int):
         return IntPoly((value,))
     return None
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """The value at q = 2^(8*width) of coefficients below 2^(8*width-1)."""
+    positive = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
+    negative = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Coefficients of the product of two nonzero coefficient tuples.
+
+    The slot width is the fewest bytes w with the coefficient bound below
+    2^(8w-1); adding 2^(8w-1) to every slot then makes each one a digit in
+    (0, 2^(8w)), read back from the bytes of the biased product.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    n = len(a) + len(b) - 1
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    digits = (_pack(a, width) * _pack(b, width) + bias).to_bytes(n * width, "little")
+    half = 1 << (8 * width - 1)
+    return [
+        int.from_bytes(digits[i : i + width], "little") - half
+        for i in range(0, n * width, width)
+    ]
 
 
 class IntPoly:
@@ -107,17 +141,9 @@ class IntPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
+        return IntPoly(_kronecker_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -148,6 +174,8 @@ class IntPoly:
         if dn < dd:
             return ZERO, self
         lead = divisor.coeffs[-1]
+        # Only the nonzero terms subtract anything; 1 + q^d has two of d + 1.
+        terms = [(i, c) for i, c in enumerate(divisor.coeffs) if c]
         rem = list(self.coeffs)
         quot = [0] * (dn - dd + 1)
         for shift in range(dn - dd, -1, -1):
@@ -161,7 +189,7 @@ class IntPoly:
                     IntPoly(rem),
                 )
             quot[shift] = t
-            for i, c in enumerate(divisor.coeffs):
+            for i, c in terms:
                 rem[shift + i] -= t * c
         return IntPoly(quot), IntPoly(rem)
 

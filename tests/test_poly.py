@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from qcong.cyclotomic import cyclotomic
 from qcong.poly import (
     IntPoly,
     NonMonicModulus,
@@ -25,6 +27,15 @@ def random_poly(rng, max_degree=8, span=9):
     return IntPoly(
         [rng.randint(-span, span) for _ in range(rng.randint(0, max_degree + 1))]
     )
+
+
+# Signed coefficients of 0 to 300 bits, with zeros drawn often enough to leave
+# interior gaps; all-negative operands are drawn from their own strategy.
+big_coeff = st.one_of(
+    st.just(0), st.integers(0, 300).flatmap(lambda b: st.integers(-(2**b), 2**b))
+)
+big_coeffs = st.lists(big_coeff, min_size=1, max_size=60)
+negative_coeffs = st.lists(st.integers(-(2**300), -1), min_size=1, max_size=60)
 
 
 def test_canonical_form():
@@ -66,6 +77,30 @@ def test_mul_matches_naive_oracle():
     for _ in range(400):
         a, b = random_poly(rng), random_poly(rng)
         assert (a * b).coeffs == tuple(naive_mul(list(a.coeffs), list(b.coeffs)))
+
+
+@given(st.one_of(big_coeffs, negative_coeffs), st.one_of(big_coeffs, negative_coeffs))
+def test_mul_big_signed_matches_naive_oracle(a, b):
+    assert (IntPoly(a) * IntPoly(b)).coeffs == tuple(naive_mul(a, b))
+
+
+def test_mul_coefficient_on_the_slot_bound():
+    # Every coefficient -2^b: the middle coefficient of the product is
+    # min(len) * 2^(2b), exactly the bound the slot width is chosen from.
+    for bits in (0, 1, 7, 8, 63, 64, 127, 300):
+        for n, m in ((1, 1), (1, 5), (4, 4), (3, 60), (60, 60)):
+            a, b = [-(2**bits)] * n, [-(2**bits)] * m
+            product = IntPoly(a) * IntPoly(b)
+            assert product.coeffs == tuple(naive_mul(a, b))
+            assert max(product.coeffs) == min(n, m) * 2 ** (2 * bits)
+
+
+@given(big_coeffs, big_coeff)
+def test_mul_by_constant(a, c):
+    expected = tuple(naive_mul(a, [c]))
+    assert (IntPoly(a) * c).coeffs == expected
+    assert (c * IntPoly(a)).coeffs == expected
+    assert (IntPoly(a) * IntPoly((c,))).coeffs == expected
 
 
 def test_mul_degree_additive():
@@ -158,6 +193,23 @@ def test_rem_monic_matches_naive_division():
         assert r.degree() < m.degree()
         # a = quotient * m + r with the quotient recovered by exact division
         assert (a - r).exact_div(m) * m + r == a
+
+
+@given(st.lists(big_coeff, max_size=80), st.integers(1, 30), st.booleans())
+def test_rem_monic_sparse_moduli_match_naive_division(a, d, use_cyclotomic):
+    modulus = cyclotomic(d) if use_cyclotomic else one_plus_q_power(d)
+    naive_q, naive_r = naive_divmod(a, list(modulus.coeffs))
+    r = IntPoly(a).rem_monic(modulus)
+    assert r.coeffs == tuple(naive_r)
+    assert (IntPoly(a) - r).exact_div(modulus).coeffs == tuple(naive_q)
+
+
+def test_not_divisible_witness_non_monic_mid_division():
+    # 1 + q + 6q^2 + 3q^3 + 4q^4 over 1 + 2q^2: the first step subtracts
+    # 2q^2 (1 + 2q^2), the second would need 3/2 and stops there.
+    with pytest.raises(NotDivisible) as err:
+        poly(1, 1, 6, 3, 4).exact_div(poly(1, 0, 2))
+    assert err.value.remainder == poly(1, 1, 4, 3)
 
 
 def test_rem_monic_rejects_non_monic():
