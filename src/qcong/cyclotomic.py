@@ -35,6 +35,23 @@ def cyclotomic(n: int) -> IntPoly:
     return poly
 
 
+def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:
+    """Canonical remainder of p modulo Phi_m.
+
+    Phi_m divides q^(m/2) + 1 for even m and q^m - 1 for odd m, so p is
+    first folded modulo that binomial in one pass; only the rest, of degree
+    below m, is long-divided by Phi_m.  Remainders modulo a monic
+    polynomial are unique, so this equals p.rem_monic(cyclotomic(m)).
+
+    >>> print(rem_cyclotomic(IntPoly((0, 0, 0, 1)), 6))
+    -1
+    """
+    if m < 1:
+        raise ValueError("cyclotomic index must be positive")
+    folded = p.rem_binomial(m // 2, -1) if m % 2 == 0 else p.rem_binomial(m, 1)
+    return folded.rem_monic(cyclotomic(m))
+
+
 def factor_one_plus_qd(d: int) -> "FactoredPoly":
     """Cyclotomic factorization of 1 + q^d: {Phi_2k : k | d, 2k does not divide d}."""
     if d < 1:

@@ -221,7 +221,41 @@ class IntPoly:
             )
         return self._divmod(modulus)[1]
 
+    def rem_binomial(self, d: int, c: int) -> "IntPoly":
+        """Canonical remainder modulo q^d - c, for c = 1 or c = -1.
+
+        Since q^d = c in the quotient, the coefficient of q^(i*d + r) folds
+        onto q^r with the sign c^i: one pass over the coefficients, with no
+        long division.  1 + q^d is the case c = -1.
+
+        >>> print(IntPoly((1, 0, 0, 0, 1)).rem_binomial(2, -1))
+        2
+        """
+        if d < 1:
+            raise ValueError("binomial modulus needs d >= 1")
+        if c not in (1, -1):
+            raise ValueError("binomial modulus needs c = 1 or c = -1")
+        cs = self.coeffs
+        if len(cs) <= d:
+            return self
+        if c == 1:
+            return IntPoly([sum(cs[r::d]) for r in range(d)])
+        step = 2 * d
+        return IntPoly([sum(cs[r::step]) - sum(cs[r + d :: step]) for r in range(d)])
+
     # specializations ----------------------------------------------------------
+
+    def shift(self, j: int) -> "IntPoly":
+        """The product q^j * self, without a multiplication.
+
+        >>> print(IntPoly((1, 1)).shift(2))
+        q^2 + q^3
+        """
+        if j < 0:
+            raise ValueError("shift must be nonnegative")
+        if j == 0 or not self.coeffs:
+            return self
+        return IntPoly((0,) * j + self.coeffs)
 
     def substitute_power(self, k: int) -> "IntPoly":
         """The polynomial a(q^k).

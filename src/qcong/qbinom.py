@@ -41,7 +41,7 @@ def _gauss(m: int, n: int) -> IntPoly:
     # n is already normalized to min(n, m - n), halving the memo table.
     if n == 0:
         return ONE
-    return gauss(m - 1, n - 1) + q_power(n) * gauss(m - 1, n)
+    return gauss(m - 1, n - 1) + gauss(m - 1, n).shift(n)
 
 
 def gauss_factored(m: int, n: int) -> FactoredPoly:

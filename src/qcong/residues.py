@@ -7,7 +7,7 @@ primitive m-th root of unity" -- no floating point anywhere.
 
 from __future__ import annotations
 
-from .cyclotomic import cyclotomic
+from .cyclotomic import rem_cyclotomic
 from .poly import IntPoly, q_power
 
 
@@ -24,7 +24,7 @@ class ResidueElem:
         if modulus_index < 1:
             raise ValueError("modulus index must be positive")
         self.modulus_index = modulus_index
-        self.rep = rep.rem_monic(cyclotomic(modulus_index))
+        self.rep = rem_cyclotomic(rep, modulus_index)
 
     def _coerce(self, other) -> "ResidueElem | None":
         if isinstance(other, ResidueElem):

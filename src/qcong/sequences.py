@@ -92,6 +92,18 @@ def _gen_euler_at_one(k: int, n: int) -> int:
     return _gen_euler_step(k, n, comb, functools.partial(_gen_euler_at_one, k), 0)
 
 
+def _sub_signed(total: IntPoly, e: int, term: IntPoly) -> IntPoly:
+    """total - (-1)^e * term, by parity instead of a product with a sign."""
+    return total + term if e % 2 else total - term
+
+
+def _salie_variant(n: int, lead: IntPoly, prefix) -> IntPoly:
+    total = lead
+    for k in range(n):
+        total = _sub_signed(total, n - k, gauss(2 * n, 2 * k) * prefix(k))
+    return total
+
+
 @functools.lru_cache(maxsize=None)
 def tangent(n: int) -> IntPoly:
     """q-tangent numbers T_{2n+1}(q); T_1 = 1, T_3 = q + q^2."""
@@ -101,7 +113,7 @@ def tangent(n: int) -> IntPoly:
         return ONE
     total = IntPoly(((-1) ** n,))
     for k in range(n):
-        total = total - ((-1) ** (n - k)) * gauss(2 * n + 1, 2 * k + 1) * tangent(k)
+        total = _sub_signed(total, n - k, gauss(2 * n + 1, 2 * k + 1) * tangent(k))
     return total
 
 
@@ -112,17 +124,7 @@ def salie(n: int) -> IntPoly:
         raise ValueError("index must be nonnegative")
     if n == 0:
         return ONE
-    total = q_power(n)
-    for k in range(n):
-        total = total - ((-1) ** (n - k)) * gauss(2 * n, 2 * k) * salie(k)
-    return total
-
-
-def _salie_variant(n: int, lead: IntPoly, prefix) -> IntPoly:
-    total = lead
-    for k in range(n):
-        total = total - ((-1) ** (n - k)) * gauss(2 * n, 2 * k) * prefix(k)
-    return total
+    return _salie_variant(n, q_power(n), salie)
 
 
 @functools.lru_cache(maxsize=None)

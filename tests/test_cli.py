@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 from qcong.divisors import big_p
+from qcong.perms import ENUMERATION_CAP
 from qcong.poly import IntPoly
 from qcong.sequences import euler, gen_euler
 
@@ -173,7 +174,11 @@ def assert_usage_error(proc):
 
 
 def test_enumeration_cap_is_usage_error():
-    assert_usage_error(run("verify", "--suite", "perm-salie", "--n-max", "6"))
+    # one cap for both permutation suites
+    for suite in ("perm-euler", "perm-salie"):
+        proc = run("verify", "--suite", suite, "--n-max", str(ENUMERATION_CAP + 1))
+        assert_usage_error(proc)
+        assert f"enumeration cap {ENUMERATION_CAP}" in proc.stderr
 
 
 def test_explorer_precondition_is_usage_error():

@@ -1,8 +1,9 @@
 """Cyclotomic generation and factored products."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from qcong.cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd
+from qcong.cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd, rem_cyclotomic
 from qcong.poly import IntPoly, ONE, one_plus_q_power, q_power
 
 
@@ -114,3 +115,20 @@ def test_factored_equality_hash():
     assert FactoredPoly({2: 1}) == FactoredPoly([(2, 1)])
     assert hash(FactoredPoly({2: 1})) == hash(FactoredPoly({2: 1}))
     assert FactoredPoly({2: 1}) != FactoredPoly({2: 2})
+
+
+@given(
+    st.integers(0, 250).flatmap(
+        lambda n: st.lists(st.integers(-(2**200), 2**200), min_size=n, max_size=n)
+    ),
+    st.integers(1, 60),
+)
+def test_rem_cyclotomic_matches_long_division(a, m):
+    p = IntPoly(a)
+    assert rem_cyclotomic(p, m) == p.rem_monic(cyclotomic(m))
+
+
+def test_rem_cyclotomic_rejects_bad_index():
+    for m in (0, -1, -4):
+        with pytest.raises(ValueError):
+            rem_cyclotomic(poly(1, 1), m)

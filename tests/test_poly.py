@@ -204,6 +204,37 @@ def test_rem_monic_sparse_moduli_match_naive_division(a, d, use_cyclotomic):
     assert (IntPoly(a) - r).exact_div(modulus).coeffs == tuple(naive_q)
 
 
+# 0 to 300 coefficients, long enough that every d <= 40 folds several blocks;
+# drawn big operands are repeated to the length, which keeps generation cheap.
+long_coeffs = st.tuples(big_coeffs, st.integers(0, 300)).map(
+    lambda t: (t[0] * (t[1] // len(t[0]) + 1))[: t[1]]
+)
+
+
+@given(long_coeffs, st.integers(1, 40))
+def test_rem_binomial_matches_naive_division(a, d):
+    minus_one = [-1] + [0] * (d - 1) + [1]
+    for c, modulus in ((-1, list(one_plus_q_power(d).coeffs)), (1, minus_one)):
+        _, naive_r = naive_divmod(a, modulus)
+        assert IntPoly(a).rem_binomial(d, c).coeffs == tuple(naive_r)
+
+
+def test_rem_binomial_rejects_other_moduli():
+    for d, c in ((0, 1), (-2, -1), (3, 0), (3, 2), (3, -2)):
+        with pytest.raises(ValueError):
+            poly(1, 2, 3, 4).rem_binomial(d, c)
+
+
+@given(big_coeffs, st.integers(0, 80))
+def test_shift_matches_monomial_product(a, j):
+    assert IntPoly(a).shift(j) == q_power(j) * IntPoly(a)
+
+
+def test_shift_rejects_negative():
+    with pytest.raises(ValueError):
+        poly(1, 1).shift(-1)
+
+
 def test_not_divisible_witness_non_monic_mid_division():
     # 1 + q + 6q^2 + 3q^3 + 4q^4 over 1 + 2q^2: the first step subtracts
     # 2q^2 (1 + 2q^2), the second would need 3/2 and stops there.

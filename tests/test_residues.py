@@ -21,10 +21,11 @@ def test_inject_constants():
 
 
 def test_inject_reduces():
+    # Degrees up to 200 exercise the fold modulo q^(m/2) + 1 or q^m - 1.
     rng = random.Random(5)
-    for _ in range(100):
-        p = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 12))])
-        m = rng.randint(1, 12)
+    for _ in range(400):
+        p = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 200))])
+        m = rng.randint(1, 40)
         elem = inject(p, m)
         assert elem.rep == p.rem_monic(cyclotomic(m))
         assert elem.rep.degree() < max(cyclotomic(m).degree(), 1)

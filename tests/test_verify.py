@@ -5,8 +5,9 @@ root-of-unity congruence family."""
 import pytest
 
 from qcong import verify as v
-from qcong.poly import IntPoly, ONE
-from qcong.sequences import euler
+from qcong.cyclotomic import cyclotomic
+from qcong.poly import IntPoly, ONE, one_plus_q_power, q_power
+from qcong.sequences import euler, gen_euler
 
 
 def poly(*coeffs):
@@ -321,3 +322,44 @@ def test_euler_memo_shared_with_checkers():
         .rem_monic(poly(1, 0, 1))
         .is_zero()
     )
+
+
+# cached residues against the full-difference route ------------------------------
+#
+# The congruence checks reduce cached residues of each family value; the
+# full-difference route builds each difference at full degree and
+# long-divides it.  Remainders modulo a monic polynomial are unique, so the
+# two must agree on every verdict and every witness.
+
+
+def full_difference_cases():
+    for m in range(1, 11):
+        for n in range(m):
+            diff = euler(m) - q_power(m - n) * euler(n)
+            for d in range(1, m + 1):
+                yield v.check_theorem1(m, n, d), diff.rem_monic(one_plus_q_power(d))
+                yield v.check_lemma31(m, n, d), diff.rem_monic(cyclotomic(2 * d))
+    for k in (1, 2):
+        fam, half = 1 << k, 1 << (k - 1)
+        for m in range(1, 9):
+            for n in range(m):
+                diff = gen_euler(fam, m) - q_power(half * (m - n)) * gen_euler(fam, n)
+                for d in range(1, m + 1):
+                    yield (
+                        v.check_theorem52(k, m, n, d),
+                        diff.rem_monic(one_plus_q_power(half * d)),
+                    )
+    for k in range(1, 5):
+        for m in range(12 // k + 1):
+            for n in range(12 - k * m + 1):
+                diff = euler(k * m + n) - (-1) ** m * euler(n)
+                yield v.check_desarmenien(k, m, n), diff.rem_monic(cyclotomic(2 * k))
+
+
+def test_residue_checks_match_full_difference_route():
+    seen = set()
+    for report, remainder in full_difference_cases():
+        seen.add(report.check)
+        assert report.witness == remainder, report.describe()
+        assert report.observed_congruence == remainder.is_zero()
+    assert seen == {"theorem1", "lemma31", "theorem52", "desarmenien"}
