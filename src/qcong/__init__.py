@@ -45,7 +45,7 @@ from .qbinom import (
     q_lucas_sides,
     qpoch,
 )
-from .residues import ModulusMismatch, ResidueElem, inject, res_mul, root_power
+from .residues import ModulusMismatch, ResidueElem, inject, root_power
 from .sequences import (
     SEQUENCE_FAMILIES,
     euler,
@@ -101,7 +101,6 @@ __all__ = [
     "q_power",
     "q_tilde",
     "qpoch",
-    "res_mul",
     "root_power",
     "salie",
     "salie_bar",

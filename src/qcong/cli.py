@@ -26,29 +26,17 @@ ENV_CAP = "QCONG_MAX_N"
 
 COMPUTE_FAMILIES = SEQUENCE_FAMILIES + tuple(DIVISOR_FAMILIES) + ("cyclotomic", "gauss")
 
-# suite name -> (runner, {bound flag default}); bounds resolve as
-# explicit flag > QCONG_MAX_N > default.
-SUITES = {
-    "theorem1": (lambda b: v.sweep_theorem1(b["m_max"], b["d_max"]), {"m_max": 12, "d_max": None}),
-    "corollary1": (lambda b: v.sweep_corollary1(b["m_max"]), {"m_max": 10}),
-    "lemma31": (lambda b: v.sweep_lemma31(b["m_max"], b["d_max"]), {"m_max": 12, "d_max": None}),
-    "desarmenien": (lambda b: v.sweep_desarmenien(b["k_max"], b["n_max"]), {"k_max": 4, "n_max": 10}),
-    "theorem2": (lambda b: v.sweep_theorem2(b["n_max"]), {"n_max": 15}),
-    "lemma41": (lambda b: v.sweep_lemma41(b["n_max"]), {"n_max": 15}),
-    "eq23": (lambda b: v.sweep_eq23(b["n_max"]), {"n_max": 15}),
-    "eq24": (lambda b: v.sweep_eq24(b["n_max"]), {"n_max": 15}),
-    "theorem51": (lambda b: v.sweep_theorem51(b["k_max"], b["m_max"], b["d_max"]), {"k_max": 3, "m_max": 6, "d_max": None}),
-    "theorem52": (lambda b: v.sweep_theorem52(b["k_max"], b["m_max"], b["d_max"]), {"k_max": 2, "m_max": 8, "d_max": None}),
-    "corollary52": (lambda b: v.sweep_corollary52(b["k_max"], b["m_max"]), {"k_max": 2, "m_max": 8}),
-    "stern": (lambda b: v.sweep_stern(b["m_max"]), {"m_max": 10}),
-    "foata": (lambda b: v.sweep_foata(b["n_max"]), {"n_max": 15}),
-    "perm-euler": (lambda b: v.sweep_perm_euler(b["n_max"]), {"n_max": 3}),
-    "perm-salie": (lambda b: v.sweep_perm_salie(b["n_max"]), {"n_max": 3}),
-}
 
-CONJECTURES = {
-    "conj51": (lambda b: v.explore_conjecture51(b["k_max"], b["m_max"]), {"k_max": 3, "m_max": 10}),
-    "conj61": (lambda b: v.explore_conjecture61(b["n_max"]), {"n_max": 12}),
+# command -> suite name -> bound name -> default, read from the signature of
+# the suite's function (its parameters come first in co_varnames, and every
+# one has a default).  Read once at import: wrappers that later replace the
+# functions need not carry their defaults.
+BOUNDS = {
+    command: {
+        name: dict(zip(fn.__code__.co_varnames, fn.__defaults__))
+        for name, fn in suites.items()
+    }
+    for command, suites in v.SUITES.items()
 }
 
 
@@ -65,47 +53,20 @@ def _factored_records(f: FactoredPoly) -> list[dict]:
 def _witness_record(w):
     if isinstance(w, IntPoly):
         return _coeff_strings(w)
-    if w is None:
-        return None
     return str(w)
+
+
+# report field -> its JSON encoding; other fields are JSON already.
+_ENCODERS = {"divisor": _factored_records, "witness": _witness_record}
 
 
 def report_record(r) -> dict:
     """JSON-ready dict for any verify/explore report."""
-    if isinstance(r, v.CongruenceReport):
-        return {
-            "check": r.check,
-            "params": r.params,
-            "expected_equivalence": r.expected_equivalence,
-            "observed_congruence": r.observed_congruence,
-            "passed": r.passed,
-            "witness": _witness_record(r.witness),
-        }
-    if isinstance(r, v.DivisibilityReport):
-        return {
-            "check": r.check,
-            "family": r.family,
-            "index": r.index,
-            "params": r.params,
-            "divisor": _factored_records(r.divisor),
-            "passed": r.passed,
-            "witness": _witness_record(r.witness),
-        }
-    if isinstance(r, v.IdentityReport):
-        return {
-            "check": r.check,
-            "params": r.params,
-            "passed": r.passed,
-            "witness": _witness_record(r.witness),
-        }
-    if isinstance(r, v.ConjectureReport):
-        return {
-            "conjecture": r.conjecture,
-            "params": r.params,
-            "status": "holds" if r.holds else "fails",
-            "witness": _witness_record(r.witness),
-        }
-    raise TypeError(f"unknown report type {type(r)!r}")
+    record = {}
+    for key in v.RECORD_KEYS[r.kind]:
+        value = getattr(r, key)
+        record[key] = _ENCODERS[key](value) if key in _ENCODERS else value
+    return record
 
 
 def _env_cap(parser: argparse.ArgumentParser) -> int | None:
@@ -119,16 +80,27 @@ def _env_cap(parser: argparse.ArgumentParser) -> int | None:
 
 
 def _resolve_bounds(args, defaults: dict, cap: int | None) -> dict:
+    """Each bound is the explicit flag, else the default capped by
+    QCONG_MAX_N; an unbounded default (None) is never capped."""
     resolved = {}
     for name, default in defaults.items():
-        flag = getattr(args, name, None)
+        flag = getattr(args, name)
         if flag is not None:
             resolved[name] = flag
-        elif cap is not None and isinstance(default, int):
+        elif cap is not None and default is not None:
             resolved[name] = min(default, cap)
         else:
             resolved[name] = default
     return resolved
+
+
+def _bound_names(command: str) -> dict:
+    """Every bound that some suite of `command` takes, in first-seen order."""
+    return {name: None for bounds in BOUNDS[command].values() for name in bounds}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -136,11 +108,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
 
-def _add_bounds(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-max", dest="n_max", type=int)
-    parser.add_argument("--m-max", dest="m_max", type=int)
-    parser.add_argument("--k-max", dest="k_max", type=int)
-    parser.add_argument("--d-max", dest="d_max", type=int)
+def _add_bounds(parser: argparse.ArgumentParser, command: str) -> None:
+    for name in _bound_names(command):
+        parser.add_argument(_flag(name), dest=name, type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,13 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pc)
 
     pv = sub.add_parser("verify", help="run a theorem-check suite")
-    pv.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
-    _add_bounds(pv)
+    suites = tuple(v.SUITES["verify"]) + ("all",)
+    pv.add_argument("--suite", required=True, choices=suites)
+    _add_bounds(pv, "verify")
     _add_common(pv)
 
     pe = sub.add_parser("explore", help="explore a conjecture numerically")
-    pe.add_argument("--conjecture", required=True, choices=tuple(CONJECTURES))
-    _add_bounds(pe)
+    pe.add_argument("--conjecture", required=True, choices=tuple(v.SUITES["explore"]))
+    _add_bounds(pe, "explore")
     _add_common(pe)
 
     return parser
@@ -230,6 +201,15 @@ def _compute_records(args, parser) -> list[tuple[dict, str]]:
     return records
 
 
+def _reject_foreign_bounds(args, parser, command: str, name: str) -> None:
+    """Usage error for a bound flag that suite `name` does not take."""
+    taken = BOUNDS[command][name]
+    for other in _bound_names(command):
+        if other not in taken and getattr(args, other) is not None:
+            allowed = ", ".join(_flag(n) for n in taken)
+            parser.error(f"{name} does not take {_flag(other)} (its bounds: {allowed})")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -242,19 +222,19 @@ def main(argv=None) -> int:
         for rec, text in _compute_records(args, parser):
             lines.append(json.dumps(rec) if args.format == "json" else text)
     else:
-        if args.command == "verify":
-            names = tuple(SUITES) if args.suite == "all" else (args.suite,)
-            runs = [(name, SUITES[name]) for name in names]
-            summary = {"suite": args.suite}
-            words = ("passed", "failed")
-        else:
-            runs = [(args.conjecture, CONJECTURES[args.conjecture])]
-            summary = {"conjecture": args.conjecture}
-            words = ("holds", "fails")
+        option = "suite" if args.command == "verify" else "conjecture"
+        chosen = getattr(args, option)
+        summary = {option: chosen}
+        words = ("passed", "failed") if args.command == "verify" else ("holds", "fails")
+        bounds = BOUNDS[args.command]
+        names = tuple(bounds) if chosen == "all" else (chosen,)
+        if chosen != "all":
+            _reject_foreign_bounds(args, parser, args.command, chosen)
         reports = []
-        for name, (runner, defaults) in runs:
+        for name in names:
+            sweep = v.SUITES[args.command][name]
             try:
-                reports.extend(runner(_resolve_bounds(args, defaults, cap)))
+                reports.extend(sweep(**_resolve_bounds(args, bounds[name], cap)))
             except (v.PreconditionViolation, SizeLimitExceeded) as exc:
                 parser.error(f"{name}: {exc}")
         checked, passed, failed = v.summarize(reports)

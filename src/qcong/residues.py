@@ -87,11 +87,6 @@ def inject(p: IntPoly, m: int) -> ResidueElem:
     return ResidueElem(m, p)
 
 
-def res_mul(a: ResidueElem, b: ResidueElem) -> ResidueElem:
-    """Reduced product of two residues with the same modulus."""
-    return a * b
-
-
 def root_power(m: int, j: int) -> ResidueElem:
     """The class of q^(j mod m): the j-th power of a primitive m-th root of unity."""
     if m < 1:

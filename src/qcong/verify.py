@@ -1,16 +1,16 @@
 """Executable checks for the congruence, divisibility, and identity claims,
 plus numeric explorers for the two open conjectures.
 
-Theorem checkers return structured reports and always test both directions
-of an if-and-only-if: a report passes when the observed congruence agrees
-with the predicted equivalence.  Conjecture explorers never assert; they
-report holds/fails per instance with a witness.
+Every checker returns a `Report`.  Theorem checkers always test both
+directions of an if-and-only-if: a report passes when the observed congruence
+agrees with the predicted equivalence.  Conjecture explorers never assert;
+they report holds/fails per instance with a witness.  `SUITES` maps each
+suite name of the command line to its sweep or explorer.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from .cyclotomic import FactoredPoly, factor_one_plus_qd, rem_cyclotomic
 from .divisors import big_d, big_p, q_bar, q_hat, q_tilde
@@ -48,79 +48,115 @@ def _v2(x: int) -> int:
 
 # reports ---------------------------------------------------------------------
 
+# kind -> keys of the report's JSON record, in order.
+RECORD_KEYS = {
+    "congruence": (
+        "check",
+        "params",
+        "expected_equivalence",
+        "observed_congruence",
+        "passed",
+        "witness",
+    ),
+    "divisibility": (
+        "check",
+        "family",
+        "index",
+        "params",
+        "divisor",
+        "passed",
+        "witness",
+    ),
+    "identity": ("check", "params", "passed", "witness"),
+    "conjecture": ("conjecture", "params", "status", "witness"),
+}
 
-@dataclass
-class CongruenceReport:
-    check: str
-    params: dict
-    expected_equivalence: bool
-    observed_congruence: bool
-    witness: IntPoly
+# kind -> describe() verdict when the report passes, and the label of the
+# witness when it fails.
+_VERDICTS = {
+    "congruence": ("PASS", "FAIL witness"),
+    "divisibility": ("PASS", "FAIL remainder"),
+    "identity": ("PASS", "FAIL difference"),
+    "conjecture": ("holds", "fails witness"),
+}
+
+_CONGRUENT = {True: "congruent", False: "incongruent"}
+
+
+class Report:
+    """One decision with its witness.
+
+    `kind` is "congruence", "divisibility", "identity" or "conjecture".  The
+    witness is the remainder of a congruence, the quotient of a division that
+    passes and the remainder of one that fails, the difference of the two
+    sides of an identity, or an int or IntPoly for a conjecture instance.
+    Congruence reports also carry `expected_equivalence` and
+    `observed_congruence`; divisibility reports carry `family`, `index` and
+    `divisor`.
+    """
+
+    __slots__ = (
+        "kind",
+        "check",
+        "params",
+        "passed",
+        "witness",
+        "expected_equivalence",
+        "observed_congruence",
+        "family",
+        "index",
+        "divisor",
+    )
+
+    def __init__(self, kind, check, params, passed, witness, **fields):
+        self.kind = kind
+        self.check = check
+        self.params = params
+        self.passed = passed
+        self.witness = witness
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+    @classmethod
+    def congruence(cls, check, params, expected, observed, witness) -> Report:
+        """A congruence report passes when observed agrees with expected."""
+        fields = {"expected_equivalence": expected, "observed_congruence": observed}
+        return cls("congruence", check, params, expected == observed, witness, **fields)
 
     @property
-    def passed(self) -> bool:
-        return self.expected_equivalence == self.observed_congruence
-
-    def describe(self) -> str:
-        ps = " ".join(f"{k}={v}" for k, v in self.params.items())
-        verdict = "PASS" if self.passed else f"FAIL witness={self.witness}"
-        return (
-            f"{self.check} {ps}: expected "
-            f"{'congruent' if self.expected_equivalence else 'incongruent'}, "
-            f"observed "
-            f"{'congruent' if self.observed_congruence else 'incongruent'} -> {verdict}"
-        )
-
-
-@dataclass
-class DivisibilityReport:
-    check: str
-    family: str
-    index: int
-    divisor: FactoredPoly
-    passed: bool
-    witness: IntPoly  # quotient when passed, remainder otherwise
-    params: dict = field(default_factory=dict)
-
-    def describe(self) -> str:
-        extra = " ".join(f"{k}={v}" for k, v in self.params.items())
-        head = f"{self.check} {self.family} n={self.index}"
-        if extra:
-            head = f"{head} {extra}"
-        if self.passed:
-            return f"{head} divisor={self.divisor}: PASS"
-        return f"{head} divisor={self.divisor}: FAIL remainder={self.witness}"
-
-
-@dataclass
-class IdentityReport:
-    check: str
-    params: dict
-    passed: bool
-    witness: IntPoly  # the difference of the two sides
-
-    def describe(self) -> str:
-        ps = " ".join(f"{k}={v}" for k, v in self.params.items())
-        if self.passed:
-            return f"{self.check} {ps}: PASS"
-        return f"{self.check} {ps}: FAIL difference={self.witness}"
-
-
-@dataclass
-class ConjectureReport:
-    conjecture: str
-    params: dict
-    holds: bool
-    witness: object  # int or IntPoly
+    def holds(self) -> bool:
+        return self.passed
 
     @property
-    def passed(self) -> bool:
-        return self.holds
+    def conjecture(self) -> str:
+        return self.check
+
+    @property
+    def status(self) -> str:
+        return "holds" if self.passed else "fails"
 
     def describe(self) -> str:
-        ps = " ".join(f"{k}={v}" for k, v in self.params.items())
-        status = "holds" if self.holds else f"fails witness={self.witness}"
-        return f"{self.conjecture} {ps}: {status}"
+        words = [self.check]
+        if self.kind == "divisibility":
+            words += [self.family, f"n={self.index}"]
+        words += [f"{k}={v}" for k, v in self.params.items()]
+        if self.kind == "divisibility":
+            words.append(f"divisor={self.divisor}")
+        ok, fail = _VERDICTS[self.kind]
+        verdict = ok if self.passed else f"{fail}={self.witness}"
+        if self.kind == "congruence":
+            verdict = (
+                f"expected {_CONGRUENT[self.expected_equivalence]}, "
+                f"observed {_CONGRUENT[self.observed_congruence]} -> {verdict}"
+            )
+        return f"{' '.join(words)}: {verdict}"
+
+
+def _divisibility(check, family, index, divisor, value, params=None) -> Report:
+    """Whether `divisor` divides `value`, the `index`-th member of `family`."""
+    ok, witness = divisor.divides(value)
+    fields = {"family": family, "index": index, "divisor": divisor}
+    return Report("divisibility", check, params or {}, ok, witness, **fields)
 
 
 def summarize(reports) -> tuple[int, int, int]:
@@ -152,52 +188,42 @@ def _gen_euler_mod(c: int, n: int, d: int) -> IntPoly:
     return gen_euler(c, n).rem_binomial(d, -1)
 
 
+def _iff_report(check: str, params: dict, remainder: IntPoly) -> Report:
+    """Report of a congruence predicted to hold iff m = n mod d."""
+    expected = (params["m"] - params["n"]) % params["d"] == 0
+    return Report.congruence(check, params, expected, remainder.is_zero(), remainder)
+
+
 def _theorem1_residue(m: int, n: int, d: int) -> IntPoly:
     """E_{2m} - q^(m-n) E_{2n} modulo 1 + q^d."""
+    _require(m > n >= 0 and 1 <= d <= m, "need m > n >= 0 and 1 <= d <= m")
     return (_euler_mod(m, d) - _euler_mod(n, d).shift(m - n)).rem_binomial(d, -1)
 
 
-def check_theorem1(m: int, n: int, d: int) -> CongruenceReport:
+def check_theorem1(m: int, n: int, d: int) -> Report:
     """E_{2m} = q^(m-n) E_{2n} mod (1 + q^d) holds iff m = n mod d."""
-    _require(m > n >= 0 and 1 <= d <= m, "need m > n >= 0 and 1 <= d <= m")
     remainder = _theorem1_residue(m, n, d)
-    return CongruenceReport(
-        check="theorem1",
-        params={"m": m, "n": n, "d": d},
-        expected_equivalence=(m - n) % d == 0,
-        observed_congruence=remainder.is_zero(),
-        witness=remainder,
-    )
+    return _iff_report("theorem1", {"m": m, "n": n, "d": d}, remainder)
 
 
-def check_lemma31(m: int, n: int, d: int) -> CongruenceReport:
+def check_lemma31(m: int, n: int, d: int) -> Report:
     """Same congruence as theorem1 but modulo the single factor Phi_{2d}."""
-    _require(m > n >= 0 and 1 <= d <= m, "need m > n >= 0 and 1 <= d <= m")
     remainder = rem_cyclotomic(_theorem1_residue(m, n, d), 2 * d)
-    return CongruenceReport(
-        check="lemma31",
-        params={"m": m, "n": n, "d": d},
-        expected_equivalence=(m - n) % d == 0,
-        observed_congruence=remainder.is_zero(),
-        witness=remainder,
-    )
+    return _iff_report("lemma31", {"m": m, "n": n, "d": d}, remainder)
 
 
-def check_desarmenien(k: int, m: int, n: int) -> CongruenceReport:
+def check_desarmenien(k: int, m: int, n: int) -> Report:
     """E_{2km+2n} = (-1)^m E_{2n} mod Phi_{2k}; always congruent."""
     _require(k >= 1 and m >= 0 and n >= 0, "need k >= 1 and m, n >= 0")
     top, bottom = _euler_mod(k * m + n, k), _euler_mod(n, k)
     remainder = rem_cyclotomic(top + bottom if m % 2 else top - bottom, 2 * k)
-    return CongruenceReport(
-        check="desarmenien",
-        params={"k": k, "m": m, "n": n},
-        expected_equivalence=True,
-        observed_congruence=remainder.is_zero(),
-        witness=remainder,
+    params = {"k": k, "m": m, "n": n}
+    return Report.congruence(
+        "desarmenien", params, True, remainder.is_zero(), remainder
     )
 
 
-def check_corollary1(m: int, n: int) -> DivisibilityReport:
+def check_corollary1(m: int, n: int) -> Report:
     """E_{2m} - q^(m-n) E_{2n} is divisible by prod_{i<s} (1 + q^(2^i r)),
     where 2m - 2n = 2^s r with r odd."""
     _require(m > n >= 0, "need m > n >= 0")
@@ -208,19 +234,10 @@ def check_corollary1(m: int, n: int) -> DivisibilityReport:
     for i in range(s):
         modulus = modulus * factor_one_plus_qd((1 << i) * r)
     diff = euler(m) - euler(n).shift(m - n)
-    ok, witness = modulus.divides(diff)
-    return DivisibilityReport(
-        check="corollary1",
-        family="euler",
-        index=m,
-        divisor=modulus,
-        passed=ok,
-        witness=witness,
-        params={"m": m, "n": n},
-    )
+    return _divisibility("corollary1", "euler", m, modulus, diff, {"m": m, "n": n})
 
 
-def check_theorem51(k: int, m: int, n: int, d: int) -> CongruenceReport:
+def check_theorem51(k: int, m: int, n: int, d: int) -> Report:
     """In Z[q]/Phi_{2kd}, with z the class of q (a primitive 2kd-th root):
     E^(k)_{km}(z^2) = z^(k(m-n)) E^(k)_{kn}(z^2) iff m = n mod d."""
     _require(
@@ -233,16 +250,10 @@ def check_theorem51(k: int, m: int, n: int, d: int) -> CongruenceReport:
         gen_euler(k, n).substitute_power(2), ring
     )
     diff = lhs - rhs
-    return CongruenceReport(
-        check="theorem51",
-        params={"k": k, "m": m, "n": n, "d": d},
-        expected_equivalence=(m - n) % d == 0,
-        observed_congruence=diff.is_zero(),
-        witness=diff.rep,
-    )
+    return _iff_report("theorem51", {"k": k, "m": m, "n": n, "d": d}, diff.rep)
 
 
-def check_theorem52(k: int, m: int, n: int, d: int) -> CongruenceReport:
+def check_theorem52(k: int, m: int, n: int, d: int) -> Report:
     """For the family E^(2^k): congruence mod 1 + q^(2^(k-1) d) iff m = n mod d."""
     _require(
         k >= 1 and m > n >= 0 and 1 <= d <= m,
@@ -253,83 +264,42 @@ def check_theorem52(k: int, m: int, n: int, d: int) -> CongruenceReport:
     e = half * d
     value = _gen_euler_mod(fam, m, e) - _gen_euler_mod(fam, n, e).shift(half * (m - n))
     remainder = value.rem_binomial(e, -1)
-    return CongruenceReport(
-        check="theorem52",
-        params={"k": k, "m": m, "n": n, "d": d},
-        expected_equivalence=(m - n) % d == 0,
-        observed_congruence=remainder.is_zero(),
-        witness=remainder,
-    )
+    return _iff_report("theorem52", {"k": k, "m": m, "n": n, "d": d}, remainder)
 
 
 # divisibility checkers -----------------------------------------------------------
 
 
-def check_theorem2(n: int) -> DivisibilityReport:
+def check_theorem2(n: int) -> Report:
     """P_n divides the q-Salie number S_{2n}."""
     _require(n >= 1, "need n >= 1")
-    divisor = big_p(n)
-    ok, witness = divisor.divides(salie(n))
-    return DivisibilityReport(
-        check="theorem2",
-        family="salie",
-        index=n,
-        divisor=divisor,
-        passed=ok,
-        witness=witness,
-    )
+    return _divisibility("theorem2", "salie", n, big_p(n), salie(n))
 
 
-def check_theorem2_power(n: int, r: int) -> DivisibilityReport:
+def check_theorem2_power(n: int, r: int) -> Report:
     """(1 + q^(2r+1))^floor(n/(2r+1)) divides S_{2n}."""
     _require(n >= 1 and r >= 0 and 2 * r + 1 <= n, "need 2r+1 <= n")
     divisor = factor_one_plus_qd(2 * r + 1) ** (n // (2 * r + 1))
-    ok, witness = divisor.divides(salie(n))
-    return DivisibilityReport(
-        check="theorem2-power",
-        family="salie",
-        index=n,
-        divisor=divisor,
-        passed=ok,
-        witness=witness,
-        params={"r": r},
-    )
+    return _divisibility("theorem2-power", "salie", n, divisor, salie(n), {"r": r})
 
 
-def check_foata(n: int) -> DivisibilityReport:
+def check_foata(n: int) -> Report:
     """D_n divides the q-tangent number T_{2n+1}."""
     _require(n >= 1, "need n >= 1")
-    divisor = big_d(n)
-    ok, witness = divisor.divides(tangent(n))
-    return DivisibilityReport(
-        check="foata",
-        family="tangent",
-        index=n,
-        divisor=divisor,
-        passed=ok,
-        witness=witness,
-    )
+    return _divisibility("foata", "tangent", n, big_d(n), tangent(n))
 
 
-def check_salie_unit_power(n: int) -> DivisibilityReport:
+def check_salie_unit_power(n: int) -> Report:
     """(1 + q)^n divides S_{2n}."""
     _require(n >= 1, "need n >= 1")
     divisor = FactoredPoly({2: n})
-    ok, witness = divisor.divides(salie(n))
-    return DivisibilityReport(
-        check="salie-unit-power",
-        family="salie",
-        index=n,
-        divisor=divisor,
-        passed=ok,
-        witness=witness,
-    )
+    return _divisibility("salie-unit-power", "salie", n, divisor, salie(n))
 
 
 # identity checkers ------------------------------------------------------------
 
 
-def check_lemma41(n: int) -> IdentityReport:
+def check_lemma41(n: int) -> Report:
     """sum_k (-1)^k q^k [2n,2k] S_{2k} S_{2n-2k} = T_{2n-1} (1 - q^{2n})."""
     _require(n >= 1, "need n >= 1")
     lhs = IntPoly()
@@ -339,10 +309,10 @@ def check_lemma41(n: int) -> IdentityReport:
     t = tangent(n - 1)
     rhs = t - t.shift(2 * n)
     diff = lhs - rhs
-    return IdentityReport("lemma41", {"n": n}, diff.is_zero(), diff)
+    return Report("identity", "lemma41", {"n": n}, diff.is_zero(), diff)
 
 
-def check_eq23(n: int) -> IdentityReport:
+def check_eq23(n: int) -> Report:
     """Sbar_{2n} = sum_k (-1)^k [2n,2k] E_{2k}."""
     _require(n >= 0, "need n >= 0")
     rhs = IntPoly()
@@ -350,10 +320,10 @@ def check_eq23(n: int) -> IdentityReport:
         term = gauss(2 * n, 2 * k) * euler(k)
         rhs = rhs - term if k % 2 else rhs + term
     diff = salie_bar(n) - rhs
-    return IdentityReport("eq23", {"n": n}, diff.is_zero(), diff)
+    return Report("identity", "eq23", {"n": n}, diff.is_zero(), diff)
 
 
-def check_eq24(n: int) -> IdentityReport:
+def check_eq24(n: int) -> Report:
     """sum_k (-1)^k q^{2k} [2n,2k] Shat_{2k} Shat_{2n-2k}
     = T_{2n-1} (1 + q)(1 - q^{2n}), valid for n >= 2."""
     _require(n >= 2, "need n >= 2")
@@ -365,26 +335,26 @@ def check_eq24(n: int) -> IdentityReport:
     t = t + t.shift(1)
     rhs = t - t.shift(2 * n)
     diff = lhs - rhs
-    return IdentityReport("eq24", {"n": n}, diff.is_zero(), diff)
+    return Report("identity", "eq24", {"n": n}, diff.is_zero(), diff)
 
 
-def check_perm_euler(n: int) -> IdentityReport:
+def check_perm_euler(n: int) -> Report:
     """The alternating-permutation inversion gf equals (-1)^n E_{2n}."""
     gf = alternating_gf(n)
     diff = gf + euler(n) if n % 2 else gf - euler(n)
-    return IdentityReport("perm-euler", {"n": n}, diff.is_zero(), diff)
+    return Report("identity", "perm-euler", {"n": n}, diff.is_zero(), diff)
 
 
-def check_perm_salie(n: int) -> IdentityReport:
+def check_perm_salie(n: int) -> Report:
     """Twice the Salie-permutation inversion gf equals Sbar_{2n}."""
     diff = 2 * salie_perm_gf(n) - salie_bar(n)
-    return IdentityReport("perm-salie", {"n": n}, diff.is_zero(), diff)
+    return Report("identity", "perm-salie", {"n": n}, diff.is_zero(), diff)
 
 
 # integer congruences at q = 1 -----------------------------------------------------
 
 
-def check_corollary52_and_stern(k: int, m: int, n: int) -> ConjectureReport:
+def check_corollary52_and_stern(k: int, m: int, n: int) -> Report:
     """At q = 1, the E^(2^k) family satisfies a - b = 0 mod 2^s with
     s = v2(m-n) + 1; for k = 1 the congruence is 2-adically exact (Stern)."""
     _require(k >= 1 and m > n >= 0, "need k >= 1 and m > n >= 0")
@@ -396,15 +366,11 @@ def check_corollary52_and_stern(k: int, m: int, n: int) -> ConjectureReport:
     holds = diff % (1 << s) == 0
     if k == 1:
         holds = holds and diff % (1 << (s + 1)) != 0
-    return ConjectureReport(
-        "corollary52",
-        {"k": k, "m": m, "n": n, "s": s},
-        holds,
-        witness=diff,
-    )
+    params = {"k": k, "m": m, "n": n, "s": s}
+    return Report("conjecture", "corollary52", params, holds, diff)
 
 
-def check_stern(m: int, n: int) -> ConjectureReport:
+def check_stern(m: int, n: int) -> Report:
     """Both directions of Stern's congruence at q = 1:
     v2(E_{2m}(1) - E_{2n}(1)) equals v2(2m - 2n) exactly."""
     _require(m > n >= 0, "need m > n >= 0")
@@ -412,18 +378,14 @@ def check_stern(m: int, n: int) -> ConjectureReport:
     b = gen_euler_at_one(2, n)
     target = _v2(2 * (m - n))
     actual = _v2(a - b) if a != b else -1
-    return ConjectureReport(
-        "stern",
-        {"m": m, "n": n, "s": target},
-        actual == target,
-        witness=actual,
-    )
+    params = {"m": m, "n": n, "s": target}
+    return Report("conjecture", "stern", params, actual == target, actual)
 
 
 # conjecture explorers -------------------------------------------------------------
 
 
-def explore_conjecture51(k_max: int, m_max: int) -> list[ConjectureReport]:
+def explore_conjecture51(k_max: int = 3, m_max: int = 10) -> list[Report]:
     """E^(2^k)_{2^k m}(1) = E^(2^k)_{2^k n}(1) + 2^s mod 2^(s+1),
     s = v2(m-n) + 1; reported per instance, never asserted."""
     _require(k_max >= 1 and m_max >= 1, "bounds must be >= 1")
@@ -436,14 +398,9 @@ def explore_conjecture51(k_max: int, m_max: int) -> list[ConjectureReport]:
                 s = _v2(m - n) + 1
                 diff = values[m] - values[n]
                 holds = (diff - (1 << s)) % (1 << (s + 1)) == 0
-                reports.append(
-                    ConjectureReport(
-                        "conj51",
-                        {"k": k, "m": m, "n": n, "s": s},
-                        holds,
-                        witness=diff % (1 << (s + 1)),
-                    )
-                )
+                params = {"k": k, "m": m, "n": n, "s": s}
+                witness = diff % (1 << (s + 1))
+                reports.append(Report("conjecture", "conj51", params, holds, witness))
     return reports
 
 
@@ -454,7 +411,7 @@ _VARIANTS = (
 )
 
 
-def explore_conjecture61(n_max: int) -> list[ConjectureReport]:
+def explore_conjecture61(n_max: int = 12) -> list[Report]:
     """Qbar_n | Sbar_{2n}, Qhat_n | Shat_{2n}, Qtilde_n | Stil_{2n};
     reported per instance, never asserted."""
     _require(n_max >= 1, "bound must be >= 1")
@@ -462,11 +419,8 @@ def explore_conjecture61(n_max: int) -> list[ConjectureReport]:
     for n in range(1, n_max + 1):
         for name, divisor_fn, value_fn in _VARIANTS:
             ok, witness = divisor_fn(n).divides(value_fn(n))
-            reports.append(
-                ConjectureReport(
-                    "conj61", {"variant": name, "n": n}, ok, witness=witness
-                )
-            )
+            params = {"variant": name, "n": n}
+            reports.append(Report("conjecture", "conj61", params, ok, witness))
     return reports
 
 
@@ -495,11 +449,12 @@ def sweep_corollary1(m_max: int = 10):
     ]
 
 
-def sweep_desarmenien(k_max: int = 4, total_max: int = 10):
+def sweep_desarmenien(k_max: int = 4, n_max: int = 10):
+    """Every (k, m, n) with k <= k_max and k*m + n <= n_max."""
     reports = []
     for k in range(1, k_max + 1):
-        for m in range(total_max // k + 1):
-            for n in range(total_max - k * m + 1):
+        for m in range(n_max // k + 1):
+            for n in range(n_max - k * m + 1):
                 reports.append(check_desarmenien(k, m, n))
     return reports
 
@@ -568,3 +523,30 @@ def sweep_perm_euler(n_max: int = 3):
 
 def sweep_perm_salie(n_max: int = 3):
     return [check_perm_salie(n) for n in range(1, n_max + 1)]
+
+
+# suite registry ---------------------------------------------------------------------
+#
+# CLI subcommand -> suite name -> its sweep or explorer.  Every parameter of
+# these functions is a bound with a default, and the CLI reads the bound
+# names and defaults from the signatures, so each default is declared once.
+SUITES = {
+    "verify": {
+        "theorem1": sweep_theorem1,
+        "corollary1": sweep_corollary1,
+        "lemma31": sweep_lemma31,
+        "desarmenien": sweep_desarmenien,
+        "theorem2": sweep_theorem2,
+        "lemma41": sweep_lemma41,
+        "eq23": sweep_eq23,
+        "eq24": sweep_eq24,
+        "theorem51": sweep_theorem51,
+        "theorem52": sweep_theorem52,
+        "corollary52": sweep_corollary52,
+        "stern": sweep_stern,
+        "foata": sweep_foata,
+        "perm-euler": sweep_perm_euler,
+        "perm-salie": sweep_perm_salie,
+    },
+    "explore": {"conj51": explore_conjecture51, "conj61": explore_conjecture61},
+}

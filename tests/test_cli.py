@@ -1,10 +1,13 @@
 """CLI contract: subcommands, exit codes, and exact machine output."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+from qcong import verify as v
+from qcong.cli import report_record
 from qcong.divisors import big_p
 from qcong.perms import ENUMERATION_CAP
 from qcong.poly import IntPoly
@@ -199,3 +202,70 @@ def test_all_suites_under_small_cap_succeed():
     assert proc.returncode == 0
     summary = json_lines(proc.stdout)[-1]
     assert summary["checked"] > 0 and summary["failed"] == 0
+
+
+def test_foreign_bound_flag_is_usage_error():
+    # a single suite rejects a bound it does not take instead of running at
+    # its defaults
+    proc = run("verify", "--suite", "stern", "--n-max", "3", "--format", "json")
+    assert_usage_error(proc)
+    assert "stern does not take --n-max (its bounds: --m-max)" in proc.stderr
+    assert_usage_error(run("explore", "--conjecture", "conj61", "--m-max", "3"))
+    assert_usage_error(run("explore", "--conjecture", "conj51", "--d-max", "3"))
+    # desarmenien's bound on k*m + n is --n-max
+    proc = run("verify", "--suite", "desarmenien", "--k-max", "2", "--n-max", "3",
+               "--format", "json")
+    assert proc.returncode == 0
+    assert json_lines(proc.stdout)[-1]["checked"] == len(v.sweep_desarmenien(2, 3))
+    # --suite all applies each flag to the suites that take it
+    proc = run("verify", "--suite", "all", "--n-max", "2", "--m-max", "2",
+               "--k-max", "1", "--d-max", "1", "--format", "json")
+    assert proc.returncode == 0
+
+
+# sha256 of stdout and the exit code at default bounds, pinned so that the
+# output stays byte-identical across refactors
+DEFAULT_OUTPUTS = {
+    ("verify", "--suite", "all", "--format", "json"):
+        ("afb8a50b008104034de40017d17e4724c75ec071dfa20f5188e808ea7eaa89b2", 1),
+    ("verify", "--suite", "all"):
+        ("41a5dd44eb4eb86f4bbb44125ddf70d64ca1e9d526cafc7a1b858a4fa2941358", 1),
+    ("explore", "--conjecture", "conj51", "--format", "json"):
+        ("5ea1cc50b1a0a5578731631d85fbdfb9443fbc7e5ce075e5583004f1895c79a1", 0),
+    ("explore", "--conjecture", "conj61", "--format", "json"):
+        ("c455b60911c44105c7df60cb74c3df9c9e1d55e08236f0dfd878adce569c81d6", 0),
+}
+
+
+def test_default_bound_outputs_are_pinned():
+    for argv, (digest, code) in DEFAULT_OUTPUTS.items():
+        proc = run(*argv)
+        assert proc.returncode == code, argv
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, argv
+
+
+def test_record_shapes():
+    shapes = {
+        "congruence": (v.check_theorem1(2, 1, 1),
+                       ["check", "params", "expected_equivalence",
+                        "observed_congruence", "passed", "witness"]),
+        "divisibility": (v.check_theorem2_power(3, 1),
+                         ["check", "family", "index", "params", "divisor",
+                          "passed", "witness"]),
+        "identity": (v.check_lemma41(2), ["check", "params", "passed", "witness"]),
+        "conjecture": (v.explore_conjecture61(1)[0],
+                       ["conjecture", "params", "status", "witness"]),
+    }
+    for kind, (report, keys) in shapes.items():
+        assert report.kind == kind
+        assert list(report_record(report)) == keys
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # interpreter start-up dominates short invocations
+    code = ("import sys, qcong.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ root-of-unity congruence family."""
 import pytest
 
 from qcong import verify as v
-from qcong.cyclotomic import cyclotomic
+from qcong.cyclotomic import FactoredPoly, cyclotomic
 from qcong.poly import IntPoly, ONE, one_plus_q_power, q_power
 from qcong.sequences import euler, gen_euler
 
@@ -286,11 +286,24 @@ def test_explorer_reports_do_not_raise():
 
 
 def test_congruence_report_pass_logic():
-    r = v.CongruenceReport("x", {"m": 1}, True, False, ONE)
+    r = v.Report.congruence("x", {"m": 1}, True, False, ONE)
     assert not r.passed
     assert "FAIL" in r.describe()
-    r = v.CongruenceReport("x", {"m": 1}, False, False, poly(1, 1))
+    r = v.Report.congruence("x", {"m": 1}, False, False, poly(1, 1))
     assert r.passed
+
+
+def test_failed_report_descriptions():
+    r = v.Report("divisibility", "theorem2-power", {"r": 1}, False, poly(1, 1),
+                 family="salie", index=3, divisor=FactoredPoly({6: 1}))
+    assert r.describe() == (
+        "theorem2-power salie n=3 r=1 divisor=Phi_6: FAIL remainder=1 + q"
+    )
+    r = v.Report("identity", "eq23", {"n": 2}, False, poly(0, -2))
+    assert r.describe() == "eq23 n=2: FAIL difference=-2q"
+    r = v.Report("conjecture", "conj51", {"k": 1, "m": 2, "n": 0, "s": 2}, False, 3)
+    assert not r.holds
+    assert r.describe() == "conj51 k=1 m=2 n=0 s=2: fails witness=3"
 
 
 def test_summarize():
