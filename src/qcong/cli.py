@@ -144,6 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _compute_records(args, parser) -> list[tuple[dict, str]]:
     """(json record, text line) pairs for the compute subcommand."""
     fam = args.family
+    if args.k is not None and fam not in ("gen-euler", "gauss"):
+        parser.error(f"--family {fam} does not take --k")
     records = []
     if fam in SEQUENCE_FAMILIES:
         if args.n < 0:

@@ -6,6 +6,12 @@ represents a product prod_d Phi_d^{e_d} without expanding it; since distinct
 cyclotomic polynomials are coprime, divisibility questions between such
 products reduce to exponent comparisons, and lcm is an exponent-wise max.
 
+Every divisor of the paper's divisibility claims is a product of binomials
+1 + q^j.  ``FactoredPoly.divides`` splits such a product back into its
+binomials and strips them one exact one-pass quotient at a time, so the
+divisor is never expanded; only a product that does not split, or a
+dividend that is not divisible, takes the expand-and-long-divide route.
+
 >>> print(cyclotomic(6))
 1 - q + q^2
 """
@@ -118,18 +124,63 @@ class FactoredPoly:
             result = result * cyclotomic(d) ** e
         return result
 
+    def binomial_split(self) -> list[tuple[int, int]] | None:
+        """The product as prod (1 + q^j)^e, as (j, e) pairs with j falling,
+        or None when it is no such product.
+
+        The largest index 2j present can only come from 1 + q^j, and with
+        the exponent e of Phi_2j, so peeling (1 + q^j)^e off greedily finds
+        the split whenever one exists.
+
+        >>> FactoredPoly({2: 3, 6: 1}).binomial_split()
+        [(3, 1), (1, 2)]
+        >>> print(FactoredPoly({6: 1}).binomial_split())
+        None
+        """
+        rest = dict(self._factors)
+        split = []
+        while rest:
+            top = max(rest)
+            if top % 2:
+                return None
+            j, e = top // 2, rest[top]
+            for d in factor_one_plus_qd(j)._factors:
+                left = rest.get(d, 0) - e
+                if left < 0:
+                    return None
+                if left:
+                    rest[d] = left
+                else:
+                    del rest[d]
+            split.append((j, e))
+        return split
+
     def divides(self, p: IntPoly) -> tuple[bool, IntPoly]:
         """Whether the expanded product divides p exactly.
 
         Returns (True, quotient) on success and (False, remainder witness)
-        on failure.
+        on failure.  A product of binomials 1 + q^j is stripped from p one
+        exact binomial quotient at a time; the quotient is unique, so it is
+        the long-division quotient.  A product that does not split, or a
+        step that is not exact, takes the expanded long division, whose
+        canonical remainder is the witness.
         """
         if p.is_zero():
             raise ValueError("divisibility of the zero polynomial is not tested")
-        try:
-            return True, p.exact_div(self.expand())
-        except NotDivisible as exc:
-            return False, exc.remainder
+        split = self.binomial_split()
+        if split is not None:
+            quotient = p
+            try:
+                for j, e in split:
+                    for _ in range(e):
+                        quotient = quotient.exact_div_binomial(j)
+                return True, quotient
+            except NotDivisible:
+                pass
+        quotient, remainder = p._divmod(self.expand())
+        if remainder.is_zero():
+            return True, quotient
+        return False, remainder
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredPoly):

@@ -1,7 +1,9 @@
 """Divisor families for the q-Salie and q-tangent divisibility theorems.
 
-All products are kept in cyclotomic-factored form (FactoredPoly); expansion
-happens only when a division is actually performed.
+All products are kept in cyclotomic-factored form (FactoredPoly).  Each is
+a product of binomials 1 + q^j, so FactoredPoly.divides strips them from the
+dividend one exact quotient at a time and never expands the divisor unless
+the division fails.
 """
 
 from __future__ import annotations

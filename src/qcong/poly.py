@@ -243,6 +243,33 @@ class IntPoly:
         step = 2 * d
         return IntPoly([sum(cs[r::step]) - sum(cs[r + d :: step]) for r in range(d)])
 
+    def exact_div_binomial(self, k: int) -> "IntPoly":
+        """The quotient self / (1 + q^k) when the division is exact.
+
+        If self = (1 + q^k) a then a_i = p_i - a_(i-k), so one in-place pass
+        s_i = p_i - s_(i-k) leaves the quotient in the first len - k entries
+        and zeros in the last k exactly when the division is exact.  On
+        failure NotDivisible carries the canonical remainder, as
+        exact_div(one_plus_q_power(k)) would.
+
+        >>> print(IntPoly((1, 1, 1, 1)).exact_div_binomial(2))
+        1 + q
+        >>> try:
+        ...     IntPoly((1, 1, 1)).exact_div_binomial(2)
+        ... except NotDivisible as exc:
+        ...     print(exc.remainder)
+        q
+        """
+        if k < 1:
+            raise ValueError("binomial divisor needs k >= 1")
+        s = list(self.coeffs)
+        for i in range(k, len(s)):
+            s[i] -= s[i - k]
+        cut = len(s) - k
+        if any(s[max(cut, 0) :]):
+            raise NotDivisible(f"not divisible by 1 + q^{k}", self.rem_binomial(k, -1))
+        return IntPoly(s[:cut])
+
     # specializations ----------------------------------------------------------
 
     def shift(self, j: int) -> "IntPoly":

@@ -5,6 +5,7 @@ imports from the package's arithmetic paths) so a bug in the library cannot
 hide behind the same bug in its test.
 """
 
+from functools import lru_cache
 from math import comb
 
 
@@ -38,6 +39,32 @@ def naive_divmod(a: list, b: list) -> tuple[list, list]:
     while quot and quot[-1] == 0:
         quot.pop()
     return quot, rem
+
+
+@lru_cache(maxsize=None)
+def naive_cyclotomic(n: int) -> tuple:
+    """Phi_n: q^n - 1 long-divided by Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = naive_divmod(poly, list(naive_cyclotomic(d)))
+            assert not rem
+    return tuple(poly)
+
+
+def naive_factored_divides(factors: dict, a: list) -> tuple[bool, list]:
+    """Expand prod Phi_d^e and long-divide a by it.
+
+    Returns (True, quotient) when the remainder is zero and (False,
+    remainder) otherwise: the expand-then-divide route for a cyclotomic
+    product.
+    """
+    divisor = [1]
+    for d, e in factors.items():
+        for _ in range(e):
+            divisor = naive_mul(divisor, list(naive_cyclotomic(d)))
+    quot, rem = naive_divmod(a, divisor)
+    return (False, rem) if rem else (True, quot)
 
 
 def zigzag_numbers(count: int) -> list[int]:

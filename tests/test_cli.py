@@ -74,6 +74,16 @@ def test_compute_gen_euler_requires_k():
     assert IntPoly(int(c) for c in records[2]["coeffs"]) == gen_euler(3, 2)
 
 
+def test_compute_foreign_k_is_usage_error():
+    # only gen-euler and gauss take --k; every other family refuses it
+    # instead of printing its values as if --k had not been given
+    proc = run("compute", "--family", "euler", "--n", "1", "--k", "7")
+    assert_usage_error(proc)
+    assert "--family euler does not take --k" in proc.stderr
+    for family in ("salie-tilde", "P", "cyclotomic"):
+        assert_usage_error(run("compute", "--family", family, "--n", "2", "--k", "1"))
+
+
 def test_compute_gauss_and_cyclotomic():
     proc = run("compute", "--family", "gauss", "--n", "4", "--k", "2")
     assert proc.returncode == 0

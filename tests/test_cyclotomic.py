@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcong.cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd, rem_cyclotomic
+from qcong.divisors import a_exponent, big_d, big_p, q_bar, q_hat, q_tilde
 from qcong.poly import IntPoly, ONE, one_plus_q_power, q_power
+from qcong.sequences import salie, salie_bar, salie_hat, salie_tilde, tangent
+from oracles import naive_factored_divides
 
 
 def poly(*coeffs):
@@ -76,6 +79,76 @@ def test_divides_with_witness():
 
     with pytest.raises(ValueError):
         FactoredPoly({2: 1}).divides(IntPoly())
+
+
+def assert_divides_like_oracle(divisor, p):
+    ok, result = divisor.divides(p)
+    assert (ok, list(result.coeffs)) == naive_factored_divides(
+        divisor.factors, list(p.coeffs)
+    )
+    return ok
+
+
+def divisibility_cases():
+    """(divisor, dividend) of theorem2 n <= 22 with its powers, foata n <= 20
+    with salie-unit-power, and conj61 n <= 18: the divisibility workload."""
+    for n in range(1, 23):
+        yield big_p(n), salie(n)
+        for r in range((n + 1) // 2):
+            yield factor_one_plus_qd(2 * r + 1) ** (n // (2 * r + 1)), salie(n)
+    for n in range(1, 21):
+        yield big_d(n), tangent(n)
+        yield FactoredPoly({2: n}), salie(n)
+    for n in range(1, 19):
+        for divisor_fn, value_fn in ((q_bar, salie_bar), (q_hat, salie_hat),
+                                     (q_tilde, salie_tilde)):
+            yield divisor_fn(n), value_fn(n)
+
+
+def test_divides_matches_expanded_long_division():
+    for divisor, p in divisibility_cases():
+        # every divisor of the suites is a product of binomials 1 + q^j
+        assert divisor.binomial_split() is not None
+        assert assert_divides_like_oracle(divisor, p)
+        # q^i is a unit modulo every Phi_d, so this fails unless divisor is 1,
+        # and the witness is the canonical remainder of the long division
+        perturbed = p + q_power(p.degree() // 2 + len(divisor.factors))
+        assert assert_divides_like_oracle(divisor, perturbed) == divisor.is_one()
+
+
+def test_divides_products_that_do_not_split():
+    s5 = salie(5)
+    for factors in ({1: 1}, {3: 1}, {6: 1}, {2: 1, 3: 1}, {2: 1, 6: 2}):
+        divisor = FactoredPoly(factors)
+        assert divisor.binomial_split() is None
+        assert assert_divides_like_oracle(divisor, s5 * divisor.expand())
+        assert not assert_divides_like_oracle(divisor, s5 + q_power(3))
+
+
+def test_divides_fails_late_in_the_chain():
+    # (1 + q^3) passes, then (1 + q) does not divide 1 + q^2
+    divisor = factor_one_plus_qd(3) * factor_one_plus_qd(1)
+    assert divisor.binomial_split() == [(3, 1), (1, 1)]
+    assert not assert_divides_like_oracle(divisor, one_plus_q_power(3) * one_plus_q_power(2))
+
+
+def test_divides_by_the_empty_product():
+    assert FactoredPoly().binomial_split() == []
+    for p in (salie(4), poly(-3), q_power(5)):
+        assert FactoredPoly().divides(p) == (True, p)
+        assert assert_divides_like_oracle(FactoredPoly(), p)
+
+
+def test_big_p_splits_into_its_binomials():
+    # P_n = prod_r (1 + q^(2r+1))^a(n, r), largest binomial first
+    for n in range(1, 31):
+        split = big_p(n).binomial_split()
+        expected = [(2 * r + 1, a_exponent(n, r)) for r in range((n - 1) // 2, -1, -1)]
+        assert split == expected
+        product = FactoredPoly()
+        for j, e in split:
+            product = product * factor_one_plus_qd(j) ** e
+        assert product == big_p(n)
 
 
 def test_distinct_cyclotomics_are_coprime():

@@ -219,6 +219,37 @@ def test_rem_binomial_matches_naive_division(a, d):
         assert IntPoly(a).rem_binomial(d, c).coeffs == tuple(naive_r)
 
 
+@given(long_coeffs, st.integers(1, 40), st.lists(big_coeff, max_size=40))
+def test_exact_div_binomial_matches_naive_division(a, k, r):
+    # a * (1 + q^k) + r with deg r < k: exact, giving back a, iff r is zero;
+    # otherwise the witness is the naive remainder, which is r itself
+    binomial = list(one_plus_q_power(k).coeffs)
+    r = r[:k]
+    dividend = IntPoly(naive_mul(a, binomial)) + IntPoly(r)
+    naive_q, naive_r = naive_divmod(list(dividend.coeffs), binomial)
+    assert naive_r == list(IntPoly(r).coeffs)
+    if not naive_r:
+        quotient = dividend.exact_div_binomial(k)
+        assert quotient == IntPoly(a) and quotient.coeffs == tuple(naive_q)
+    else:
+        with pytest.raises(NotDivisible) as exc:
+            dividend.exact_div_binomial(k)
+        assert exc.value.remainder.coeffs == tuple(naive_r)
+
+
+def test_exact_div_binomial_edge_cases():
+    assert ZERO.exact_div_binomial(3) == ZERO
+    assert one_plus_q_power(5).exact_div_binomial(5) == ONE
+    # shorter than the divisor, or a monomial: never exact
+    for p, k in ((poly(1, 1), 3), (poly(0, 0, 7), 3), (poly(5), 1), (q_power(4), 2)):
+        with pytest.raises(NotDivisible) as exc:
+            p.exact_div_binomial(k)
+        assert exc.value.remainder == p.rem_binomial(k, -1)
+    for k in (0, -1, -5):
+        with pytest.raises(ValueError):
+            poly(1, 1).exact_div_binomial(k)
+
+
 def test_rem_binomial_rejects_other_moduli():
     for d, c in ((0, 1), (-2, -1), (3, 0), (3, 2), (3, -2)):
         with pytest.raises(ValueError):
