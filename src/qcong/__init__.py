@@ -8,25 +8,15 @@ cyclotomic factorizations, and quotient-ring arithmetic at roots of unity.
 from .cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd
 from .divisors import (
     OddPartDecomposition,
-    a_exponent,
     big_d,
     big_p,
     ev,
-    little_p,
     odd_part,
     q_bar,
     q_hat,
     q_tilde,
 )
-from .perms import (
-    SizeLimitExceeded,
-    alternating_gf,
-    inversions,
-    is_alternating,
-    is_salie,
-    prefix_split_count,
-    salie_perm_gf,
-)
+from .perms import SizeLimitExceeded, alternating_gf, salie_perm_gf
 from .poly import (
     IntPoly,
     NonMonicModulus,
@@ -37,14 +27,7 @@ from .poly import (
     one_plus_q_power,
     q_power,
 )
-from .qbinom import (
-    gauss,
-    gauss_factored,
-    pochhammer_cyclo_exponents,
-    q_lucas_holds,
-    q_lucas_sides,
-    qpoch,
-)
+from .qbinom import gauss, gauss_factored, q_lucas_holds, q_lucas_sides
 from .residues import ModulusMismatch, ResidueElem, inject, root_power
 from .sequences import (
     SEQUENCE_FAMILIES,
@@ -73,7 +56,6 @@ __all__ = [
     "SEQUENCE_FAMILIES",
     "SizeLimitExceeded",
     "ZERO",
-    "a_exponent",
     "alternating_gf",
     "big_d",
     "big_p",
@@ -86,21 +68,14 @@ __all__ = [
     "gauss_factored",
     "gen_euler",
     "inject",
-    "inversions",
-    "is_alternating",
-    "is_salie",
-    "little_p",
     "odd_part",
     "one_plus_q_power",
-    "pochhammer_cyclo_exponents",
-    "prefix_split_count",
     "q_bar",
     "q_hat",
     "q_lucas_holds",
     "q_lucas_sides",
     "q_power",
     "q_tilde",
-    "qpoch",
     "root_power",
     "salie",
     "salie_bar",

@@ -258,8 +258,11 @@ def main(argv=None) -> int:
 
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
     return exit_code

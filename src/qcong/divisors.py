@@ -32,28 +32,12 @@ def odd_part(n: int) -> OddPartDecomposition:
     return OddPartDecomposition(n, s, (m - 1) // 2)
 
 
-def little_p(n: int) -> FactoredPoly:
-    """1 + q^(2r+1) where 2r+1 is the odd part of n, factored."""
-    dec = odd_part(n)
-    return factor_one_plus_qd(2 * dec.r + 1)
-
-
-def a_exponent(n: int, r: int) -> int:
-    """How many integers of the form 2^s (2r+1) are <= n."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    count, value = 0, 2 * r + 1
-    while value <= n:
-        count += 1
-        value *= 2
-    return count
-
-
 def big_p(n: int) -> FactoredPoly:
     """P_n = prod_{r>=0} Phi_{4r+2}^{floor(n/(2r+1))}, the q-Salie divisor.
 
-    Equivalently prod_{k<=n} little_p(k) = prod_r (1+q^{2r+1})^{a(n,r)};
-    P_n(1) = 2^n.
+    Equivalently prod_{k<=n} (1 + q^(odd part of k)), or
+    prod_r (1+q^{2r+1})^{a(n,r)} where a(n, r) counts the integers
+    2^s (2r+1) <= n; P_n(1) = 2^n.
     """
     if n < 1:
         raise ValueError("need a positive integer")

@@ -14,8 +14,6 @@ k = 0 is not.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .poly import IntPoly
 
 # The largest half-size n that the verify suites enumerate.  On a 2.0 GHz
@@ -28,66 +26,22 @@ class SizeLimitExceeded(ValueError):
     """Enumeration request beyond the factorial-growth guard."""
 
 
-def _guard(n: int, max_n: int) -> None:
+def _guard(n: int) -> None:
     if n < 1:
         raise ValueError("half-size must be positive")
-    if n > max_n:
+    if n > ENUMERATION_CAP:
         raise SizeLimitExceeded(
-            f"half-size {n} exceeds the enumeration cap {max_n}; "
+            f"half-size {n} exceeds the enumeration cap {ENUMERATION_CAP}; "
             f"(2n)! grows too fast to enumerate casually"
         )
 
 
-def is_alternating(seq) -> bool:
-    """Zigzag test x_1 < x_2 > x_3 < ... for a prefix of any length."""
-    return all(
-        seq[i - 1] < seq[i] if i % 2 == 1 else seq[i - 1] > seq[i]
-        for i in range(1, len(seq))
-    )
-
-
-def is_salie(seq) -> bool:
-    """Brute-force Salie predicate over all admissible split points."""
-    half = len(seq) // 2
-    for k in range(1, half + 1):
-        if not is_alternating(seq[: 2 * k]):
-            continue
-        tail = seq[2 * k - 1 :]
-        if all(tail[i] < tail[i + 1] for i in range(len(tail) - 1)):
-            return True
-    return False
-
-
-def prefix_split_count(seq) -> int:
-    """Number of k in 0..n with alternating prefix x_1..x_{2k} and strictly
-    increasing tail x_{2k+1}..x_{2n} (no constraint at the junction).
-
-    Every Salie permutation admits exactly two such splits; every other
-    permutation admits none, which is what makes twice the Salie generating
-    function expressible as a signed Gaussian-binomial sum.
-    """
-    half = len(seq) // 2
-    count = 0
-    for k in range(half + 1):
-        if not is_alternating(seq[: 2 * k]):
-            continue
-        tail = seq[2 * k :]
-        if all(tail[i] < tail[i + 1] for i in range(len(tail) - 1)):
-            count += 1
-    return count
-
-
-def inversions(seq) -> int:
-    """inv(x): the number of pairs i < j with x_i > x_j."""
-    return sum(1 for a, b in combinations(seq, 2) if a > b)
-
-
-def alternating_gf(n: int, max_n: int = ENUMERATION_CAP) -> IntPoly:
+def alternating_gf(n: int) -> IntPoly:
     """Sum of q^inv(x) over alternating permutations of [2n].
 
     Equals (-1)^n E_{2n}(q).
     """
-    _guard(n, max_n)
+    _guard(n)
     size = 2 * n
     counts = [0] * (size * (size - 1) // 2 + 1)
     used = [False] * (size + 1)
@@ -111,12 +65,12 @@ def alternating_gf(n: int, max_n: int = ENUMERATION_CAP) -> IntPoly:
     return IntPoly(counts)
 
 
-def salie_perm_gf(n: int, max_n: int = ENUMERATION_CAP) -> IntPoly:
+def salie_perm_gf(n: int) -> IntPoly:
     """Sum of q^inv(x) over Salie permutations of [2n], each counted once.
 
     Equals half of Sbar_{2n}(q).
     """
-    _guard(n, max_n)
+    _guard(n)
     size = 2 * n
     counts = [0] * (size * (size - 1) // 2 + 1)
     used = [False] * (size + 1)

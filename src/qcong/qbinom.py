@@ -1,10 +1,11 @@
-"""Gaussian binomial polynomials and the q-Pochhammer product (q;q)_n.
+"""Gaussian binomial polynomials [m over n]_q.
 
-The main computation path for [m over n]_q is the q-Pascal recurrence
+The one computation path is the q-Pascal recurrence
 [m, n] = [m-1, n-1] + q^n [m-1, n], which is division-free and keeps all
-coefficients nonnegative.  Two independent routes are provided as oracles:
-the quotient (q;q)_m / ((q;q)_n (q;q)_{m-n}) and the cyclotomic
-factorization by the floor-count criterion.
+coefficients nonnegative.  gauss_factored gives the cyclotomic
+factorization by the floor-count criterion, and q_lucas_sides the q-Lucas
+reduction at a root of unity.  The tests check gauss against both and
+against the quotient (q;q)_m / ((q;q)_n (q;q)_{m-n}).
 """
 
 from __future__ import annotations
@@ -13,18 +14,8 @@ import functools
 from math import comb
 
 from .cyclotomic import FactoredPoly
-from .poly import IntPoly, ONE, ZERO, q_power
+from .poly import IntPoly, ONE, ZERO
 from .residues import ResidueElem, inject
-
-
-@functools.lru_cache(maxsize=None)
-def qpoch(n: int) -> IntPoly:
-    """(q;q)_n = (1-q)(1-q^2)...(1-q^n); the q-analogue of n factorial."""
-    if n < 0:
-        raise ValueError("q-Pochhammer index must be nonnegative")
-    if n == 0:
-        return ONE
-    return qpoch(n - 1) * (ONE - q_power(n))
 
 
 def gauss(m: int, n: int) -> IntPoly:
@@ -55,13 +46,6 @@ def gauss_factored(m: int, n: int) -> FactoredPoly:
     return FactoredPoly(
         {d: 1 for d in range(2, m + 1) if n // d + (m - n) // d < m // d}
     )
-
-
-def pochhammer_cyclo_exponents(m: int) -> tuple[FactoredPoly, int]:
-    """(q;q)_m = sign * prod_{d<=m} Phi_d^{floor(m/d)}; returns (product, sign)."""
-    if m < 0:
-        raise ValueError("index must be nonnegative")
-    return FactoredPoly({d: m // d for d in range(1, m + 1)}), (-1) ** m
 
 
 def q_lucas_sides(m: int, k: int, d: int) -> tuple[ResidueElem, ResidueElem]:

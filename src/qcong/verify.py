@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 
 from .cyclotomic import FactoredPoly, factor_one_plus_qd, rem_cyclotomic
-from .divisors import big_d, big_p, q_bar, q_hat, q_tilde
+from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
 from .perms import alternating_gf, salie_perm_gf
 from .poly import IntPoly
 from .qbinom import gauss
@@ -177,12 +177,6 @@ def summarize(reports) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _euler_mod(n: int, d: int) -> IntPoly:
-    """euler(n) modulo 1 + q^d."""
-    return euler(n).rem_binomial(d, -1)
-
-
-@functools.lru_cache(maxsize=None)
 def _gen_euler_mod(c: int, n: int, d: int) -> IntPoly:
     """gen_euler(c, n) modulo 1 + q^d."""
     return gen_euler(c, n).rem_binomial(d, -1)
@@ -197,7 +191,8 @@ def _iff_report(check: str, params: dict, remainder: IntPoly) -> Report:
 def _theorem1_residue(m: int, n: int, d: int) -> IntPoly:
     """E_{2m} - q^(m-n) E_{2n} modulo 1 + q^d."""
     _require(m > n >= 0 and 1 <= d <= m, "need m > n >= 0 and 1 <= d <= m")
-    return (_euler_mod(m, d) - _euler_mod(n, d).shift(m - n)).rem_binomial(d, -1)
+    top, bottom = _gen_euler_mod(2, m, d), _gen_euler_mod(2, n, d)
+    return (top - bottom.shift(m - n)).rem_binomial(d, -1)
 
 
 def check_theorem1(m: int, n: int, d: int) -> Report:
@@ -215,7 +210,7 @@ def check_lemma31(m: int, n: int, d: int) -> Report:
 def check_desarmenien(k: int, m: int, n: int) -> Report:
     """E_{2km+2n} = (-1)^m E_{2n} mod Phi_{2k}; always congruent."""
     _require(k >= 1 and m >= 0 and n >= 0, "need k >= 1 and m, n >= 0")
-    top, bottom = _euler_mod(k * m + n, k), _euler_mod(n, k)
+    top, bottom = _gen_euler_mod(2, k * m + n, k), _gen_euler_mod(2, n, k)
     remainder = rem_cyclotomic(top + bottom if m % 2 else top - bottom, 2 * k)
     params = {"k": k, "m": m, "n": n}
     return Report.congruence(
@@ -225,16 +220,10 @@ def check_desarmenien(k: int, m: int, n: int) -> Report:
 
 def check_corollary1(m: int, n: int) -> Report:
     """E_{2m} - q^(m-n) E_{2n} is divisible by prod_{i<s} (1 + q^(2^i r)),
-    where 2m - 2n = 2^s r with r odd."""
+    where 2m - 2n = 2^s r with r odd; that product is Ev_{m-n}."""
     _require(m > n >= 0, "need m > n >= 0")
-    total = 2 * (m - n)
-    s = _v2(total)
-    r = total >> s
-    modulus = FactoredPoly()
-    for i in range(s):
-        modulus = modulus * factor_one_plus_qd((1 << i) * r)
     diff = euler(m) - euler(n).shift(m - n)
-    return _divisibility("corollary1", "euler", m, modulus, diff, {"m": m, "n": n})
+    return _divisibility("corollary1", "euler", m, ev(m - n), diff, {"m": m, "n": n})
 
 
 def check_theorem51(k: int, m: int, n: int, d: int) -> Report:

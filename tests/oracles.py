@@ -6,6 +6,7 @@ hide behind the same bug in its test.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 
@@ -98,3 +99,152 @@ def gen_euler_at_one(k: int, count: int) -> list[int]:
     for n in range(1, count):
         values.append(-sum(comb(k * n, k * j) * values[j] for j in range(n)))
     return values
+
+
+# permutations and exponent counts -------------------------------------------
+
+
+def is_alternating(seq) -> bool:
+    """Zigzag test x_1 < x_2 > x_3 < ... for a prefix of any length."""
+    return all(
+        seq[i - 1] < seq[i] if i % 2 == 1 else seq[i - 1] > seq[i]
+        for i in range(1, len(seq))
+    )
+
+
+def is_salie(seq) -> bool:
+    """Brute-force Salie predicate over all admissible split points."""
+    half = len(seq) // 2
+    for k in range(1, half + 1):
+        if not is_alternating(seq[: 2 * k]):
+            continue
+        tail = seq[2 * k - 1 :]
+        if all(tail[i] < tail[i + 1] for i in range(len(tail) - 1)):
+            return True
+    return False
+
+
+def prefix_split_count(seq) -> int:
+    """Number of k in 0..n with alternating prefix x_1..x_{2k} and strictly
+    increasing tail x_{2k+1}..x_{2n} (no constraint at the junction).
+
+    Every Salie permutation admits exactly two such splits; every other
+    permutation admits none, which is what makes twice the Salie generating
+    function expressible as a signed Gaussian-binomial sum.
+    """
+    half = len(seq) // 2
+    count = 0
+    for k in range(half + 1):
+        if not is_alternating(seq[: 2 * k]):
+            continue
+        tail = seq[2 * k :]
+        if all(tail[i] < tail[i + 1] for i in range(len(tail) - 1)):
+            count += 1
+    return count
+
+
+def inversions(seq) -> int:
+    """inv(x): the number of pairs i < j with x_i > x_j."""
+    return sum(1 for a, b in combinations(seq, 2) if a > b)
+
+
+def a_exponent(n: int, r: int) -> int:
+    """How many integers of the form 2^s (2r+1) are <= n."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    count, value = 0, 2 * r + 1
+    while value <= n:
+        count += 1
+        value *= 2
+    return count
+
+
+# the seven families -----------------------------------------------------------
+#
+# Each recurrence of the `qcong.sequences` docstring, written out on its own
+# with raw coefficient lists, the q-Pascal rule and `naive_mul`.
+
+@lru_cache(maxsize=None)
+def naive_gauss(m: int, n: int) -> tuple:
+    """[m over n]_q by the q-Pascal rule [m, n] = [m-1, n-1] + q^n [m-1, n]."""
+    if n == 0 or n == m:
+        return (1,)
+    shifted = [0] * n + list(naive_gauss(m - 1, n))
+    return tuple(_combine([(1, naive_gauss(m - 1, n - 1)), (1, shifted)]))
+
+
+def _combine(terms) -> list:
+    """sum c * p over (c, p) in terms, trimmed."""
+    out = [0] * max((len(p) for _, p in terms), default=0)
+    for c, p in terms:
+        for i, x in enumerate(p):
+            out[i] += c * x
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _monomial(e: int) -> list:
+    return [0] * e + [1]
+
+
+def naive_euler(count: int) -> list[list]:
+    """E_{2m} = -sum_{k<m} [2m over 2k] E_{2k}, E_0 = 1."""
+    e = [[1]]
+    for m in range(1, count):
+        terms = [(-1, naive_mul(naive_gauss(2 * m, 2 * k), e[k])) for k in range(m)]
+        e.append(_combine(terms))
+    return e
+
+
+def naive_gen_euler(c: int, count: int) -> list[list]:
+    """E^(c)_{cn} = -sum_{j<n} [cn over cj] E^(c)_{cj}, E^(c)_0 = 1."""
+    e = [[1]]
+    for n in range(1, count):
+        terms = [(-1, naive_mul(naive_gauss(c * n, c * j), e[j])) for j in range(n)]
+        e.append(_combine(terms))
+    return e
+
+
+def naive_tangent(count: int) -> list[list]:
+    """T_{2n+1} = (-1)^n - sum_{k<n} (-1)^{n-k} [2n+1 over 2k+1] T_{2k+1}, T_1 = 1."""
+    t = [[1]]
+    for n in range(1, count):
+        terms = [(1, [(-1) ** n])]
+        for k in range(n):
+            term = naive_mul(naive_gauss(2 * n + 1, 2 * k + 1), t[k])
+            terms.append((-((-1) ** (n - k)), term))
+        t.append(_combine(terms))
+    return t
+
+
+def _naive_salie_family(lead, count: int) -> list[list]:
+    """X_{2n} = lead(n) - sum_{k<n} (-1)^{n-k} [2n over 2k] X_{2k}, X_0 = 1."""
+    x = [[1]]
+    for n in range(1, count):
+        terms = [(1, lead(n))]
+        for k in range(n):
+            term = naive_mul(naive_gauss(2 * n, 2 * k), x[k])
+            terms.append((-((-1) ** (n - k)), term))
+        x.append(_combine(terms))
+    return x
+
+
+def naive_salie(count: int) -> list[list]:
+    """S_{2n} = q^n - sum_{k<n} (-1)^{n-k} [2n over 2k] S_{2k}."""
+    return _naive_salie_family(_monomial, count)
+
+
+def naive_salie_bar(count: int) -> list[list]:
+    """Sbar_{2n} = 1 - sum_{k<n} (-1)^{n-k} [2n over 2k] Sbar_{2k}."""
+    return _naive_salie_family(lambda n: [1], count)
+
+
+def naive_salie_hat(count: int) -> list[list]:
+    """Shat_{2n} = q^{2n} - sum_{k<n} (-1)^{n-k} [2n over 2k] Shat_{2k}."""
+    return _naive_salie_family(lambda n: _monomial(2 * n), count)
+
+
+def naive_salie_tilde(count: int) -> list[list]:
+    """Stil_{2n} = q^{n^2} - sum_{k<n} (-1)^{n-k} [2n over 2k] Stil_{2k}."""
+    return _naive_salie_family(lambda n: _monomial(n * n), count)

@@ -194,6 +194,14 @@ def test_enumeration_cap_is_usage_error():
         assert f"enumeration cap {ENUMERATION_CAP}" in proc.stderr
 
 
+def test_unwritable_out_is_usage_error(tmp_path):
+    # a missing directory and a directory in place of the file
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):
+        proc = run("verify", "--suite", "stern", "--m-max", "2", "--out", str(target))
+        assert_usage_error(proc)
+        assert f"cannot write --out {target}" in proc.stderr
+
+
 def test_explorer_precondition_is_usage_error():
     assert_usage_error(run("explore", "--conjecture", "conj61", "--n-max", "0"))
 

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcong.cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd, rem_cyclotomic
-from qcong.divisors import a_exponent, big_d, big_p, q_bar, q_hat, q_tilde
+from qcong.divisors import big_d, big_p, q_bar, q_hat, q_tilde
 from qcong.poly import IntPoly, ONE, one_plus_q_power, q_power
 from qcong.sequences import salie, salie_bar, salie_hat, salie_tilde, tangent
-from oracles import naive_factored_divides
+from oracles import a_exponent, naive_factored_divides
 
 
 def poly(*coeffs):

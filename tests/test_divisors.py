@@ -3,19 +3,16 @@
 import pytest
 
 from qcong.cyclotomic import FactoredPoly, factor_one_plus_qd
-from qcong.divisors import (
-    a_exponent,
-    big_d,
-    big_p,
-    ev,
-    little_p,
-    odd_part,
-    q_bar,
-    q_hat,
-    q_tilde,
-)
+from qcong.divisors import big_d, big_p, ev, odd_part, q_bar, q_hat, q_tilde
 from qcong.poly import IntPoly, ONE, one_plus_q_power
 from qcong.sequences import salie, tangent
+from oracles import a_exponent
+
+
+def little_p(n):
+    """1 + q^(2r+1) where 2r+1 is the odd part of n, factored."""
+    dec = odd_part(n)
+    return factor_one_plus_qd(2 * dec.r + 1)
 
 
 def chunks(*pairs):

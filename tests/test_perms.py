@@ -4,17 +4,10 @@ from itertools import permutations
 
 import pytest
 
-from qcong.perms import (
-    SizeLimitExceeded,
-    alternating_gf,
-    inversions,
-    is_alternating,
-    is_salie,
-    prefix_split_count,
-    salie_perm_gf,
-)
+from qcong.perms import ENUMERATION_CAP, SizeLimitExceeded, alternating_gf, salie_perm_gf
 from qcong.poly import IntPoly, ONE
 from qcong.sequences import euler, salie_bar
+from oracles import inversions, is_alternating, is_salie, prefix_split_count
 
 
 def full_enumeration_gf(n, predicate):
@@ -87,6 +80,6 @@ def test_size_guard():
     with pytest.raises(SizeLimitExceeded):
         alternating_gf(6)
     with pytest.raises(SizeLimitExceeded):
-        salie_perm_gf(7, max_n=6)
+        salie_perm_gf(ENUMERATION_CAP + 1)
     with pytest.raises(ValueError):
         alternating_gf(0)

@@ -1,22 +1,34 @@
 """Gaussian polynomials: three independent computation routes must agree."""
 
+from functools import lru_cache
 from math import comb
 
 import pytest
 
-from qcong.cyclotomic import cyclotomic
-from qcong.poly import IntPoly, ONE, ZERO
-from qcong.qbinom import (
-    gauss,
-    gauss_factored,
-    pochhammer_cyclo_exponents,
-    q_lucas_holds,
-    qpoch,
-)
+from qcong.cyclotomic import FactoredPoly, cyclotomic
+from qcong.poly import IntPoly, ONE, ZERO, q_power
+from qcong.qbinom import gauss, gauss_factored, q_lucas_holds
 
 
 def poly(*coeffs):
     return IntPoly(coeffs)
+
+
+@lru_cache(maxsize=None)
+def qpoch(n):
+    """(q;q)_n = (1-q)(1-q^2)...(1-q^n); the q-analogue of n factorial."""
+    if n < 0:
+        raise ValueError("q-Pochhammer index must be nonnegative")
+    if n == 0:
+        return ONE
+    return qpoch(n - 1) * (ONE - q_power(n))
+
+
+def pochhammer_cyclo_exponents(m):
+    """(q;q)_m = sign * prod_{d<=m} Phi_d^{floor(m/d)}; returns (product, sign)."""
+    if m < 0:
+        raise ValueError("index must be nonnegative")
+    return FactoredPoly({d: m // d for d in range(1, m + 1)}), (-1) ** m
 
 
 def gauss_by_division(m, n):

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, strategies as st
 
+from qcong import sequences
 from qcong.poly import IntPoly, ONE, Q, q_power
 from qcong.qbinom import gauss
 from qcong.sequences import (
@@ -136,7 +137,8 @@ def test_gen_euler_at_one_matches_oracle(k, n):
 
 
 def test_gen_euler_at_one_needs_no_deep_recursion():
-    # the table is filled bottom-up: index 400 runs under a 200-frame limit
+    # earlier values are asked for in ascending order, so each is cached
+    # before the next needs it: index 400 runs under a 200-frame limit
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
@@ -144,6 +146,25 @@ def test_gen_euler_at_one_needs_no_deep_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert value == (-1) ** 400
+
+
+# primitive oracle: each recurrence on raw coefficient lists ------------------
+
+
+@pytest.mark.parametrize(
+    "name", ["euler", "tangent", "salie", "salie_bar", "salie_hat", "salie_tilde"]
+)
+def test_family_matches_primitive_oracle(name):
+    expected = getattr(oracles, f"naive_{name}")(11)
+    for n in range(11):
+        assert list(getattr(sequences, name)(n).coeffs) == expected[n], (name, n)
+
+
+def test_gen_euler_matches_primitive_oracle():
+    for k in range(1, 5):
+        expected = oracles.naive_gen_euler(k, 11)
+        for n in range(11):
+            assert list(gen_euler(k, n).coeffs) == expected[n], (k, n)
 
 
 # classical specializations at q = 1 -----------------------------------------
