@@ -11,6 +11,7 @@ against the quotient (q;q)_m / ((q;q)_n (q;q)_{m-n}).
 from __future__ import annotations
 
 import functools
+import threading
 from math import comb
 
 from .cyclotomic import FactoredPoly
@@ -24,7 +25,10 @@ def gauss(m: int, n: int) -> IntPoly:
         raise ValueError("upper index must be nonnegative")
     if n < 0 or n > m:
         return ZERO
-    return _gauss(m, min(n, m - n))
+    n = min(n, m - n)
+    if n not in _held.get(m, ()):
+        _fill(m, n)
+    return _gauss(m, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -33,6 +37,35 @@ def _gauss(m: int, n: int) -> IntPoly:
     if n == 0:
         return ONE
     return gauss(m - 1, n - 1) + gauss(m - 1, n).shift(n)
+
+
+# _held[m]: the normalized columns n with _gauss(m, n) in the table.
+_held: dict[int, set[int]] = {}
+_fill_lock = threading.Lock()
+
+
+def _fill(m: int, n: int) -> None:
+    """Put the entries [m over n] rests on in the table, lowest row first.
+
+    Row i < m needs the columns [n-(m-i), n] of [m over n]'s q-Pascal
+    cone.  The rows with entries missing are collected from row m down
+    and filled upward, so each entry is one step from entries the table
+    already holds and the call depth stays the same however large m is.
+    """
+    with _fill_lock:
+        rows = []
+        for i in range(m, -1, -1):
+            cone = range(max(0, n - (m - i)), min(n, i) + 1)
+            needed = {min(k, i - k) for k in cone}
+            missing = needed - _held.setdefault(i, set())
+            if missing:
+                rows.append((i, missing))
+            if not missing or needed == {0}:
+                break  # held entries, or [i over 0] = 1, rest on nothing
+        for i, missing in reversed(rows):
+            for k in missing:
+                _gauss(i, k)
+            _held[i] |= missing
 
 
 def gauss_factored(m: int, n: int) -> FactoredPoly:

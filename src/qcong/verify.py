@@ -178,8 +178,8 @@ def summarize(reports) -> tuple[int, int, int]:
 
 @functools.lru_cache(maxsize=None)
 def _gen_euler_mod(c: int, n: int, d: int) -> IntPoly:
-    """gen_euler(c, n) modulo 1 + q^d."""
-    return gen_euler(c, n).rem_binomial(d, -1)
+    """gen_euler(c, n) modulo 1 + q^d; the c = 2 family is read from euler()."""
+    return (euler(n) if c == 2 else gen_euler(c, n)).rem_binomial(d, -1)
 
 
 def _iff_report(check: str, params: dict, remainder: IntPoly) -> Report:

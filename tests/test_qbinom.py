@@ -1,5 +1,8 @@
 """Gaussian polynomials: three independent computation routes must agree."""
 
+import subprocess
+import sys
+import textwrap
 from functools import lru_cache
 from math import comb
 
@@ -77,6 +80,23 @@ def test_gauss_specializes_to_binomial():
     for m in range(31):
         for n in range(m + 1):
             assert gauss(m, n).eval_int(1) == comb(m, n)
+
+
+def test_cold_table_needs_no_deep_recursion():
+    # a fresh process, so the table starts empty; it is filled row by row
+    code = textwrap.dedent("""
+        import sys
+        sys.setrecursionlimit(200)
+        from qcong.qbinom import gauss
+        assert gauss(1500, 1).coeffs == (1,) * 1500
+        assert gauss(600, 2).eval_int(1) == 600 * 599 // 2
+        print("ok")
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_gauss_factored_small():

@@ -1,8 +1,11 @@
 """Family generators against printed values, classical specializations, and
 the cross-identities that tie the derived recurrences together."""
 
+import subprocess
 import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,7 +97,7 @@ def test_negative_index_rejected():
 
 
 def test_gen_euler_reduces_to_euler():
-    for n in range(11):
+    for n in range(21):
         assert gen_euler(2, n) == euler(n)
 
 
@@ -167,19 +170,99 @@ def test_gen_euler_matches_primitive_oracle():
             assert list(gen_euler(k, n).coeffs) == expected[n], (k, n)
 
 
+# the Gaussian-binomial recurrences the triangle replaced ---------------------
+
+
+def gauss_recurrence(lead, width, offset, alternate, count):
+    """f(n) = lead(n) - sum_{j<n} s_j [w*n+o over w*j+o] f(j), f(0) = 1, with
+    s_j = (-1)^(n-j) when alternating and 1 otherwise."""
+    values = [ONE]
+    for n in range(1, count):
+        total = IntPoly()
+        for j in range(n):
+            term = gauss(width * n + offset, width * j + offset) * values[j]
+            total = total - term if alternate and (n - j) % 2 else total + term
+        values.append(lead(n) - total)
+    return values
+
+
+GAUSS_ROUTES = {
+    "euler": (lambda n: IntPoly(), 2, 0, False),
+    "tangent": (lambda n: IntPoly([(-1) ** n]), 2, 1, True),
+    "salie": (q_power, 2, 0, True),
+    "salie_bar": (lambda n: ONE, 2, 0, True),
+    "salie_hat": (lambda n: q_power(2 * n), 2, 0, True),
+    "salie_tilde": (lambda n: q_power(n * n), 2, 0, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUSS_ROUTES))
+def test_family_matches_gaussian_recurrence(name):
+    expected = gauss_recurrence(*GAUSS_ROUTES[name], 21)
+    for n in range(21):
+        assert getattr(sequences, name)(n) == expected[n], (name, n)
+
+
+@pytest.mark.parametrize("name", ["salie", "salie_bar", "salie_hat", "salie_tilde"])
+def test_salie_family_at_one_counts_split_words(name):
+    # f(n)(1) = sum_j C(2n, 2j) |E_{2n-2j}(1)|; a carry between digits
+    # would lower the coefficient sum
+    zz = zigzag_numbers(61)
+    for n in range(31):
+        expected = sum(comb(2 * n, 2 * j) * zz[2 * (n - j)] for j in range(n + 1))
+        assert getattr(sequences, name)(n).eval_int(1) == expected, (name, n)
+
+
+def test_widened_triangle_matches_fresh_one():
+    # a small index first fixes a narrow digit width; the larger ones that
+    # follow widen the kept row, and a smaller one read last is decoded
+    source = sequences._SALIE._source
+    grown = sequences._Triangle(source)
+    early = [grown.value(length) for length in (6, 20, 50, 10)]
+    fresh = [sequences._Triangle(source).value(length) for length in (6, 20, 50, 10)]
+    assert early == fresh
+    assert early[2] == salie(25)
+
+
+def test_cold_concurrent_fills_are_consistent():
+    # a fresh process, so the triangles start empty; more threads than
+    # cores, each asking for its own index
+    code = textwrap.dedent("""
+        import random, sys
+        from concurrent.futures import ThreadPoolExecutor
+        from qcong import sequences as s
+        sys.setswitchinterval(1e-6)
+        jobs = [(f, n) for f in (s.tangent, s.salie_tilde) for n in range(24)]
+        random.Random(7).shuffle(jobs)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda job: job[0](job[1]), jobs))
+        rows = {s.tangent: (s._EULER_TANGENT, 1), s.salie_tilde: (s._SALIE_TILDE, 0)}
+        for (f, n), value in zip(jobs, got):
+            triangle, odd = rows[f]
+            fresh = s._Triangle(triangle._source)
+            assert value == fresh.value(2 * n + odd), (f.__name__, n)
+        print("ok")
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
 # classical specializations at q = 1 -----------------------------------------
 
 
 def test_euler_at_one_is_signed_secant():
-    zz = zigzag_numbers(17)
-    for n in range(9):
+    zz = zigzag_numbers(61)
+    for n in range(31):
         assert euler(n).eval_int(1) == (-1) ** n * zz[2 * n]
 
 
 def test_tangent_at_one_is_tangent_numbers():
-    zz = zigzag_numbers(16)
+    zz = zigzag_numbers(62)
     assert [tangent(n).eval_int(1) for n in range(4)] == [1, 2, 16, 272]
-    for n in range(8):
+    for n in range(31):
         assert tangent(n).eval_int(1) == zz[2 * n + 1]
 
 

@@ -36,8 +36,10 @@ def test_traced_functions_are_module_level_memo_tables():
     }
 
 
-def test_traced_run_matches_plain_run(tmp_path):
-    argv = ["verify", "--suite", "eq23", "--n-max", "4", "--format", "json"]
+def traced_counters(tmp_path, suite: str) -> dict:
+    """Counters of a traced `verify --suite SUITE --n-max 4` run, after
+    checking its stdout and exit code against the plain run's."""
+    argv = ["verify", "--suite", suite, "--n-max", "4", "--format", "json"]
     env = dict(os.environ)
     env.pop("QCONG_MAX_N", None)
     spans = tmp_path / "spans.json"
@@ -50,6 +52,18 @@ def test_traced_run_matches_plain_run(tmp_path):
     )
     assert traced.returncode == plain.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
-    counters = json.loads(spans.read_text())["counters"]
+    return json.loads(spans.read_text())["counters"]
+
+
+def test_traced_run_matches_plain_run(tmp_path):
+    counters = traced_counters(tmp_path, "eq23")
     assert counters["sequences.misses"] > 0
     assert counters["qbinom.gauss.misses"] > 0
+
+
+def test_traced_foata_run_reads_tangent_by_its_name(tmp_path):
+    # tangent comes from the q-Seidel triangle, which verify must reach
+    # through the memoized family name the tracer wraps: one miss for each
+    # of tangent(1..4) and salie(1..4)
+    counters = traced_counters(tmp_path, "foata")
+    assert counters["sequences.misses"] == 8
