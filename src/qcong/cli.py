@@ -154,8 +154,12 @@ def _compute_records(args, parser) -> list[tuple[dict, str]]:
             parser.error("--family gen-euler requires --k")
         if fam == "gen-euler" and args.k < 1:
             parser.error("--k must be positive")
-        for i in range(args.n + 1):
-            poly = family_value(fam, i, args.k)
+        # the largest index first: past the row limit it fails before any work
+        try:
+            polys = [family_value(fam, i, args.k) for i in range(args.n, -1, -1)]
+        except SizeLimitExceeded as exc:
+            parser.error(f"{fam}: {exc}")
+        for i, poly in enumerate(reversed(polys)):
             rec = {"family": fam, "index": i, "coeffs": _coeff_strings(poly)}
             if fam == "gen-euler":
                 rec["k"] = args.k

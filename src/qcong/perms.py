@@ -23,7 +23,7 @@ ENUMERATION_CAP = 5
 
 
 class SizeLimitExceeded(ValueError):
-    """Enumeration request beyond the factorial-growth guard."""
+    """A request beyond a size guard: enumeration or a triangle row."""
 
 
 def _guard(n: int) -> None:

@@ -1,4 +1,4 @@
-"""The seven q-polynomial families: a q-Seidel triangle and one recurrence.
+"""The seven q-polynomial families, each read from a q-Seidel triangle.
 
 Write e(m) = (-1)^m E_{2m}(q), the inversion generating function of the
 alternating permutations of [2m].  Each q-Salie family is defined by
@@ -15,30 +15,32 @@ sum_{j<=n} (-1)^(n-j) [2n over 2j] f(j) = q^l(n); e is the inverse of
 
 that is, f(n) is the inversion generating function of the permutations of
 [2n] written as an alternating word followed by an increasing word of length
-2j, each weighted by q^l(j).  Such words are built from the right: prepending
-a letter of rank t among the L+1 letters adds t inversions.  Row L of the
-triangle holds F_L(r), r = 0..L-1, the words of length L whose first letter
-has rank r.  The source sigma(L) = q^l(L/2) at even L is the increasing tail
-of length L, a first letter of virtual rank -1 that any letter may precede:
+2j, each weighted by q^l(j).  Likewise (-1)^n E^(k)_{kn}(q), where
+E^(k)_{kn} = -sum_{j<n} [kn over kj] E^(k)_{kj}, counts by q^inv the
+permutations of [kn] with descent set {k, 2k, ..., (n-1)k} (Stanley 1976);
+k = 2 gives e.
 
-    L even:  F_{L+1}(t) = q^t (sigma(L) + sum_{r<t} F_L(r)),
-    L odd:   F_{L+1}(t) = q^t sum_{r>=t} F_L(r),
-    value read at row L:  sigma(L) + sum_r F_L(r),   f(n) at row 2n.
+Such words are built from the right: prepending a letter of rank t among
+the L+1 letters adds t inversions, and makes a descent exactly when k | L.
+Row L of the triangle of block length k holds F_L(r), r = 0..L-1, the words
+of length L whose first letter has rank r.  The source sigma(L) = q^l(L/k)
+at k | L is the increasing tail of length L, a first letter of virtual rank
+-1 that any letter may precede:
 
-With sigma(L) = [L = 0] the even rows read e(n), so euler(n) = (-1)^n e(n),
-and the odd rows read the down-up permutations of [2n+1], which are
-tangent(n).  Every coefficient counts (permutation of [L], tail length)
-pairs, so it is at most L! (L//2 + 1): a row is a list of Python ints with
-that many nonnegative digits of a fixed byte width, q^t is a left shift and
-the whole triangle is additions, with no product and no Gaussian binomial.
+    k | L:   F_{L+1}(t) = q^t (sigma(L) + sum_{r<t} F_L(r)),
+    else:    F_{L+1}(t) = q^t sum_{r>=t} F_L(r),
+    value read at row L:  sigma(L) + sum_r F_L(r).
 
-gen_euler keeps the generalized Euler recurrence
-E^(k)_{kn} = -sum_{j<n} [kn over kj] E^(k)_{kj}, E^(k)_0 = 1, and
-gen_euler_at_one runs it over the integers, for the checks that only read
-values at q = 1.  All functions are memoized.  Index convention: the
-argument n is the recurrence index; the polynomial subscript is 2n for the
-even families, 2n+1 for the tangent family, and k*n for the generalized
-Euler family with parameter k.
+With sigma(L) = [L = 0], row kn reads (-1)^n gen_euler(k, n), and at k = 2
+the odd rows read the down-up permutations of [2n+1], tangent(n).  Every
+coefficient counts (permutation of [L], tail length) pairs, so it is at
+most L! (L//k + 1): a row is a list of Python ints with that many
+nonnegative digits of a fixed byte width, q^t is a left shift and the whole
+triangle is additions, with no product and no Gaussian binomial.
+
+gen_euler_at_one runs the generalized Euler recurrence over the integers.
+All functions are memoized.  The argument n is the recurrence index; the
+polynomial subscript is 2n, 2n+1 for tangent, and k*n for gen_euler.
 """
 
 from __future__ import annotations
@@ -47,36 +49,13 @@ import functools
 import threading
 from math import comb, factorial
 
+from .perms import SizeLimitExceeded
 from .poly import IntPoly
-from .qbinom import gauss
 
-
-def _recurrence(n: int, width: int, prefix, binom):
-    """-sum_{j<n} binom(width*n, width*j) prefix(j), and binom(0, 0) at n = 0.
-
-    `binom` is the image of the Gaussian binomial in the ring of the values,
-    so binom(0, 0) is the value 1.  Ascending j keeps the call depth at two
-    frames when `prefix` is the memoized caller.  Callers pass `gauss` by
-    its module name, not as a default bound at import, so the wrappers that
-    bench/tracer.py puts on that name see every call.
-    """
-    if width < 1:
-        raise ValueError("family parameter must be positive")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n == 0:
-        return binom(0, 0)
-    top = width * n
-    total = 0
-    for j in range(n):
-        total = total + binom(top, width * j) * prefix(j)
-    return -total
-
-
-def _digit_bytes(length: int) -> int:
-    """Bytes per coefficient that hold every entry of row `length`."""
-    bound = factorial(length) * (length // 2 + 1)
-    return (bound.bit_length() + 7) // 8
+# The largest triangle row, in estimated bytes, that a request may build:
+# row L holds L entries of about L^2/2 digits.  euler(58) is the largest
+# euler value under it (2.2 s and 184 MB peak on 2 vCPUs).
+ROW_BYTES_LIMIT = 1 << 26
 
 
 def _widen(packed: int, old: int, new: int) -> int:
@@ -97,15 +76,16 @@ def _unpack(packed: int, width: int) -> IntPoly:
 
 
 class _Triangle:
-    """The q-Seidel triangle of one source, advanced on demand.
+    """The q-Seidel triangle of block length k and one source, advanced on demand.
 
-    `source(j)` is the exponent l(j) of sigma(2j), or None where sigma(2j)
+    `source(j)` is the exponent l(j) of sigma(kj), or None where sigma(kj)
     is 0.  The triangle keeps its last row, the digit width, and the packed
     value read at every row it has passed, so a smaller index asked after a
     larger one is decoded, not recomputed.
     """
 
-    def __init__(self, source):
+    def __init__(self, k: int, source):
+        self._k = k
         self._source = source
         self._lock = threading.Lock()
         self._row: list[int] = []
@@ -122,26 +102,37 @@ class _Triangle:
             packed, width = self._values[length]
         return _unpack(packed, width)
 
+    def _digit_bytes(self, length: int) -> int:
+        """Bytes per coefficient that hold every entry of row `length`."""
+        bound = factorial(length) * (length // self._k + 1)
+        return (bound.bit_length() + 7) // 8
+
     def _advance(self, stop: int) -> None:
         """Step from the current row to row `stop`, keeping each row's value."""
+        digits = stop**3 // 2  # checked first: a huge row's factorial is slow
+        if digits > ROW_BYTES_LIMIT or digits * self._digit_bytes(stop) > ROW_BYTES_LIMIT:
+            raise SizeLimitExceeded(
+                f"row {stop} of the q-Seidel triangle would take more than "
+                f"the {ROW_BYTES_LIMIT >> 20} MB row limit"
+            )
         start = len(self._values)
-        if self._width < _digit_bytes(stop):
+        if self._width < self._digit_bytes(stop):
             # widen for a row half again as long, so widening is rare
-            width = max(_digit_bytes(stop), _digit_bytes(start + start // 2))
+            width = max(self._digit_bytes(stop), self._digit_bytes(start + start // 2))
             self._row = [_widen(x, self._width, width) for x in self._row]
             self._width = width
         # each row overwrites the last in place, entry by entry, so only
         # one row is held at a time
         bits, row = 8 * self._width, self._row
         for length in range(start, stop):
-            if length % 2:
+            if length % self._k:
                 acc = 0
                 for t in range(length - 1, -1, -1):
                     acc += row[t]
                     row[t] = acc << (t * bits)
                 row.append(0)
             else:
-                exponent = self._source(length // 2)
+                exponent = self._source(length // self._k)
                 acc = 0 if exponent is None else 1 << (exponent * bits)
                 for t, entry in enumerate(row):
                     row[t] = acc << (t * bits)
@@ -150,43 +141,51 @@ class _Triangle:
             self._values.append((acc, self._width))
 
 
-_EULER_TANGENT = _Triangle(lambda j: None if j else 0)
-_SALIE = _Triangle(lambda j: j)
-_SALIE_BAR = _Triangle(lambda j: 0)
-_SALIE_HAT = _Triangle(lambda j: 2 * j)
-_SALIE_TILDE = _Triangle(lambda j: j * j)
+_SALIE = _Triangle(2, lambda j: j)
+_SALIE_BAR = _Triangle(2, lambda j: 0)
+_SALIE_HAT = _Triangle(2, lambda j: 2 * j)
+_SALIE_TILDE = _Triangle(2, lambda j: j * j)
+# block length k -> the triangle of source [L = 0], made on first use
+_EULER: dict[int, _Triangle] = {}
+
+
+def _euler_triangle(k: int) -> _Triangle:
+    return _EULER.setdefault(k, _Triangle(k, lambda j: None if j else 0))
 
 
 @functools.lru_cache(maxsize=None)
 def gen_euler(k: int, n: int) -> IntPoly:
     """Generalized q-Euler numbers E^(k)_{kn}(q); the k = 2 family is euler()."""
-    prefix = functools.partial(gen_euler, k)
-    return _recurrence(n, k, prefix, gauss)
+    if k < 1:
+        raise ValueError("family parameter must be positive")
+    value = _euler_triangle(k).value(k * n)
+    return -value if n % 2 else value
 
 
 @functools.lru_cache(maxsize=None)
 def gen_euler_at_one(k: int, n: int) -> int:
-    """E^(k)_{kn}(1), the image of gen_euler(k, n) under q -> 1.
+    """E^(k)_{kn}(1) = -sum_{j<n} C(kn, kj) E^(k)_{kj}(1), E^(k)_0(1) = 1.
 
-    Evaluation at 1 is a ring map Z[q] -> Z sending [a over b]_q to C(a, b),
-    so the same recurrence run over the integers gives the exact value
-    without building the polynomial.
+    q -> 1 sends [a over b]_q to C(a, b), so this is the recurrence of
+    gen_euler over the integers.  Ascending j keeps the call depth constant.
     """
-    prefix = functools.partial(gen_euler_at_one, k)
-    return _recurrence(n, k, prefix, comb)
+    if k < 1:
+        raise ValueError("family parameter must be positive")
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    return -sum(comb(k * n, k * j) * gen_euler_at_one(k, j) for j in range(n)) if n else 1
 
 
 @functools.lru_cache(maxsize=None)
 def euler(n: int) -> IntPoly:
     """q-Euler (q-secant) numbers E_{2n}(q); E_0 = 1, E_2 = -1."""
-    value = _EULER_TANGENT.value(2 * n)
-    return -value if n % 2 else value
+    return gen_euler(2, n)
 
 
 @functools.lru_cache(maxsize=None)
 def tangent(n: int) -> IntPoly:
     """q-tangent numbers T_{2n+1}(q); T_1 = 1, T_3 = q + q^2."""
-    return _EULER_TANGENT.value(2 * n + 1)
+    return _euler_triangle(2).value(2 * n + 1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,7 +17,6 @@ from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
 from .perms import alternating_gf, salie_perm_gf
 from .poly import IntPoly
 from .qbinom import gauss
-from .residues import inject, root_power
 from .sequences import (
     euler,
     gen_euler,
@@ -178,8 +177,8 @@ def summarize(reports) -> tuple[int, int, int]:
 
 @functools.lru_cache(maxsize=None)
 def _gen_euler_mod(c: int, n: int, d: int) -> IntPoly:
-    """gen_euler(c, n) modulo 1 + q^d; the c = 2 family is read from euler()."""
-    return (euler(n) if c == 2 else gen_euler(c, n)).rem_binomial(d, -1)
+    """gen_euler(c, n) modulo 1 + q^d."""
+    return gen_euler(c, n).rem_binomial(d, -1)
 
 
 def _iff_report(check: str, params: dict, remainder: IntPoly) -> Report:
@@ -233,13 +232,10 @@ def check_theorem51(k: int, m: int, n: int, d: int) -> Report:
         k >= 1 and m > n >= 0 and 1 <= d <= m,
         "need k >= 1, m > n >= 0 and 1 <= d <= m",
     )
-    ring = 2 * k * d
-    lhs = inject(gen_euler(k, m).substitute_power(2), ring)
-    rhs = root_power(ring, k * (m - n)) * inject(
-        gen_euler(k, n).substitute_power(2), ring
-    )
-    diff = lhs - rhs
-    return _iff_report("theorem51", {"k": k, "m": m, "n": n, "d": d}, diff.rep)
+    top = gen_euler(k, m).substitute_power(2)
+    bottom = gen_euler(k, n).substitute_power(2).shift(k * (m - n))
+    remainder = rem_cyclotomic(top - bottom, 2 * k * d)
+    return _iff_report("theorem51", {"k": k, "m": m, "n": n, "d": d}, remainder)
 
 
 def check_theorem52(k: int, m: int, n: int, d: int) -> Report:

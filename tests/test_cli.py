@@ -194,6 +194,16 @@ def test_enumeration_cap_is_usage_error():
         assert f"enumeration cap {ENUMERATION_CAP}" in proc.stderr
 
 
+def test_triangle_row_limit_is_usage_error():
+    # both read row 400 of a q-Seidel triangle, about 11 GB; the largest
+    # index is asked first, so the guard answers before any work
+    for argv in (("--family", "euler", "--n", "200"),
+                 ("--family", "gen-euler", "--k", "100", "--n", "4")):
+        proc = run("compute", *argv)
+        assert_usage_error(proc)
+        assert "MB row limit" in proc.stderr
+
+
 def test_unwritable_out_is_usage_error(tmp_path):
     # a missing directory and a directory in place of the file
     for target in (tmp_path / "missing" / "x.txt", tmp_path):

@@ -29,6 +29,14 @@ def test_cyclotomics_are_monic():
         assert cyclotomic(n).leading_coefficient() == 1
 
 
+def test_cyclotomics_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert list(cyclotomic(n).coeffs) == expected, n
+
+
 def test_product_over_divisors_up_to_200():
     for n in range(1, 201):
         product = ONE

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from math import comb
 
 import pytest
@@ -96,11 +97,6 @@ def test_negative_index_rejected():
 # generalized family ---------------------------------------------------------
 
 
-def test_gen_euler_reduces_to_euler():
-    for n in range(21):
-        assert gen_euler(2, n) == euler(n)
-
-
 def test_gen_euler_base_value():
     for k in (1, 2, 3, 5, 8):
         assert gen_euler(k, 0) == ONE
@@ -186,21 +182,27 @@ def gauss_recurrence(lead, width, offset, alternate, count):
     return values
 
 
+# name -> (generator, recurrence arguments, count)
 GAUSS_ROUTES = {
-    "euler": (lambda n: IntPoly(), 2, 0, False),
-    "tangent": (lambda n: IntPoly([(-1) ** n]), 2, 1, True),
-    "salie": (q_power, 2, 0, True),
-    "salie_bar": (lambda n: ONE, 2, 0, True),
-    "salie_hat": (lambda n: q_power(2 * n), 2, 0, True),
-    "salie_tilde": (lambda n: q_power(n * n), 2, 0, True),
+    "euler": (euler, (lambda n: IntPoly(), 2, 0, False), 21),
+    "tangent": (tangent, (lambda n: IntPoly([(-1) ** n]), 2, 1, True), 21),
+    "salie": (salie, (q_power, 2, 0, True), 21),
+    "salie_bar": (salie_bar, (lambda n: ONE, 2, 0, True), 21),
+    "salie_hat": (salie_hat, (lambda n: q_power(2 * n), 2, 0, True), 21),
+    "salie_tilde": (salie_tilde, (lambda n: q_power(n * n), 2, 0, True), 21),
 }
+GAUSS_ROUTES.update(
+    (f"gen_euler_{k}", (partial(gen_euler, k), (lambda n: IntPoly(), k, 0, False), 10))
+    for k in range(1, 9)
+)
 
 
 @pytest.mark.parametrize("name", sorted(GAUSS_ROUTES))
 def test_family_matches_gaussian_recurrence(name):
-    expected = gauss_recurrence(*GAUSS_ROUTES[name], 21)
-    for n in range(21):
-        assert getattr(sequences, name)(n) == expected[n], (name, n)
+    family, route, count = GAUSS_ROUTES[name]
+    expected = gauss_recurrence(*route, count)
+    for n in range(count):
+        assert family(n) == expected[n], (name, n)
 
 
 @pytest.mark.parametrize("name", ["salie", "salie_bar", "salie_hat", "salie_tilde"])
@@ -216,12 +218,17 @@ def test_salie_family_at_one_counts_split_words(name):
 def test_widened_triangle_matches_fresh_one():
     # a small index first fixes a narrow digit width; the larger ones that
     # follow widen the kept row, and a smaller one read last is decoded
-    source = sequences._SALIE._source
-    grown = sequences._Triangle(source)
-    early = [grown.value(length) for length in (6, 20, 50, 10)]
-    fresh = [sequences._Triangle(source).value(length) for length in (6, 20, 50, 10)]
-    assert early == fresh
-    assert early[2] == salie(25)
+    salie_source = sequences._SALIE._source
+    euler_source = sequences._euler_triangle(3)._source
+    for k, source, lengths, value in (
+        (2, salie_source, (6, 20, 50, 10), salie(25)),
+        (3, euler_source, (6, 21, 48, 9), gen_euler(3, 16)),
+    ):
+        grown = sequences._Triangle(k, source)
+        early = [grown.value(length) for length in lengths]
+        fresh = [sequences._Triangle(k, source).value(length) for length in lengths]
+        assert early == fresh, k
+        assert early[2] == value, k
 
 
 def test_cold_concurrent_fills_are_consistent():
@@ -230,17 +237,30 @@ def test_cold_concurrent_fills_are_consistent():
     code = textwrap.dedent("""
         import random, sys
         from concurrent.futures import ThreadPoolExecutor
+        from functools import partial
         from qcong import sequences as s
         sys.setswitchinterval(1e-6)
-        jobs = [(f, n) for f in (s.tangent, s.salie_tilde) for n in range(24)]
+        families = {
+            "tangent": s.tangent,
+            "salie_tilde": s.salie_tilde,
+            "gen_euler_3": partial(s.gen_euler, 3),  # the first call makes
+            "gen_euler_4": partial(s.gen_euler, 4),  # the triangle of its k
+        }
+        jobs = [(name, n) for name in families for n in range(24)]
         random.Random(7).shuffle(jobs)
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda job: job[0](job[1]), jobs))
-        rows = {s.tangent: (s._EULER_TANGENT, 1), s.salie_tilde: (s._SALIE_TILDE, 0)}
-        for (f, n), value in zip(jobs, got):
-            triangle, odd = rows[f]
-            fresh = s._Triangle(triangle._source)
-            assert value == fresh.value(2 * n + odd), (f.__name__, n)
+            got = list(pool.map(lambda job: families[job[0]](job[1]), jobs))
+        # one thread on triangles of their own, in the same order
+        t2, t3, t4 = (s._Triangle(k, s._EULER[k]._source) for k in (2, 3, 4))
+        tilde = s._Triangle(2, s._SALIE_TILDE._source)
+        fresh = {
+            "tangent": lambda n: t2.value(2 * n + 1),
+            "salie_tilde": lambda n: tilde.value(2 * n),
+            "gen_euler_3": lambda n: (-1) ** n * t3.value(3 * n),
+            "gen_euler_4": lambda n: (-1) ** n * t4.value(4 * n),
+        }
+        for (name, n), value in zip(jobs, got):
+            assert value == fresh[name](n), (name, n)
         print("ok")
     """)
     proc = subprocess.run(

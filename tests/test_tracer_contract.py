@@ -36,10 +36,10 @@ def test_traced_functions_are_module_level_memo_tables():
     }
 
 
-def traced_counters(tmp_path, suite: str) -> dict:
-    """Counters of a traced `verify --suite SUITE --n-max 4` run, after
-    checking its stdout and exit code against the plain run's."""
-    argv = ["verify", "--suite", suite, "--n-max", "4", "--format", "json"]
+def traced_counters(tmp_path, *argv: str) -> dict:
+    """Counters of a traced `qcong ARGV --format json` run, after checking
+    its stdout and exit code against the plain run's."""
+    argv = [*argv, "--format", "json"]
     env = dict(os.environ)
     env.pop("QCONG_MAX_N", None)
     spans = tmp_path / "spans.json"
@@ -56,7 +56,7 @@ def traced_counters(tmp_path, suite: str) -> dict:
 
 
 def test_traced_run_matches_plain_run(tmp_path):
-    counters = traced_counters(tmp_path, "eq23")
+    counters = traced_counters(tmp_path, "verify", "--suite", "eq23", "--n-max", "4")
     assert counters["sequences.misses"] > 0
     assert counters["qbinom.gauss.misses"] > 0
 
@@ -65,5 +65,15 @@ def test_traced_foata_run_reads_tangent_by_its_name(tmp_path):
     # tangent comes from the q-Seidel triangle, which verify must reach
     # through the memoized family name the tracer wraps: one miss for each
     # of tangent(1..4) and salie(1..4)
-    counters = traced_counters(tmp_path, "foata")
+    counters = traced_counters(tmp_path, "verify", "--suite", "foata", "--n-max", "4")
     assert counters["sequences.misses"] == 8
+
+
+def test_traced_congruence_run_touches_no_gaussian_binomial(tmp_path):
+    # every generalized Euler value, the 2^k families of theorem52
+    # included, is read from a q-Seidel triangle
+    counters = traced_counters(
+        tmp_path, "verify", "--suite", "theorem52", "--k-max", "2", "--m-max", "5"
+    )
+    assert counters["sequences.misses"] > 0
+    assert counters["qbinom.gauss.misses"] == 0
