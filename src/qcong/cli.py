@@ -181,29 +181,16 @@ def _compute_records(args, parser) -> list[tuple[dict, str]]:
         if args.n < 1:
             parser.error("--n must be positive for cyclotomic")
         poly = cyclotomic(args.n)
-        records.append(
-            (
-                {"family": fam, "index": args.n, "coeffs": _coeff_strings(poly)},
-                f"cyclotomic {args.n}: {poly}",
-            )
-        )
+        rec = {"family": fam, "index": args.n, "coeffs": _coeff_strings(poly)}
+        records.append((rec, f"cyclotomic {args.n}: {poly}"))
     else:  # gauss
         if args.k is None:
             parser.error("--family gauss requires --k (the lower index)")
         if args.n < 0:
             parser.error("--n must be nonnegative for gauss")
         poly = gauss(args.n, args.k)
-        records.append(
-            (
-                {
-                    "family": fam,
-                    "index": args.n,
-                    "k": args.k,
-                    "coeffs": _coeff_strings(poly),
-                },
-                f"gauss {args.n} {args.k}: {poly}",
-            )
-        )
+        rec = {"family": fam, "index": args.n, "k": args.k, "coeffs": _coeff_strings(poly)}
+        records.append((rec, f"gauss {args.n} {args.k}: {poly}"))
     return records
 
 

@@ -33,10 +33,12 @@ at k | L is the increasing tail of length L, a first letter of virtual rank
 
 With sigma(L) = [L = 0], row kn reads (-1)^n gen_euler(k, n), and at k = 2
 the odd rows read the down-up permutations of [2n+1], tangent(n).  Every
-coefficient counts (permutation of [L], tail length) pairs, so it is at
-most L! (L//k + 1): a row is a list of Python ints with that many
-nonnegative digits of a fixed byte width, q^t is a left shift and the whole
-triangle is additions, with no product and no Gaussian binomial.
+coefficient counts (permutation of [L], tail) pairs; for L = bk + a the
+permutation rises within a top block of a letters, the blocks of k and the
+tail, so each of the b + 1 tails has at most L! / (a! k!^b).  A row is a
+list of Python ints with nonnegative digits wide enough for that, q^t is a
+left shift and the triangle is additions, with no product and no Gaussian
+binomial.
 
 gen_euler_at_one runs the generalized Euler recurrence over the integers.
 All functions are memoized.  The argument n is the recurrence index; the
@@ -53,9 +55,9 @@ from .perms import SizeLimitExceeded
 from .poly import IntPoly
 
 # The largest triangle row, in estimated bytes, that a request may build:
-# row L holds L entries of about L^2/2 digits.  euler(58) is the largest
-# euler value under it (2.2 s and 184 MB peak on 2 vCPUs).
-ROW_BYTES_LIMIT = 1 << 26
+# row L holds L entries of about L^2/2 digits.  euler(115) is the largest
+# euler value under it; euler(200) needs a 10 GB row.
+ROW_BYTES_LIMIT = 1 << 30
 
 
 def _widen(packed: int, old: int, new: int) -> int:
@@ -104,8 +106,9 @@ class _Triangle:
 
     def _digit_bytes(self, length: int) -> int:
         """Bytes per coefficient that hold every entry of row `length`."""
-        bound = factorial(length) * (length // self._k + 1)
-        return (bound.bit_length() + 7) // 8
+        blocks, top = divmod(length, self._k)
+        bound = factorial(length) // (factorial(self._k) ** blocks * factorial(top))
+        return ((bound * (blocks + 1)).bit_length() + 7) // 8
 
     def _advance(self, stop: int) -> None:
         """Step from the current row to row `stop`, keeping each row's value."""

@@ -17,6 +17,7 @@ from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
 from .perms import alternating_gf, salie_perm_gf
 from .poly import IntPoly
 from .qbinom import gauss
+from .residues import inject, root_power
 from .sequences import (
     euler,
     gen_euler,
@@ -232,10 +233,13 @@ def check_theorem51(k: int, m: int, n: int, d: int) -> Report:
         k >= 1 and m > n >= 0 and 1 <= d <= m,
         "need k >= 1, m > n >= 0 and 1 <= d <= m",
     )
-    top = gen_euler(k, m).substitute_power(2)
-    bottom = gen_euler(k, n).substitute_power(2).shift(k * (m - n))
-    remainder = rem_cyclotomic(top - bottom, 2 * k * d)
-    return _iff_report("theorem51", {"k": k, "m": m, "n": n, "d": d}, remainder)
+    ring = 2 * k * d
+    lhs = inject(gen_euler(k, m).substitute_power(2), ring)
+    rhs = root_power(ring, k * (m - n)) * inject(
+        gen_euler(k, n).substitute_power(2), ring
+    )
+    diff = lhs - rhs
+    return _iff_report("theorem51", {"k": k, "m": m, "n": n, "d": d}, diff.rep)
 
 
 def check_theorem52(k: int, m: int, n: int, d: int) -> Report:

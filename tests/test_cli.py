@@ -195,13 +195,23 @@ def test_enumeration_cap_is_usage_error():
 
 
 def test_triangle_row_limit_is_usage_error():
-    # both read row 400 of a q-Seidel triangle, about 11 GB; the largest
-    # index is asked first, so the guard answers before any work
+    # both read row 400 of a q-Seidel triangle, about 10 GB and 3 GB; the
+    # largest index is asked first, so the guard answers before any work
     for argv in (("--family", "euler", "--n", "200"),
                  ("--family", "gen-euler", "--k", "100", "--n", "4")):
         proc = run("compute", *argv)
         assert_usage_error(proc)
         assert "MB row limit" in proc.stderr
+
+
+def test_theorem52_at_k_max_4_runs_under_the_row_limit():
+    # the 2^4 family reads row 128 of the k = 16 triangle (about 48 MB);
+    # the digest is the output of the Gaussian-binomial route it replaced
+    proc = run("verify", "--suite", "theorem52", "--k-max", "4", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "9b24d90daf93053b63f94fb9d07afdf5a53baf4014fa23872bece1a22bfb150e"
+    )
 
 
 def test_unwritable_out_is_usage_error(tmp_path):
