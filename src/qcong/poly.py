@@ -53,11 +53,20 @@ def _as_poly(value) -> "IntPoly | None":
     return None
 
 
+def _bias(width: int, count: int) -> int:
+    """2^(8*width-1) in each of `count` slots of `width` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
-    """The value at q = 2^(8*width) of coefficients below 2^(8*width-1)."""
-    positive = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
-    negative = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+    """The value at q = 2^(8*width) of coefficients below 2^(8*width-1).
+
+    Each coefficient is biased into a digit in (0, 2^(8*width)), so one join
+    of fixed-width bytes packs them all; the bias is then taken off at once.
+    """
+    half = 1 << (8 * width - 1)
+    digits = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(digits, "little") - _bias(width, len(coeffs))
 
 
 def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -70,8 +79,8 @@ def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1
     n = len(a) + len(b) - 1
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    digits = (_pack(a, width) * _pack(b, width) + bias).to_bytes(n * width, "little")
+    product = _pack(a, width) * _pack(b, width) + _bias(width, n)
+    digits = product.to_bytes(n * width, "little")
     half = 1 << (8 * width - 1)
     return [
         int.from_bytes(digits[i : i + width], "little") - half
@@ -129,13 +138,22 @@ class IntPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) >= len(b):
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] -= c
+        else:
+            out = [-c for c in b]
+            for i, c in enumerate(a):
+                out[i] += c
+        return IntPoly(out)
 
     def __rsub__(self, other) -> "IntPoly":
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "IntPoly":
         other = _as_poly(other)
@@ -242,6 +260,39 @@ class IntPoly:
             return IntPoly([sum(cs[r::d]) for r in range(d)])
         step = 2 * d
         return IntPoly([sum(cs[r::step]) - sum(cs[r + d :: step]) for r in range(d)])
+
+    def rotate(self, j: int, d: int, c: int) -> "IntPoly":
+        """q^j * self modulo q^d - c, for a residue self of degree below d.
+
+        Since q^d = c in the quotient, q^j = c^(j // d) q^(j % d), and
+        multiplying by q^s with s < d rotates the d coefficients s places
+        up; the s coefficients that wrap past q^(d-1) take the sign c.
+        This equals self.shift(j).rem_binomial(d, c), with no shift to
+        full length and no fold.
+
+        >>> print(IntPoly((1, 2, 3)).rotate(2, 3, -1))
+        -2 - 3q + q^2
+        """
+        if d < 1:
+            raise ValueError("binomial modulus needs d >= 1")
+        if c not in (1, -1):
+            raise ValueError("binomial modulus needs c = 1 or c = -1")
+        if j < 0:
+            raise ValueError("rotation must be nonnegative")
+        cs = self.coeffs
+        if len(cs) > d:
+            raise ValueError(f"rotate needs a residue of degree below {d}")
+        turns, s = divmod(j, d)
+        sign = c ** (turns % 2)
+        if not cs or (s == 0 and sign == 1):
+            return self
+        cs = cs + (0,) * (d - len(cs))
+        head, tail = cs[: d - s], cs[d - s :]
+        if sign == -1:
+            head = [-x for x in head]
+        if sign * c == -1:
+            tail = [-x for x in tail]
+        return IntPoly([*tail, *head])
 
     def exact_div_binomial(self, k: int) -> "IntPoly":
         """The quotient self / (1 + q^k) when the division is exact.

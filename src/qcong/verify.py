@@ -171,9 +171,13 @@ def summarize(reports) -> tuple[int, int, int]:
 # Reduction modulo 1 + q^d is a ring map, and 1 + q^d is a multiple of
 # Phi_2k for every k with d/k odd.  So each check folds each family value
 # modulo 1 + q^d once per (index, d), caches the residue, and combines two
-# cached residues with a shift or a sign and one short fold.  Remainders
-# modulo a monic polynomial are unique, so every witness is the remainder of
-# the full-degree difference.
+# cached residues with a sign, or with a signed rotation for the factor
+# q^s: in Z[q]/(1 + q^d), q^s r turns the d coefficients of r s places and
+# negates those that wrap, so no difference is built past degree d.
+# theorem51 likewise injects each E^(k)_{kn}(q^2) into Z[q]/Phi_2kd, and
+# each power of q, once per ring, and takes one product per check.
+# Remainders modulo a monic polynomial are unique, so every witness is the
+# remainder of the full-degree difference.
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,7 +196,7 @@ def _theorem1_residue(m: int, n: int, d: int) -> IntPoly:
     """E_{2m} - q^(m-n) E_{2n} modulo 1 + q^d."""
     _require(m > n >= 0 and 1 <= d <= m, "need m > n >= 0 and 1 <= d <= m")
     top, bottom = _gen_euler_mod(2, m, d), _gen_euler_mod(2, n, d)
-    return (top - bottom.shift(m - n)).rem_binomial(d, -1)
+    return top - bottom.rotate(m - n, d, -1)
 
 
 def check_theorem1(m: int, n: int, d: int) -> Report:
@@ -226,6 +230,18 @@ def check_corollary1(m: int, n: int) -> Report:
     return _divisibility("corollary1", "euler", m, ev(m - n), diff, {"m": m, "n": n})
 
 
+@functools.lru_cache(maxsize=None)
+def _gen_euler_in_ring(k: int, n: int, ring: int):
+    """E^(k)_{kn}(q^2) in Z[q]/Phi_ring."""
+    return inject(gen_euler(k, n).substitute_power(2), ring)
+
+
+@functools.lru_cache(maxsize=None)
+def _root_in_ring(ring: int, j: int):
+    """q^j in Z[q]/Phi_ring."""
+    return root_power(ring, j)
+
+
 def check_theorem51(k: int, m: int, n: int, d: int) -> Report:
     """In Z[q]/Phi_{2kd}, with z the class of q (a primitive 2kd-th root):
     E^(k)_{km}(z^2) = z^(k(m-n)) E^(k)_{kn}(z^2) iff m = n mod d."""
@@ -234,11 +250,8 @@ def check_theorem51(k: int, m: int, n: int, d: int) -> Report:
         "need k >= 1, m > n >= 0 and 1 <= d <= m",
     )
     ring = 2 * k * d
-    lhs = inject(gen_euler(k, m).substitute_power(2), ring)
-    rhs = root_power(ring, k * (m - n)) * inject(
-        gen_euler(k, n).substitute_power(2), ring
-    )
-    diff = lhs - rhs
+    rhs = _root_in_ring(ring, k * (m - n) % ring) * _gen_euler_in_ring(k, n, ring)
+    diff = _gen_euler_in_ring(k, m, ring) - rhs
     return _iff_report("theorem51", {"k": k, "m": m, "n": n, "d": d}, diff.rep)
 
 
@@ -251,8 +264,8 @@ def check_theorem52(k: int, m: int, n: int, d: int) -> Report:
     fam = 1 << k
     half = 1 << (k - 1)
     e = half * d
-    value = _gen_euler_mod(fam, m, e) - _gen_euler_mod(fam, n, e).shift(half * (m - n))
-    remainder = value.rem_binomial(e, -1)
+    bottom = _gen_euler_mod(fam, n, e).rotate(half * (m - n), e, -1)
+    remainder = _gen_euler_mod(fam, m, e) - bottom
     return _iff_report("theorem52", {"k": k, "m": m, "n": n, "d": d}, remainder)
 
 
@@ -424,28 +437,41 @@ def _iter_mnd(m_max: int, d_max: int | None):
                 yield m, n, d
 
 
+def _largest_first(cases: list, largest) -> list:
+    """`cases`, after calling `largest` for the largest family value the
+    sweep reads, when there is a case: a bound past the row limit of the
+    triangles then fails before the first check."""
+    if cases:
+        largest()
+    return cases
+
+
 def sweep_theorem1(m_max: int = 12, d_max: int | None = None):
-    return [check_theorem1(m, n, d) for m, n, d in _iter_mnd(m_max, d_max)]
+    cases = _largest_first(list(_iter_mnd(m_max, d_max)), lambda: gen_euler(2, m_max))
+    return [check_theorem1(m, n, d) for m, n, d in cases]
 
 
 def sweep_lemma31(m_max: int = 12, d_max: int | None = None):
-    return [check_lemma31(m, n, d) for m, n, d in _iter_mnd(m_max, d_max)]
+    cases = _largest_first(list(_iter_mnd(m_max, d_max)), lambda: gen_euler(2, m_max))
+    return [check_lemma31(m, n, d) for m, n, d in cases]
 
 
 def sweep_corollary1(m_max: int = 10):
-    return [
-        check_corollary1(m, n) for m in range(1, m_max + 1) for n in range(m)
-    ]
+    cases = [(m, n) for m in range(1, m_max + 1) for n in range(m)]
+    cases = _largest_first(cases, lambda: euler(m_max))
+    return [check_corollary1(m, n) for m, n in cases]
 
 
 def sweep_desarmenien(k_max: int = 4, n_max: int = 10):
     """Every (k, m, n) with k <= k_max and k*m + n <= n_max."""
-    reports = []
-    for k in range(1, k_max + 1):
-        for m in range(n_max // k + 1):
-            for n in range(n_max - k * m + 1):
-                reports.append(check_desarmenien(k, m, n))
-    return reports
+    cases = [
+        (k, m, n)
+        for k in range(1, k_max + 1)
+        for m in range(n_max // k + 1)
+        for n in range(n_max - k * m + 1)
+    ]
+    cases = _largest_first(cases, lambda: gen_euler(2, n_max))
+    return [check_desarmenien(k, m, n) for k, m, n in cases]
 
 
 def sweep_theorem2(n_max: int = 15):
@@ -457,20 +483,22 @@ def sweep_theorem2(n_max: int = 15):
     return reports
 
 
+def _k_mnd(k_max: int, m_max: int, d_max: int | None) -> list:
+    return [(k, m, n, d) for k in range(1, k_max + 1) for m, n, d in _iter_mnd(m_max, d_max)]
+
+
 def sweep_theorem51(k_max: int = 3, m_max: int = 6, d_max: int | None = None):
-    return [
-        check_theorem51(k, m, n, d)
-        for k in range(1, k_max + 1)
-        for m, n, d in _iter_mnd(m_max, d_max)
-    ]
+    # row km of the block-k triangle has digits of about (km)! / k!^m,
+    # which grows with k, so the largest k meets the row limit first
+    cases = _largest_first(_k_mnd(k_max, m_max, d_max), lambda: gen_euler(k_max, m_max))
+    return [check_theorem51(k, m, n, d) for k, m, n, d in cases]
 
 
 def sweep_theorem52(k_max: int = 2, m_max: int = 8, d_max: int | None = None):
-    return [
-        check_theorem52(k, m, n, d)
-        for k in range(1, k_max + 1)
-        for m, n, d in _iter_mnd(m_max, d_max)
-    ]
+    cases = _largest_first(
+        _k_mnd(k_max, m_max, d_max), lambda: gen_euler(1 << k_max, m_max)
+    )
+    return [check_theorem52(k, m, n, d) for k, m, n, d in cases]
 
 
 def sweep_corollary52(k_max: int = 2, m_max: int = 8):

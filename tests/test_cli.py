@@ -204,6 +204,42 @@ def test_triangle_row_limit_is_usage_error():
         assert "MB row limit" in proc.stderr
 
 
+LOWERED_ROW_LIMIT = """
+import json, sys
+from qcong import cli, sequences
+sequences.ROW_BYTES_LIMIT = 1 << 20
+try:
+    cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+else:
+    code = 0
+sizes = [fn.cache_info().currsize for fn in (sequences.gen_euler, sequences.euler)]
+print(json.dumps({"code": code, "cached": sizes}), file=sys.stderr)
+"""
+
+
+def test_congruence_sweeps_meet_the_row_limit_before_any_check():
+    # with a 1 MB row limit each sweep's largest value is refused; it is
+    # asked for first, so no family value is built or cached before exit 2
+    for argv in (
+        ("--suite", "theorem1", "--m-max", "40"),
+        ("--suite", "lemma31", "--m-max", "40"),
+        ("--suite", "corollary1", "--m-max", "40"),
+        ("--suite", "desarmenien", "--n-max", "40"),
+        ("--suite", "theorem51", "--k-max", "3", "--m-max", "24"),
+        ("--suite", "theorem52", "--k-max", "3", "--m-max", "12"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", LOWERED_ROW_LIMIT, "verify", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.stdout == "", argv
+        assert "1 MB row limit" in proc.stderr, argv
+        result = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert result == {"code": 2, "cached": [0, 0]}, argv
+
+
 def test_theorem52_at_k_max_4_runs_under_the_row_limit():
     # the 2^4 family reads row 128 of the k = 16 triangle (about 48 MB);
     # the digest is the output of the Gaussian-binomial route it replaced
@@ -231,6 +267,12 @@ def test_empty_sweep_is_usage_error():
     assert_usage_error(run("verify", "--suite", "stern", "--m-max", "-3"))
     assert_usage_error(run("verify", "--suite", "theorem2",
                            env_extra={"QCONG_MAX_N": "-2"}))
+    # an empty congruence sweep asks for no family value first
+    for argv in (("theorem1", "--m-max", "-3"), ("theorem52", "--k-max", "-1"),
+                 ("theorem51", "--d-max", "0"), ("desarmenien", "--k-max", "0")):
+        proc = run("verify", "--suite", *argv)
+        assert_usage_error(proc)
+        assert "no instances within these bounds" in proc.stderr
 
 
 def test_all_suites_under_small_cap_succeed():

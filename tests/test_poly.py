@@ -57,6 +57,16 @@ def test_sub_and_neg():
     assert -poly(1, -2) == poly(-1, 2)
     assert poly(1, 1) - poly(1, 1) == ZERO
     assert 1 - Q == poly(1, -1)
+    assert Q - 1 == poly(-1, 1)
+
+
+@given(st.lists(big_coeff, max_size=60), st.lists(big_coeff, max_size=60), big_coeff)
+def test_sub_matches_adding_the_negation(a, b, c):
+    # both length orders, cancelling leading terms, and int operands
+    p, q = IntPoly(a), IntPoly(b)
+    assert (p - q).coeffs == (p + IntPoly(-x for x in b)).coeffs
+    assert p - p == ZERO
+    assert (c - p) == -(p - c) == IntPoly([c]) - p
 
 
 def test_mul_small_cases():
@@ -259,6 +269,27 @@ def test_rem_binomial_rejects_other_moduli():
 @given(big_coeffs, st.integers(0, 80))
 def test_shift_matches_monomial_product(a, j):
     assert IntPoly(a).shift(j) == q_power(j) * IntPoly(a)
+
+
+# (d, j, residue) with 0 <= j < 4d and at most d signed multi-word coefficients
+rotations = st.integers(1, 40).flatmap(
+    lambda d: st.tuples(
+        st.just(d), st.integers(0, 4 * d - 1), st.lists(big_coeff, max_size=d)
+    )
+)
+
+
+@given(rotations, st.sampled_from((1, -1)))
+def test_rotate_matches_shift_then_fold(case, c):
+    d, j, a = case
+    r = IntPoly(a)
+    assert r.rotate(j, d, c) == r.shift(j).rem_binomial(d, c)
+
+
+def test_rotate_rejects_bad_arguments():
+    for j, d, c in ((0, 0, 1), (1, 3, 2), (-1, 3, -1), (1, 2, -1)):
+        with pytest.raises(ValueError):
+            poly(1, 2, 3).rotate(j, d, c)
 
 
 def test_shift_rejects_negative():

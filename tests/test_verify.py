@@ -5,7 +5,7 @@ root-of-unity congruence family."""
 import pytest
 
 from qcong import verify as v
-from qcong.cyclotomic import FactoredPoly, cyclotomic
+from qcong.cyclotomic import FactoredPoly, cyclotomic, rem_cyclotomic
 from qcong.poly import IntPoly, ONE, one_plus_q_power, q_power
 from qcong.sequences import euler, gen_euler
 
@@ -341,8 +341,10 @@ def test_euler_memo_shared_with_checkers():
 #
 # The congruence checks reduce cached residues of each family value; the
 # full-difference route builds each difference at full degree and
-# long-divides it.  Remainders modulo a monic polynomial are unique, so the
-# two must agree on every verdict and every witness.
+# long-divides it; theorem51's is reduced by rem_cyclotomic, with no value
+# or power of q taken from the per-ring tables.  Remainders modulo a monic
+# polynomial are unique, so the two must agree on every verdict and every
+# witness.
 
 
 def full_difference_cases():
@@ -367,6 +369,13 @@ def full_difference_cases():
             for n in range(12 - k * m + 1):
                 diff = euler(k * m + n) - (-1) ** m * euler(n)
                 yield v.check_desarmenien(k, m, n), diff.rem_monic(cyclotomic(2 * k))
+    for k in range(1, 4):
+        for m in range(1, 7):
+            top = gen_euler(k, m).substitute_power(2)
+            for n in range(m):
+                diff = top - q_power(k * (m - n)) * gen_euler(k, n).substitute_power(2)
+                for d in range(1, m + 1):
+                    yield v.check_theorem51(k, m, n, d), rem_cyclotomic(diff, 2 * k * d)
 
 
 def test_residue_checks_match_full_difference_route():
@@ -375,4 +384,4 @@ def test_residue_checks_match_full_difference_route():
         seen.add(report.check)
         assert report.witness == remainder, report.describe()
         assert report.observed_congruence == remainder.is_zero()
-    assert seen == {"theorem1", "lemma31", "theorem52", "desarmenien"}
+    assert seen == {"theorem1", "lemma31", "theorem52", "desarmenien", "theorem51"}
