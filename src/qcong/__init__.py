@@ -28,7 +28,7 @@ from .poly import (
     q_power,
 )
 from .qbinom import gauss, gauss_factored, q_lucas_holds, q_lucas_sides
-from .residues import ModulusMismatch, ResidueElem, inject, root_power
+from .residues import inject, root_power
 from .sequences import (
     SEQUENCE_FAMILIES,
     euler,
@@ -46,13 +46,11 @@ __version__ = "0.1.0"
 __all__ = [
     "FactoredPoly",
     "IntPoly",
-    "ModulusMismatch",
     "NonMonicModulus",
     "NotDivisible",
     "ONE",
     "OddPartDecomposition",
     "Q",
-    "ResidueElem",
     "SEQUENCE_FAMILIES",
     "SizeLimitExceeded",
     "ZERO",

@@ -155,10 +155,7 @@ def _compute_records(args, parser) -> list[tuple[dict, str]]:
         if fam == "gen-euler" and args.k < 1:
             parser.error("--k must be positive")
         # the largest index first: past the row limit it fails before any work
-        try:
-            polys = [family_value(fam, i, args.k) for i in range(args.n, -1, -1)]
-        except SizeLimitExceeded as exc:
-            parser.error(f"{fam}: {exc}")
+        polys = [family_value(fam, i, args.k) for i in range(args.n, -1, -1)]
         for i, poly in enumerate(reversed(polys)):
             rec = {"family": fam, "index": i, "coeffs": _coeff_strings(poly)}
             if fam == "gen-euler":
@@ -212,7 +209,11 @@ def main(argv=None) -> int:
     exit_code = 0
 
     if args.command == "compute":
-        for rec, text in _compute_records(args, parser):
+        try:
+            records = _compute_records(args, parser)
+        except SizeLimitExceeded as exc:
+            parser.error(f"{args.family}: {exc}")
+        for rec, text in records:
             lines.append(json.dumps(rec) if args.format == "json" else text)
     else:
         option = "suite" if args.command == "verify" else "conjecture"

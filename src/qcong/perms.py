@@ -41,28 +41,7 @@ def alternating_gf(n: int) -> IntPoly:
 
     Equals (-1)^n E_{2n}(q).
     """
-    _guard(n)
-    size = 2 * n
-    counts = [0] * (size * (size - 1) // 2 + 1)
-    used = [False] * (size + 1)
-
-    def place(pos: int, prev: int, inv: int) -> None:
-        if pos > size:
-            counts[inv] += 1
-            return
-        ascend = pos % 2 == 0
-        for v in range(1, size + 1):
-            if used[v]:
-                continue
-            if pos > 1 and (v > prev) != ascend:
-                continue
-            added = sum(1 for u in range(v + 1, size + 1) if used[u])
-            used[v] = True
-            place(pos + 1, v, inv + added)
-            used[v] = False
-
-    place(1, 0, 0)
-    return IntPoly(counts)
+    return _inversion_gf(n, tails=False)
 
 
 def salie_perm_gf(n: int) -> IntPoly:
@@ -70,6 +49,13 @@ def salie_perm_gf(n: int) -> IntPoly:
 
     Equals half of Sbar_{2n}(q).
     """
+    return _inversion_gf(n, tails=True)
+
+
+def _inversion_gf(n: int, tails: bool) -> IntPoly:
+    """Sum of q^inv(x) over the permutations of [2n] that are alternating
+    or, when `tails`, Salie; a prefix grows only while it can still become
+    one of them."""
     _guard(n)
     size = 2 * n
     counts = [0] * (size * (size - 1) // 2 + 1)
@@ -87,7 +73,7 @@ def salie_perm_gf(n: int) -> IntPoly:
             new_alt = alt_alive and (pos == 1 or (v > prev) == ascend)
             # The increasing tail may start at any odd position 2k+1 >= 3
             # after an alternating prefix of even length 2k.
-            new_tail = v > prev and (
+            new_tail = tails and v > prev and (
                 tail_alive or (alt_alive and pos >= 3 and pos % 2 == 1)
             )
             if not (new_alt or new_tail):

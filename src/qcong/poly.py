@@ -94,10 +94,12 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        # a tuple argument is kept, and sliced only to trim trailing zeros
+        cs = coeffs if type(coeffs) is tuple else tuple(coeffs)
+        end = len(cs)
+        while end and cs[end - 1] == 0:
+            end -= 1
+        self.coeffs = cs if end == len(cs) else cs[:end]
 
     # basic queries --------------------------------------------------------
 

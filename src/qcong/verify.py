@@ -174,8 +174,8 @@ def summarize(reports) -> tuple[int, int, int]:
 # cached residues with a sign, or with a signed rotation for the factor
 # q^s: in Z[q]/(1 + q^d), q^s r turns the d coefficients of r s places and
 # negates those that wrap, so no difference is built past degree d.
-# theorem51 likewise injects each E^(k)_{kn}(q^2) into Z[q]/Phi_2kd, and
-# each power of q, once per ring, and takes one product per check.
+# theorem51 likewise reduces each E^(k)_{kn}(q^2), and each power of q, to
+# its residue modulo Phi_2kd once per ring, and reduces one product per check.
 # Remainders modulo a monic polynomial are unique, so every witness is the
 # remainder of the full-degree difference.
 
@@ -231,14 +231,14 @@ def check_corollary1(m: int, n: int) -> Report:
 
 
 @functools.lru_cache(maxsize=None)
-def _gen_euler_in_ring(k: int, n: int, ring: int):
-    """E^(k)_{kn}(q^2) in Z[q]/Phi_ring."""
+def _gen_euler_in_ring(k: int, n: int, ring: int) -> IntPoly:
+    """The residue of E^(k)_{kn}(q^2) in Z[q]/Phi_ring."""
     return inject(gen_euler(k, n).substitute_power(2), ring)
 
 
 @functools.lru_cache(maxsize=None)
-def _root_in_ring(ring: int, j: int):
-    """q^j in Z[q]/Phi_ring."""
+def _root_in_ring(ring: int, j: int) -> IntPoly:
+    """The residue of q^j in Z[q]/Phi_ring."""
     return root_power(ring, j)
 
 
@@ -251,8 +251,8 @@ def check_theorem51(k: int, m: int, n: int, d: int) -> Report:
     )
     ring = 2 * k * d
     rhs = _root_in_ring(ring, k * (m - n) % ring) * _gen_euler_in_ring(k, n, ring)
-    diff = _gen_euler_in_ring(k, m, ring) - rhs
-    return _iff_report("theorem51", {"k": k, "m": m, "n": n, "d": d}, diff.rep)
+    diff = _gen_euler_in_ring(k, m, ring) - rem_cyclotomic(rhs, ring)
+    return _iff_report("theorem51", {"k": k, "m": m, "n": n, "d": d}, diff)
 
 
 def check_theorem52(k: int, m: int, n: int, d: int) -> Report:

@@ -9,6 +9,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from qcong.poly import IntPoly  # only as the container of a residue's rep
+
 
 def naive_mul(a: list, b: list) -> list:
     """Schoolbook convolution on raw coefficient lists."""
@@ -51,6 +53,98 @@ def naive_cyclotomic(n: int) -> tuple:
             poly, rem = naive_divmod(poly, list(naive_cyclotomic(d)))
             assert not rem
     return tuple(poly)
+
+
+# the quotient ring Z[q]/Phi_m -------------------------------------------------
+#
+# The reference for `qcong.residues`, whose residues are bare reduced
+# IntPolys: a residue class that carries its modulus and refuses to mix
+# rings.  Every operation works on raw coefficient lists and reduces by
+# naive_divmod by naive_cyclotomic.
+
+
+class ModulusMismatch(ValueError):
+    """Operands live in quotient rings with different cyclotomic moduli."""
+
+
+class ResidueElem:
+    """A residue class modulo Phi_m, stored by its reduced representative."""
+
+    __slots__ = ("modulus_index", "rep")
+
+    def __init__(self, modulus_index: int, rep):
+        if modulus_index < 1:
+            raise ValueError("modulus index must be positive")
+        self.modulus_index = modulus_index
+        coeffs = list(rep.coeffs) if isinstance(rep, IntPoly) else list(rep)
+        _, rem = naive_divmod(coeffs, list(naive_cyclotomic(modulus_index)))
+        self.rep = IntPoly(rem)
+
+    def _coerce(self, other) -> "ResidueElem | None":
+        if isinstance(other, ResidueElem):
+            if other.modulus_index != self.modulus_index:
+                raise ModulusMismatch(
+                    f"moduli differ: Phi_{self.modulus_index} vs Phi_{other.modulus_index}"
+                )
+            return other
+        if isinstance(other, int):
+            return ResidueElem(self.modulus_index, [other])
+        if isinstance(other, IntPoly):
+            return ResidueElem(self.modulus_index, other)
+        return None
+
+    def _add_signed(self, other, sign: int):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        terms = [(1, self.rep.coeffs), (sign, other.rep.coeffs)]
+        return ResidueElem(self.modulus_index, _combine(terms))
+
+    def __add__(self, other):
+        return self._add_signed(other, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ResidueElem(self.modulus_index, [-c for c in self.rep.coeffs])
+
+    def __sub__(self, other):
+        return self._add_signed(other, -1)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        product = naive_mul(list(self.rep.coeffs), list(other.rep.coeffs))
+        return ResidueElem(self.modulus_index, product)
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not self.rep.coeffs
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.rep.coeffs == other.rep.coeffs
+
+    __hash__ = None  # equality raises across rings, so hashing would be unsound
+
+    def __repr__(self) -> str:
+        return f"ResidueElem(m={self.modulus_index}, rep={self.rep!r})"
+
+
+def inject(p, m: int) -> ResidueElem:
+    """The class of an integer polynomial in Z[q]/Phi_m."""
+    return ResidueElem(m, p)
+
+
+def root_power(m: int, j: int) -> ResidueElem:
+    """The class of q^(j mod m): the j-th power of a primitive m-th root of unity."""
+    if m < 1:
+        raise ValueError("modulus index must be positive")
+    return ResidueElem(m, [0] * (j % m) + [1])
 
 
 def naive_factored_divides(factors: dict, a: list) -> tuple[bool, list]:

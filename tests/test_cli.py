@@ -219,6 +219,39 @@ print(json.dumps({"code": code, "cached": sizes}), file=sys.stderr)
 """
 
 
+LOWERED_GAUSS_LIMIT = """
+import json, sys
+from qcong import cli, qbinom
+qbinom.GAUSS_BYTES_LIMIT = 1 << 20
+try:
+    cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+else:
+    code = 0
+print(json.dumps({"code": code, "cached": qbinom._gauss.cache_info().currsize}), file=sys.stderr)
+"""
+
+
+def test_gauss_table_limit_is_usage_error():
+    # [2000 over 1] fills about 2 M coefficients of the q-Pascal cone: past
+    # a 1 MB table limit it is refused before any entry is filled
+    proc = subprocess.run(
+        [sys.executable, "-c", LOWERED_GAUSS_LIMIT,
+         "compute", "--family", "gauss", "--n", "2000", "--k", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.stdout == ""
+    *_, message, result = proc.stderr.strip().splitlines()
+    assert message == (
+        "qcong: error: gauss: [2000 over 1]_q would fill more than "
+        "the 1 MB limit of the Gaussian-binomial table"
+    )
+    assert json.loads(result) == {"code": 2, "cached": 0}
+    # at the default 1 GB limit, [20000 over 1] (about 200 M coefficients)
+    assert_usage_error(run("compute", "--family", "gauss", "--n", "20000", "--k", "1"))
+
+
 def test_congruence_sweeps_meet_the_row_limit_before_any_check():
     # with a 1 MB row limit each sweep's largest value is refused; it is
     # asked for first, so no family value is built or cached before exit 2

@@ -46,6 +46,20 @@ def test_canonical_form():
     assert poly(0, 0, 3).degree() == 2
 
 
+def test_constructor_keeps_no_view_of_its_argument():
+    for coeffs in ([1, 2, 3], [1, 2, 0, 0], [0, 0]):
+        p = IntPoly(coeffs)
+        before = p.coeffs
+        coeffs[0] = 99
+        coeffs.append(5)
+        assert p.coeffs == before
+    trimmed = (4, 0, 5, 0, 0)
+    assert IntPoly(trimmed).coeffs == (4, 0, 5)
+    assert IntPoly(iter([3, 0])).coeffs == (3,)
+    untrimmed = (4, 0, 5)
+    assert IntPoly(untrimmed).coeffs is untrimmed  # immutable, so shared
+
+
 def test_add_basics():
     assert poly(1, 1) + poly(-1, -1) == ZERO
     assert poly(1, 1) + poly(0, 1) == poly(1, 2)

@@ -11,6 +11,7 @@ import pytest
 from qcong.cyclotomic import FactoredPoly, cyclotomic
 from qcong.poly import IntPoly, ONE, ZERO, q_power
 from qcong.qbinom import gauss, gauss_factored, q_lucas_holds
+from oracles import inject
 
 
 def poly(*coeffs):
@@ -146,3 +147,18 @@ def test_q_lucas_specific_value():
     assert rhs == 1
     # and the raw reduction really is nontrivial
     assert gauss(5, 3).rem_monic(cyclotomic(3)) == ONE.rem_monic(cyclotomic(3))
+
+
+def test_q_lucas_sides_are_reduced_residues():
+    # both sides are bare IntPolys: the reference residues of the quotient ring
+    from qcong.qbinom import q_lucas_sides
+
+    for d in range(1, 9):
+        for m in range(13):
+            for k in range(m + 1):
+                lhs, rhs = q_lucas_sides(m, k, d)
+                assert type(lhs) is IntPoly and type(rhs) is IntPoly
+                assert lhs == inject(gauss(m, k), d).rep
+                a, b = divmod(m, d)
+                r, s = divmod(k, d)
+                assert rhs == (comb(a, r) * inject(gauss(b, s), d)).rep

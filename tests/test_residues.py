@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from qcong import residues
 from qcong.cyclotomic import cyclotomic
 from qcong.poly import IntPoly, ONE, q_power
-from qcong.residues import ModulusMismatch, ResidueElem, inject, root_power
+from oracles import ModulusMismatch, ResidueElem, inject, root_power
 
 
 def poly(*coeffs):
@@ -86,3 +87,25 @@ def test_modulus_mismatch():
         a == b
     with pytest.raises(ValueError):
         ResidueElem(0, ONE)
+
+
+# the library's residues are bare reduced IntPolys ------------------------------
+
+
+def test_library_inject_is_the_reference_rep():
+    rng = random.Random(12)
+    for _ in range(300):
+        p = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 201))])
+        m = rng.randint(1, 40)
+        assert residues.inject(p, m) == inject(p, m).rep
+
+
+def test_library_root_power_is_the_reference_rep():
+    for m in range(1, 25):
+        for j in range(m):
+            assert residues.root_power(m, j) == root_power(m, j).rep
+    assert residues.root_power(5, -1) == residues.root_power(5, 4)
+    with pytest.raises(ValueError):
+        residues.root_power(0, 1)
+    with pytest.raises(ValueError):
+        residues.inject(ONE, 0)

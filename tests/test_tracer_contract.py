@@ -1,6 +1,7 @@
 """What bench/tracer.py needs from the package: module-level memo tables it
 can wrap and read, and a traced run with the plain run's output."""
 
+import collections
 import importlib.util
 import json
 import os
@@ -36,9 +37,9 @@ def test_traced_functions_are_module_level_memo_tables():
     }
 
 
-def traced_counters(tmp_path, *argv: str) -> dict:
-    """Counters of a traced `qcong ARGV --format json` run, after checking
-    its stdout and exit code against the plain run's."""
+def traced_run(tmp_path, *argv: str, code: int = 0) -> dict:
+    """Spans and counters of a traced `qcong ARGV --format json` run, after
+    checking its stdout and exit code against the plain run's and `code`."""
     argv = [*argv, "--format", "json"]
     env = dict(os.environ)
     env.pop("QCONG_MAX_N", None)
@@ -50,9 +51,13 @@ def traced_counters(tmp_path, *argv: str) -> dict:
     plain = subprocess.run(
         [sys.executable, "-m", "qcong"] + argv, capture_output=True, text=True, env=env
     )
-    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.returncode == plain.returncode == code, traced.stderr
     assert traced.stdout == plain.stdout
-    return json.loads(spans.read_text())["counters"]
+    return json.loads(spans.read_text())
+
+
+def traced_counters(tmp_path, *argv: str) -> dict:
+    return traced_run(tmp_path, *argv)["counters"]
 
 
 def test_traced_run_matches_plain_run(tmp_path):
@@ -77,3 +82,19 @@ def test_traced_congruence_run_touches_no_gaussian_binomial(tmp_path):
     )
     assert counters["sequences.misses"] > 0
     assert counters["qbinom.gauss.misses"] == 0
+
+
+def test_traced_theorem51_run_keeps_the_benchmark_layers(tmp_path):
+    # the tiny pass of bench/test_bench.py counts residue injections and
+    # products only through theorem51: each check reduces its values through
+    # residues.inject and takes one IntPoly product (its k = 1 slice fails
+    # at m = 3 by design, so the run exits 1)
+    data = traced_run(
+        tmp_path, "verify", "--suite", "theorem51", "--k-max", "2", "--m-max", "4", code=1
+    )
+    calls = collections.Counter(span[0] for span in data["spans"])
+    tracer = load_tracer()
+    checks = data["counters"]["verify.checks"]
+    assert checks == 2 * (1 + 4 + 9 + 16)
+    assert calls[tracer.INJECT] > 0
+    assert calls[tracer.MUL] == checks
