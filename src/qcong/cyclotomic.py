@@ -8,9 +8,9 @@ products reduce to exponent comparisons, and lcm is an exponent-wise max.
 
 Every divisor of the paper's divisibility claims is a product of binomials
 1 + q^j.  ``FactoredPoly.divides`` splits such a product back into its
-binomials and strips them one exact one-pass quotient at a time, so the
-divisor is never expanded; only a product that does not split, or a
-dividend that is not divisible, takes the expand-and-long-divide route.
+binomials and takes a one-pass binomial divmod by each in turn; a failure's
+witness is recombined from the step remainders, so the divisor is never
+expanded.  Only a product that does not split is expanded and long-divided.
 
 >>> print(cyclotomic(6))
 1 - q + q^2
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 
-from .poly import IntPoly, NotDivisible, ONE, q_power
+from .poly import IntPoly, ONE, ZERO, q_power
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,28 +159,33 @@ class FactoredPoly:
         """Whether the expanded product divides p exactly.
 
         Returns (True, quotient) on success and (False, remainder witness)
-        on failure.  A product of binomials 1 + q^j is stripped from p one
-        exact binomial quotient at a time; the quotient is unique, so it is
-        the long-division quotient.  A product that does not split, or a
-        step that is not exact, takes the expanded long division, whose
-        canonical remainder is the witness.
+        on failure, as the long division by the expanded product gives them.
+        A product of binomials B_t = 1 + q^(j_t) is divided out one binomial
+        divmod at a time, q_(t-1) = B_t q_t + r_t, so p = B_1...B_n q_n + R
+        with R = r_1 + B_1 (r_2 + B_2 (... r_n)) of degree below the
+        product's: R is the canonical remainder, zero exactly when every
+        r_t is.  Only a product that does not split is expanded.
+
+        >>> FactoredPoly({2: 1, 4: 1}).divides(IntPoly((2, 0, 0, 1)))
+        (False, IntPoly((1, -1, -1)))
         """
         if p.is_zero():
             raise ValueError("divisibility of the zero polynomial is not tested")
         split = self.binomial_split()
-        if split is not None:
-            quotient = p
-            try:
-                for j, e in split:
-                    for _ in range(e):
-                        quotient = quotient.exact_div_binomial(j)
-                return True, quotient
-            except NotDivisible:
-                pass
-        quotient, remainder = p._divmod(self.expand())
-        if remainder.is_zero():
+        if split is None:
+            quotient, remainder = p._divmod(self.expand())
+            return (True, quotient) if remainder.is_zero() else (False, remainder)
+        quotient, steps = p, []
+        for j, e in split:
+            for _ in range(e):
+                quotient, remainder = quotient.divmod_binomial(j)
+                steps.append((j, remainder))
+        if not any(remainder for _, remainder in steps):
             return True, quotient
-        return False, remainder
+        witness = ZERO
+        for j, remainder in reversed(steps):
+            witness = remainder + witness + witness.shift(j)
+        return False, witness
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredPoly):

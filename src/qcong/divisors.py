@@ -1,9 +1,9 @@
 """Divisor families for the q-Salie and q-tangent divisibility theorems.
 
 All products are kept in cyclotomic-factored form (FactoredPoly).  Each is
-a product of binomials 1 + q^j, so FactoredPoly.divides strips them from the
-dividend one exact quotient at a time and never expands the divisor unless
-the division fails.
+a product of binomials 1 + q^j, so FactoredPoly.divides divides the dividend
+by them one binomial at a time and never expands the divisor, whether the
+division is exact or not.
 """
 
 from __future__ import annotations

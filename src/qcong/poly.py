@@ -27,13 +27,13 @@ from typing import Iterable
 
 
 class NotDivisible(ArithmeticError):
-    """Exact polynomial division failed.
+    """Exact division failed, in ``exact_div`` or in ``_divmod``.
 
     ``remainder`` witnesses the failure: it is nonzero and congruent to the
-    dividend modulo the divisor.  For a monic divisor it is the canonical
-    long-division remainder; for a non-monic divisor it is the partial
-    remainder at the step where integer division of leading coefficients
-    broke down.
+    dividend modulo the divisor.  From ``exact_div`` by a monic divisor it
+    is the canonical long-division remainder; from ``_divmod`` by a
+    non-monic divisor it is the partial remainder at the step where integer
+    division of leading coefficients broke down.
     """
 
     def __init__(self, message: str, remainder: "IntPoly"):
@@ -296,32 +296,23 @@ class IntPoly:
             tail = [-x for x in tail]
         return IntPoly([*tail, *head])
 
-    def exact_div_binomial(self, k: int) -> "IntPoly":
-        """The quotient self / (1 + q^k) when the division is exact.
+    def divmod_binomial(self, k: int) -> tuple["IntPoly", "IntPoly"]:
+        """Quotient and canonical remainder modulo 1 + q^k, in one pass.
 
-        If self = (1 + q^k) a then a_i = p_i - a_(i-k), so one in-place pass
-        s_i = p_i - s_(i-k) leaves the quotient in the first len - k entries
-        and zeros in the last k exactly when the division is exact.  On
-        failure NotDivisible carries the canonical remainder, as
-        exact_div(one_plus_q_power(k)) would.
+        Long division by the monic 1 + q^k turns the top coefficient s_i into
+        the quotient term s_i q^(i-k) and subtracts s_i from s_(i-k), so one
+        pass s_(i-k) -= s_i from the top down leaves the quotient in the
+        entries from k on and the remainder in the first k.
 
-        >>> print(IntPoly((1, 1, 1, 1)).exact_div_binomial(2))
-        1 + q
-        >>> try:
-        ...     IntPoly((1, 1, 1)).exact_div_binomial(2)
-        ... except NotDivisible as exc:
-        ...     print(exc.remainder)
-        q
+        >>> print(*IntPoly((2, 0, 0, 1)).divmod_binomial(2), sep=" | ")
+        q | 2 - q
         """
         if k < 1:
             raise ValueError("binomial divisor needs k >= 1")
         s = list(self.coeffs)
-        for i in range(k, len(s)):
-            s[i] -= s[i - k]
-        cut = len(s) - k
-        if any(s[max(cut, 0) :]):
-            raise NotDivisible(f"not divisible by 1 + q^{k}", self.rem_binomial(k, -1))
-        return IntPoly(s[:cut])
+        for i in range(len(s) - 1, k - 1, -1):
+            s[i - k] -= s[i]
+        return IntPoly(s[k:]), IntPoly(s[:k])
 
     # specializations ----------------------------------------------------------
 

@@ -418,7 +418,8 @@ def explore_conjecture61(n_max: int = 12) -> list[Report]:
     reported per instance, never asserted."""
     _require(n_max >= 1, "bound must be >= 1")
     reports = []
-    for n in range(1, n_max + 1):
+    cases = _largest_first(list(range(1, n_max + 1)), lambda: [f(n_max) for _, _, f in _VARIANTS])
+    for n in cases:
         for name, divisor_fn, value_fn in _VARIANTS:
             ok, witness = divisor_fn(n).divides(value_fn(n))
             params = {"variant": name, "n": n}
@@ -476,7 +477,7 @@ def sweep_desarmenien(k_max: int = 4, n_max: int = 10):
 
 def sweep_theorem2(n_max: int = 15):
     reports = []
-    for n in range(1, n_max + 1):
+    for n in _largest_first(list(range(1, n_max + 1)), lambda: salie(n_max)):
         reports.append(check_theorem2(n))
         for r in range((n + 1) // 2):
             reports.append(check_theorem2_power(n, r))
@@ -528,7 +529,8 @@ def sweep_eq24(n_max: int = 15):
 
 def sweep_foata(n_max: int = 15):
     reports = []
-    for n in range(1, n_max + 1):
+    cases = _largest_first(list(range(1, n_max + 1)), lambda: (tangent(n_max), salie(n_max)))
+    for n in cases:
         reports.append(check_foata(n))
         reports.append(check_salie_unit_power(n))
     return reports

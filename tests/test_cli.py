@@ -214,7 +214,7 @@ except SystemExit as exc:
     code = exc.code
 else:
     code = 0
-sizes = [fn.cache_info().currsize for fn in (sequences.gen_euler, sequences.euler)]
+sizes = [fn.cache_info().currsize for fn in sequences._FAMILIES.values()]
 print(json.dumps({"code": code, "cached": sizes}), file=sys.stderr)
 """
 
@@ -252,9 +252,20 @@ def test_gauss_table_limit_is_usage_error():
     assert_usage_error(run("compute", "--family", "gauss", "--n", "20000", "--k", "1"))
 
 
+def assert_refused_before_any_check(*argv):
+    # with a 1 MB row limit the run's largest value is refused; it is asked
+    # for first, so no family value is built or cached before exit 2
+    proc = subprocess.run(
+        [sys.executable, "-c", LOWERED_ROW_LIMIT, *argv],
+        capture_output=True, text=True,
+    )
+    assert proc.stdout == "", argv
+    assert "1 MB row limit" in proc.stderr, argv
+    result = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert result == {"code": 2, "cached": [0] * 7}, argv
+
+
 def test_congruence_sweeps_meet_the_row_limit_before_any_check():
-    # with a 1 MB row limit each sweep's largest value is refused; it is
-    # asked for first, so no family value is built or cached before exit 2
     for argv in (
         ("--suite", "theorem1", "--m-max", "40"),
         ("--suite", "lemma31", "--m-max", "40"),
@@ -263,14 +274,16 @@ def test_congruence_sweeps_meet_the_row_limit_before_any_check():
         ("--suite", "theorem51", "--k-max", "3", "--m-max", "24"),
         ("--suite", "theorem52", "--k-max", "3", "--m-max", "12"),
     ):
-        proc = subprocess.run(
-            [sys.executable, "-c", LOWERED_ROW_LIMIT, "verify", *argv],
-            capture_output=True, text=True,
-        )
-        assert proc.stdout == "", argv
-        assert "1 MB row limit" in proc.stderr, argv
-        result = json.loads(proc.stderr.strip().splitlines()[-1])
-        assert result == {"code": 2, "cached": [0, 0]}, argv
+        assert_refused_before_any_check("verify", *argv)
+
+
+def test_divisibility_sweeps_meet_the_row_limit_before_any_check():
+    for argv in (
+        ("verify", "--suite", "theorem2", "--n-max", "40"),
+        ("verify", "--suite", "foata", "--n-max", "40"),
+        ("explore", "--conjecture", "conj61", "--n-max", "40"),
+    ):
+        assert_refused_before_any_check(*argv)
 
 
 def test_theorem52_at_k_max_4_runs_under_the_row_limit():

@@ -138,6 +138,37 @@ def test_divides_fails_late_in_the_chain():
     divisor = factor_one_plus_qd(3) * factor_one_plus_qd(1)
     assert divisor.binomial_split() == [(3, 1), (1, 1)]
     assert not assert_divides_like_oracle(divisor, one_plus_q_power(3) * one_plus_q_power(2))
+    # remainder q^2 modulo 1 + q^3, then 2 modulo 1 + q: the witness is
+    # recombined from two nonzero step remainders
+    p = one_plus_q_power(3) * one_plus_q_power(2) + q_power(2)
+    quotient, first = p.divmod_binomial(3)
+    assert first and quotient.divmod_binomial(1)[1]
+    assert not assert_divides_like_oracle(divisor, p)
+    # a P_12 chain of 12 binomial steps, seven of them inexact
+    divisor, p = big_p(12), salie(12) + q_power(40)
+    nonzero, quotient = 0, p
+    for j, e in divisor.binomial_split():
+        for _ in range(e):
+            quotient, remainder = quotient.divmod_binomial(j)
+            nonzero += not remainder.is_zero()
+    assert nonzero >= 2
+    assert not assert_divides_like_oracle(divisor, p)
+
+
+def test_divides_by_a_split_product_never_expands(monkeypatch):
+    cases = [
+        (divisor, p, p + q_power(p.degree() // 2 + len(divisor.factors)))
+        for divisor, p in divisibility_cases()
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("a split product was expanded or long-divided")
+
+    monkeypatch.setattr(FactoredPoly, "expand", forbidden)
+    monkeypatch.setattr(IntPoly, "_divmod", forbidden)
+    for divisor, p, perturbed in cases:
+        assert divisor.divides(p)[0]
+        assert divisor.divides(perturbed)[0] == divisor.is_one()
 
 
 def test_divides_by_the_empty_product():

@@ -244,34 +244,32 @@ def test_rem_binomial_matches_naive_division(a, d):
 
 
 @given(long_coeffs, st.integers(1, 40), st.lists(big_coeff, max_size=40))
-def test_exact_div_binomial_matches_naive_division(a, k, r):
-    # a * (1 + q^k) + r with deg r < k: exact, giving back a, iff r is zero;
-    # otherwise the witness is the naive remainder, which is r itself
+def test_divmod_binomial_matches_naive_division(a, k, r):
+    # a * (1 + q^k) + r with deg r < k: the quotient is a and the remainder r,
+    # both as the naive long division gives them
     binomial = list(one_plus_q_power(k).coeffs)
     r = r[:k]
     dividend = IntPoly(naive_mul(a, binomial)) + IntPoly(r)
     naive_q, naive_r = naive_divmod(list(dividend.coeffs), binomial)
-    assert naive_r == list(IntPoly(r).coeffs)
-    if not naive_r:
-        quotient = dividend.exact_div_binomial(k)
-        assert quotient == IntPoly(a) and quotient.coeffs == tuple(naive_q)
-    else:
-        with pytest.raises(NotDivisible) as exc:
-            dividend.exact_div_binomial(k)
-        assert exc.value.remainder.coeffs == tuple(naive_r)
+    quotient, remainder = dividend.divmod_binomial(k)
+    assert (quotient.coeffs, remainder.coeffs) == (tuple(naive_q), tuple(naive_r))
+    assert (quotient, remainder) == (IntPoly(a), IntPoly(r))
 
 
-def test_exact_div_binomial_edge_cases():
-    assert ZERO.exact_div_binomial(3) == ZERO
-    assert one_plus_q_power(5).exact_div_binomial(5) == ONE
-    # shorter than the divisor, or a monomial: never exact
-    for p, k in ((poly(1, 1), 3), (poly(0, 0, 7), 3), (poly(5), 1), (q_power(4), 2)):
-        with pytest.raises(NotDivisible) as exc:
-            p.exact_div_binomial(k)
-        assert exc.value.remainder == p.rem_binomial(k, -1)
+def test_divmod_binomial_edge_cases():
+    assert ZERO.divmod_binomial(3) == (ZERO, ZERO)
+    assert one_plus_q_power(5).divmod_binomial(5) == (ONE, ZERO)
+    # shorter than the divisor: no quotient, and the dividend is the remainder
+    for p, k in ((poly(1, 1), 3), (poly(0, 0, 7), 3), (poly(5), 1)):
+        assert p.divmod_binomial(k) == (ZERO, p)
+    # a monomial folds down with alternating sign: q^7 = (1 + q^3)(q^4 - q) + q
+    for i, k in ((4, 2), (7, 3), (2, 2), (9, 1)):
+        naive_q, naive_r = naive_divmod(list(q_power(i).coeffs), list(one_plus_q_power(k).coeffs))
+        assert q_power(i).divmod_binomial(k) == (IntPoly(naive_q), IntPoly(naive_r))
+    assert q_power(7).divmod_binomial(3) == (poly(0, -1, 0, 0, 1), Q)
     for k in (0, -1, -5):
         with pytest.raises(ValueError):
-            poly(1, 1).exact_div_binomial(k)
+            poly(1, 1).divmod_binomial(k)
 
 
 def test_rem_binomial_rejects_other_moduli():
