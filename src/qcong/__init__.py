@@ -7,11 +7,9 @@ cyclotomic factorizations, and quotient-ring arithmetic at roots of unity.
 
 from .cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd
 from .divisors import (
-    OddPartDecomposition,
     big_d,
     big_p,
     ev,
-    odd_part,
     q_bar,
     q_hat,
     q_tilde,
@@ -20,7 +18,6 @@ from .perms import SizeLimitExceeded, alternating_gf, salie_perm_gf
 from .poly import (
     IntPoly,
     NonMonicModulus,
-    NotDivisible,
     ONE,
     Q,
     ZERO,
@@ -47,9 +44,7 @@ __all__ = [
     "FactoredPoly",
     "IntPoly",
     "NonMonicModulus",
-    "NotDivisible",
     "ONE",
-    "OddPartDecomposition",
     "Q",
     "SEQUENCE_FAMILIES",
     "SizeLimitExceeded",
@@ -66,7 +61,6 @@ __all__ = [
     "gauss_factored",
     "gen_euler",
     "inject",
-    "odd_part",
     "one_plus_q_power",
     "q_bar",
     "q_hat",

@@ -204,6 +204,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cap = _env_cap(parser)
+    # witnesses are written as exact decimal strings, however many digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
     lines: list[str] = []
     exit_code = 0

@@ -1,7 +1,8 @@
 """Cyclotomic polynomials and exact products of them.
 
-``cyclotomic(n)`` produces the n-th cyclotomic polynomial Phi_n through the
-identity q^n - 1 = prod_{d|n} Phi_d(q), by exact division.  ``FactoredPoly``
+``cyclotomic(n)`` produces the n-th cyclotomic polynomial Phi_n from the
+Moebius product Phi_n = prod_{d|n} (1 - q^d)^mu(n/d), one shift-and-add pass
+per squarefree n/d, with no product and no long division.  ``FactoredPoly``
 represents a product prod_d Phi_d^{e_d} without expanding it; since distinct
 cyclotomic polynomials are coprime, divisibility questions between such
 products reduce to exponent comparisons, and lcm is an exponent-wise max.
@@ -20,25 +21,61 @@ from __future__ import annotations
 
 import functools
 
-from .poly import IntPoly, ONE, ZERO, q_power
+from .poly import IntPoly, ONE, ZERO
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, monic with integer coefficients.
 
+    For n > 1, Phi_n = prod_{d|n} (1 - q^d)^mu(n/d), where mu(n/d) is
+    nonzero only for squarefree n/d, a product e of distinct primes of n,
+    and is -1 when e has an odd number of them.  The product is taken in
+    power series cut off above degree phi(n).  Every factor has constant
+    term 1, so a coefficient of degree i depends only on the coefficients
+    of degree at most i, and Phi_n has degree phi(n): the cut-off series is
+    Phi_n exactly, and a factor with d > phi(n) changes nothing in it.
+    Multiplying by 1 - q^d is the pass s_i -= s_(i-d) from the top down;
+    dividing by it, the pass s_i += s_(i-d) from the bottom up; both
+    passes are empty when d > phi(n).
+
     >>> print(cyclotomic(1))
     -1 + q
     >>> print(cyclotomic(2))
     1 + q
+    >>> [i for i, c in enumerate(cyclotomic(105).coeffs) if c == -2]
+    [7, 41]
     """
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    poly = q_power(n) - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = poly.exact_div(cyclotomic(d))
-    return poly
+    if n == 1:
+        return IntPoly((-1, 1))
+    primes, rest, p = [], n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    degree = n
+    for p in primes:
+        degree = degree // p * (p - 1)
+    # each squarefree divisor of n, with whether it has an odd number of primes
+    squarefree = [(1, False)]
+    for p in primes:
+        squarefree += [(e * p, not odd) for e, odd in squarefree]
+    s = [1] + [0] * degree
+    for e, odd in squarefree:
+        d = n // e
+        if odd:
+            for i in range(d, degree + 1):
+                s[i] += s[i - d]
+        else:
+            for i in range(degree, d - 1, -1):
+                s[i] -= s[i - d]
+    return IntPoly(s)
 
 
 def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:

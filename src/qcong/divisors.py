@@ -8,28 +8,7 @@ division is exact or not.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .cyclotomic import FactoredPoly, factor_one_plus_qd
-
-
-class OddPartDecomposition(NamedTuple):
-    """n = 2**s * (2*r + 1), with s the 2-adic valuation of n."""
-
-    n: int
-    s: int
-    r: int
-
-
-def odd_part(n: int) -> OddPartDecomposition:
-    """Split a positive integer into its 2-power and odd part."""
-    if n < 1:
-        raise ValueError("need a positive integer")
-    s, m = 0, n
-    while m % 2 == 0:
-        s += 1
-        m //= 2
-    return OddPartDecomposition(n, s, (m - 1) // 2)
 
 
 def big_p(n: int) -> FactoredPoly:
@@ -48,11 +27,13 @@ def big_p(n: int) -> FactoredPoly:
 
 def ev(n: int) -> FactoredPoly:
     """Ev_n = prod_{j=0..s} (1 + q^(2^j r)) for n = 2^s r with r odd."""
-    dec = odd_part(n)
-    odd = 2 * dec.r + 1
+    if n < 1:
+        raise ValueError("need a positive integer")
     out = FactoredPoly()
-    for j in range(dec.s + 1):
-        out = out * factor_one_plus_qd((1 << j) * odd)
+    d = n // (n & -n)
+    while d <= n:
+        out = out * factor_one_plus_qd(d)
+        d *= 2
     return out
 
 

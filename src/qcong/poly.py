@@ -26,23 +26,8 @@ from __future__ import annotations
 from typing import Iterable
 
 
-class NotDivisible(ArithmeticError):
-    """Exact division failed, in ``exact_div`` or in ``_divmod``.
-
-    ``remainder`` witnesses the failure: it is nonzero and congruent to the
-    dividend modulo the divisor.  From ``exact_div`` by a monic divisor it
-    is the canonical long-division remainder; from ``_divmod`` by a
-    non-monic divisor it is the partial remainder at the step where integer
-    division of leading coefficients broke down.
-    """
-
-    def __init__(self, message: str, remainder: "IntPoly"):
-        super().__init__(message)
-        self.remainder = remainder
-
-
 class NonMonicModulus(ValueError):
-    """Polynomial remainder requested modulo a non-monic polynomial."""
+    """Polynomial division requested by a divisor that is not monic."""
 
 
 def _as_poly(value) -> "IntPoly | None":
@@ -182,49 +167,39 @@ class IntPoly:
     # division ---------------------------------------------------------------
 
     def _divmod(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Integer long division.
+        """Quotient and canonical remainder by a monic divisor, by long division.
 
-        Requires each leading-coefficient step to divide exactly over the
-        integers (always true for monic divisors); raises NotDivisible with
-        the partial remainder otherwise.
+        Monic divisors keep every quotient coefficient an integer, so the
+        remainder r is the unique one with degree(r) < degree(divisor) and
+        self = quotient * divisor + r.  Any other divisor, zero included,
+        raises NonMonicModulus.
+
+        >>> print(*IntPoly((-1, 0, 1))._divmod(IntPoly((1, 1))), sep=" | ")
+        -1 + q | 0
+        >>> IntPoly((1, 1))._divmod(IntPoly((1, 2)))
+        Traceback (most recent call last):
+        ...
+        qcong.poly.NonMonicModulus: divisor 1 + 2q is not monic; integer division undefined
         """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
+        if divisor.leading_coefficient() != 1:
+            raise NonMonicModulus(
+                f"divisor {divisor} is not monic; integer division undefined"
+            )
         dn, dd = self.degree(), divisor.degree()
         if dn < dd:
             return ZERO, self
-        lead = divisor.coeffs[-1]
         # Only the nonzero terms subtract anything; 1 + q^d has two of d + 1.
         terms = [(i, c) for i, c in enumerate(divisor.coeffs) if c]
         rem = list(self.coeffs)
         quot = [0] * (dn - dd + 1)
         for shift in range(dn - dd, -1, -1):
-            top = rem[shift + dd]
-            if top == 0:
+            t = rem[shift + dd]
+            if t == 0:
                 continue
-            t, leftover = divmod(top, lead)
-            if leftover:
-                raise NotDivisible(
-                    f"leading coefficient {top} not divisible by {lead}",
-                    IntPoly(rem),
-                )
             quot[shift] = t
             for i, c in terms:
                 rem[shift + i] -= t * c
         return IntPoly(quot), IntPoly(rem)
-
-    def exact_div(self, divisor: "IntPoly") -> "IntPoly":
-        """The quotient self / divisor when the division is exact.
-
-        >>> print(IntPoly((-1, 0, 1)).exact_div(IntPoly((1, 1))))
-        -1 + q
-        """
-        quotient, remainder = self._divmod(divisor)
-        if not remainder.is_zero():
-            raise NotDivisible(
-                f"{self} is not divisible by {divisor}", remainder
-            )
-        return quotient
 
     def rem_monic(self, modulus: "IntPoly") -> "IntPoly":
         """Canonical remainder modulo a monic polynomial.
@@ -235,10 +210,6 @@ class IntPoly:
         >>> print(IntPoly((1, 0, 0, 0, 1)).rem_monic(IntPoly((1, 0, 1))))
         2
         """
-        if modulus.leading_coefficient() != 1:
-            raise NonMonicModulus(
-                f"modulus {modulus} is not monic; integer remainders undefined"
-            )
         return self._divmod(modulus)[1]
 
     def rem_binomial(self, d: int, c: int) -> "IntPoly":

@@ -516,15 +516,18 @@ def sweep_stern(m_max: int = 10):
 
 
 def sweep_lemma41(n_max: int = 15):
-    return [check_lemma41(n) for n in range(1, n_max + 1)]
+    cases = _largest_first(list(range(1, n_max + 1)), lambda: (salie(n_max), tangent(n_max - 1)))
+    return [check_lemma41(n) for n in cases]
 
 
 def sweep_eq23(n_max: int = 15):
-    return [check_eq23(n) for n in range(n_max + 1)]
+    cases = _largest_first(list(range(n_max + 1)), lambda: (salie_bar(n_max), euler(n_max)))
+    return [check_eq23(n) for n in cases]
 
 
 def sweep_eq24(n_max: int = 15):
-    return [check_eq24(n) for n in range(2, n_max + 1)]
+    cases = _largest_first(list(range(2, n_max + 1)), lambda: (salie_hat(n_max), tangent(n_max - 1)))
+    return [check_eq24(n) for n in cases]
 
 
 def sweep_foata(n_max: int = 15):

@@ -11,7 +11,7 @@ from qcong.cli import report_record
 from qcong.divisors import big_p
 from qcong.perms import ENUMERATION_CAP
 from qcong.poly import IntPoly
-from qcong.sequences import euler, gen_euler
+from qcong.sequences import euler, gen_euler, gen_euler_at_one
 
 CMD = [sys.executable, "-m", "qcong"]
 
@@ -284,6 +284,36 @@ def test_divisibility_sweeps_meet_the_row_limit_before_any_check():
         ("explore", "--conjecture", "conj61", "--n-max", "40"),
     ):
         assert_refused_before_any_check(*argv)
+
+
+def test_identity_sweeps_meet_the_row_limit_before_any_check():
+    for argv in (
+        ("--suite", "lemma41", "--n-max", "40"),
+        ("--suite", "eq23", "--n-max", "60"),
+        ("--suite", "eq24", "--n-max", "60"),
+    ):
+        assert_refused_before_any_check("verify", *argv)
+
+
+def test_q_at_one_witnesses_past_the_int_string_limit_are_exact():
+    # E^(2048)(1) differences have more digits than CPython's default limit
+    # on int-to-decimal conversion; each witness is still the exact decimal
+    proc = run("verify", "--suite", "corollary52", "--k-max", "11", "--m-max", "4",
+               "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    *records, summary = json_lines(proc.stdout)
+    assert summary["checked"] == len(records) == 11 * (1 + 2 + 3 + 4)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [
+            str(gen_euler_at_one(1 << p["k"], p["m"]) - gen_euler_at_one(1 << p["k"], p["n"]))
+            for p in (r["params"] for r in records)
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [r["witness"] for r in records] == expected
+    assert max(map(len, expected)) > limit
 
 
 def test_theorem52_at_k_max_4_runs_under_the_row_limit():

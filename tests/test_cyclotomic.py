@@ -7,7 +7,7 @@ from qcong.cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd, rem_c
 from qcong.divisors import big_d, big_p, q_bar, q_hat, q_tilde
 from qcong.poly import IntPoly, ONE, one_plus_q_power, q_power
 from qcong.sequences import salie, salie_bar, salie_hat, salie_tilde, tangent
-from oracles import a_exponent, naive_factored_divides
+from oracles import a_exponent, naive_cyclotomic, naive_factored_divides
 
 
 def poly(*coeffs):
@@ -38,12 +38,41 @@ def test_cyclotomics_match_sympy():
 
 
 def test_product_over_divisors_up_to_200():
-    for n in range(1, 201):
+    # and 2310, the product of the first five primes
+    for n in [*range(1, 201), 2310]:
         product = ONE
         for d in range(1, n + 1):
             if n % d == 0:
                 product = product * cyclotomic(d)
         assert product == q_power(n) - 1
+
+
+def test_cyclotomics_match_the_division_oracle():
+    for n in range(1, 301):
+        assert cyclotomic(n) == IntPoly(naive_cyclotomic(n)), n
+
+
+def test_cyclotomic_takes_no_product_and_no_long_division(monkeypatch):
+    composite = {n: cyclotomic(n) for n in (105, 2310, 30030)}
+
+    def forbidden(*args):
+        raise AssertionError("cyclotomic multiplied or long-divided")
+
+    monkeypatch.setattr(IntPoly, "_divmod", forbidden)
+    monkeypatch.setattr(IntPoly, "__mul__", forbidden)
+    cyclotomic.cache_clear()
+    try:
+        for p in (2, 3, 5, 7, 97, 1009):
+            assert cyclotomic(p) == IntPoly((1,) * p)
+        # Phi_(p^k)(q) = Phi_p(q^(p^(k-1)))
+        assert cyclotomic(4096) == one_plus_q_power(2048)
+        assert cyclotomic(3**7) == IntPoly((1, 1, 1)).substitute_power(3**6)
+        for n, expected in composite.items():
+            assert cyclotomic(n) == expected, n
+        phi_105 = cyclotomic(105).coeffs
+        assert [i for i, c in enumerate(phi_105) if c == -2] == [7, 41]
+    finally:
+        cyclotomic.cache_clear()
 
 
 def test_factor_one_plus_qd_small():

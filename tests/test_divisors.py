@@ -3,7 +3,7 @@
 import pytest
 
 from qcong.cyclotomic import FactoredPoly, factor_one_plus_qd
-from qcong.divisors import big_d, big_p, ev, odd_part, q_bar, q_hat, q_tilde
+from qcong.divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
 from qcong.poly import IntPoly, ONE, one_plus_q_power
 from qcong.sequences import salie, tangent
 from oracles import a_exponent
@@ -11,8 +11,10 @@ from oracles import a_exponent
 
 def little_p(n):
     """1 + q^(2r+1) where 2r+1 is the odd part of n, factored."""
-    dec = odd_part(n)
-    return factor_one_plus_qd(2 * dec.r + 1)
+    odd = n
+    while odd and odd % 2 == 0:
+        odd //= 2
+    return factor_one_plus_qd(odd)
 
 
 def chunks(*pairs):
@@ -49,17 +51,6 @@ TABLE_QBAR = {
     7: [(2, 2), (4, 1), (6, 1)],
     8: [(2, 3), (4, 2), (6, 1), (8, 1)],
 }
-
-
-def test_odd_part():
-    assert odd_part(12) == (12, 2, 1)
-    assert odd_part(1) == (1, 0, 0)
-    assert odd_part(40) == (40, 3, 2)
-    for n in range(1, 200):
-        dec = odd_part(n)
-        assert n == 2**dec.s * (2 * dec.r + 1)
-    with pytest.raises(ValueError):
-        odd_part(0)
 
 
 def test_little_p():
@@ -115,10 +106,11 @@ def test_ev():
     assert ev(6) == factor_one_plus_qd(3) * factor_one_plus_qd(6)
     assert ev(4) == chunks((1, 1), (2, 1), (4, 1))
     for n in range(1, 40):
-        dec = odd_part(n)
-        odd = 2 * dec.r + 1
+        s, odd = 0, n
+        while odd % 2 == 0:
+            s, odd = s + 1, odd // 2
         expected = ONE
-        for j in range(dec.s + 1):
+        for j in range(s + 1):
             expected = expected * one_plus_q_power(2**j * odd)
         assert ev(n).expand() == expected
 

@@ -9,7 +9,6 @@ from qcong.cyclotomic import cyclotomic
 from qcong.poly import (
     IntPoly,
     NonMonicModulus,
-    NotDivisible,
     ONE,
     Q,
     ZERO,
@@ -154,25 +153,34 @@ def test_pow():
         poly(1, 1) ** -1
 
 
+def monic(p):
+    """p with its leading coefficient replaced by 1."""
+    return IntPoly(p.coeffs[:-1] + (1,))
+
+
 def test_exact_div_cyclotomic_extraction():
     # (q^6 - 1) / ((q-1)(q+1)(1+q+q^2)) = q^2 - q + 1
     q6_minus_1 = q_power(6) - 1
     divisor = poly(-1, 1) * poly(1, 1) * poly(1, 1, 1)
-    assert q6_minus_1.exact_div(divisor) == poly(1, -1, 1)
+    assert q6_minus_1._divmod(divisor) == (poly(1, -1, 1), ZERO)
 
 
 def test_exact_div_salie4():
     # S_4 = 2q + 4q^2 + 3q^3 + 2q^4 + q^5 divided by (1+q)^2
     s4 = poly(0, 2, 4, 3, 2, 1)
-    assert s4.exact_div(poly(1, 1) ** 2) == poly(0, 2, 0, 1)
+    assert s4._divmod(poly(1, 1) ** 2) == (poly(0, 2, 0, 1), ZERO)
 
 
 def test_exact_div_self():
+    # a monic p divides itself; any other p is refused as a divisor
     rng = random.Random(7)
     for _ in range(100):
         p = random_poly(rng)
         if not p.is_zero():
-            assert p.exact_div(p) == ONE
+            assert monic(p)._divmod(monic(p)) == (ONE, ZERO)
+            if p.leading_coefficient() != 1:
+                with pytest.raises(NonMonicModulus):
+                    p._divmod(p)
 
 
 def test_exact_div_roundtrip_random():
@@ -181,15 +189,10 @@ def test_exact_div_roundtrip_random():
         a, b = random_poly(rng), random_poly(rng)
         if b.is_zero():
             continue
-        assert (a * b).exact_div(b) == a
-
-
-def test_not_divisible_carries_witness():
-    with pytest.raises(NotDivisible) as err:
-        (q_power(4) + 1).exact_div(poly(1, 1))
-    assert err.value.remainder == poly(2)
-    with pytest.raises(ZeroDivisionError):
-        ONE.exact_div(ZERO)
+        assert (a * monic(b))._divmod(monic(b)) == (a, ZERO)
+        if b.leading_coefficient() != 1:
+            with pytest.raises(NonMonicModulus):
+                (a * b)._divmod(b)
 
 
 def test_rem_monic_examples():
@@ -200,8 +203,9 @@ def test_rem_monic_examples():
     assert e4.rem_monic(one_plus_q_power(2)) == poly(-1)
     # degree(p) < degree(m) keeps p
     assert poly(1, 1).rem_monic(poly(1, 0, 0, 1)) == poly(1, 1)
-    # (q^4 + 1) mod (q^2 + 1) = 2
+    # (q^4 + 1) mod (q^2 + 1) = 2, and q^4 + 1 = (q^3 - q^2 + q - 1)(1 + q) + 2
     assert (q_power(4) + 1).rem_monic(poly(1, 0, 1)) == poly(2)
+    assert (q_power(4) + 1)._divmod(poly(1, 1)) == (poly(-1, 1, -1, 1), poly(2))
 
 
 def test_rem_monic_matches_naive_division():
@@ -215,8 +219,9 @@ def test_rem_monic_matches_naive_division():
         _, naive_r = naive_divmod(list(a.coeffs), list(m.coeffs))
         assert r.coeffs == tuple(naive_r)
         assert r.degree() < m.degree()
-        # a = quotient * m + r with the quotient recovered by exact division
-        assert (a - r).exact_div(m) * m + r == a
+        quotient, remainder = a._divmod(m)
+        assert remainder == r
+        assert quotient * m + r == a
 
 
 @given(st.lists(big_coeff, max_size=80), st.integers(1, 30), st.booleans())
@@ -225,7 +230,7 @@ def test_rem_monic_sparse_moduli_match_naive_division(a, d, use_cyclotomic):
     naive_q, naive_r = naive_divmod(a, list(modulus.coeffs))
     r = IntPoly(a).rem_monic(modulus)
     assert r.coeffs == tuple(naive_r)
-    assert (IntPoly(a) - r).exact_div(modulus).coeffs == tuple(naive_q)
+    assert IntPoly(a)._divmod(modulus) == (IntPoly(naive_q), r)
 
 
 # 0 to 300 coefficients, long enough that every d <= 40 folds several blocks;
@@ -309,19 +314,12 @@ def test_shift_rejects_negative():
         poly(1, 1).shift(-1)
 
 
-def test_not_divisible_witness_non_monic_mid_division():
-    # 1 + q + 6q^2 + 3q^3 + 4q^4 over 1 + 2q^2: the first step subtracts
-    # 2q^2 (1 + 2q^2), the second would need 3/2 and stops there.
-    with pytest.raises(NotDivisible) as err:
-        poly(1, 1, 6, 3, 4).exact_div(poly(1, 0, 2))
-    assert err.value.remainder == poly(1, 1, 4, 3)
-
-
 def test_rem_monic_rejects_non_monic():
-    with pytest.raises(NonMonicModulus):
-        poly(1, 1).rem_monic(poly(1, 2))
-    with pytest.raises(NonMonicModulus):
-        poly(1, 1).rem_monic(ZERO)
+    for divisor in (poly(1, 2), ZERO):
+        with pytest.raises(NonMonicModulus):
+            poly(1, 1).rem_monic(divisor)
+        with pytest.raises(NonMonicModulus):
+            poly(1, 1)._divmod(divisor)
 
 
 def test_substitute_power():

@@ -36,8 +36,15 @@ def pochhammer_cyclo_exponents(m):
 
 
 def gauss_by_division(m, n):
-    """Oracle: (q;q)_m / ((q;q)_n (q;q)_{m-n}) by exact division."""
-    return qpoch(m).exact_div(qpoch(n) * qpoch(m - n))
+    """Oracle: (q;q)_m / ((q;q)_n (q;q)_{m-n}) by exact division.
+
+    Both leading coefficients are (-1)^m, so both sides are multiplied by
+    (-1)^m to make the divisor monic.
+    """
+    sign = (-1) ** m
+    quotient, remainder = (sign * qpoch(m))._divmod(sign * qpoch(n) * qpoch(m - n))
+    assert remainder.is_zero()
+    return quotient
 
 
 def test_qpoch_small():
