@@ -147,6 +147,8 @@ def _compute_records(args, parser) -> list[tuple[dict, str]]:
     if args.k is not None and fam not in ("gen-euler", "gauss"):
         parser.error(f"--family {fam} does not take --k")
     records = []
+    # sequence and divisor families are built from the largest index down:
+    # past a size limit it fails before any work; output stays ascending
     if fam in SEQUENCE_FAMILIES:
         if args.n < 0:
             parser.error("--n must be nonnegative for sequence families")
@@ -154,7 +156,6 @@ def _compute_records(args, parser) -> list[tuple[dict, str]]:
             parser.error("--family gen-euler requires --k")
         if fam == "gen-euler" and args.k < 1:
             parser.error("--k must be positive")
-        # the largest index first: past the row limit it fails before any work
         polys = [family_value(fam, i, args.k) for i in range(args.n, -1, -1)]
         for i, poly in enumerate(reversed(polys)):
             rec = {"family": fam, "index": i, "coeffs": _coeff_strings(poly)}
@@ -164,9 +165,8 @@ def _compute_records(args, parser) -> list[tuple[dict, str]]:
     elif fam in DIVISOR_FAMILIES:
         if args.n < 1:
             parser.error("--n must be positive for divisor families")
-        for i in range(1, args.n + 1):
-            factored = DIVISOR_FAMILIES[fam](i)
-            poly = factored.expand()
+        pairs = [(f, f.expand()) for f in map(DIVISOR_FAMILIES[fam], range(args.n, 0, -1))]
+        for i, (factored, poly) in enumerate(reversed(pairs), 1):
             rec = {
                 "family": fam,
                 "index": i,

@@ -1,11 +1,12 @@
 """Cyclotomic polynomials and exact products of them.
 
-``cyclotomic(n)`` produces the n-th cyclotomic polynomial Phi_n from the
-Moebius product Phi_n = prod_{d|n} (1 - q^d)^mu(n/d), one shift-and-add pass
-per squarefree n/d, with no product and no long division.  ``FactoredPoly``
-represents a product prod_d Phi_d^{e_d} without expanding it; since distinct
-cyclotomic polynomials are coprime, divisibility questions between such
-products reduce to exponent comparisons, and lcm is an exponent-wise max.
+Every polynomial expanded here, and the Gaussian binomials of ``qbinom``,
+is a product of binomials 1 - q^d and their inverses, built by one
+shift-and-add pass per binomial with no product and no long division.
+``FactoredPoly`` represents a product prod_d Phi_d^{e_d} without expanding
+it; since distinct cyclotomic polynomials are coprime, divisibility
+questions between such products reduce to exponent comparisons, and lcm is
+an exponent-wise max.
 
 Every divisor of the paper's divisibility claims is a product of binomials
 1 + q^j.  ``FactoredPoly.divides`` splits such a product back into its
@@ -20,24 +21,74 @@ expanded.  Only a product that does not split is expanded and long-divided.
 from __future__ import annotations
 
 import functools
+import math
 
-from .poly import IntPoly, ONE, ZERO
+from .perms import SizeLimitExceeded
+from .poly import IntPoly, ZERO
+
+# The most bytes one binomial product may take: (nonempty passes) x
+# (degree + 1) x (bytes per coefficient), 16 for the list and tuple slots
+# of a small int, more for a mean coefficient (value at q = 1) / (degree + 1)
+# past 256.  At the limit gauss(1184, 100) and gauss(6882961, 2) take
+# 2.5-4.5 s and under 650 MB; gauss(20000000, 1) peaks at 319 MB.
+SERIES_BYTES_LIMIT = 1 << 30
+
+
+def _binomial_series(steps, degree: int, at_one=lambda: 1) -> list[int]:
+    """prod (1 - q^d)^(-1 if divide else 1) over (d, divide) in `steps`, in
+    power series cut off above `degree`.
+
+    Every factor has constant term 1, so the coefficient of q^i depends
+    only on those of degree at most i: a product that is a polynomial of
+    degree at most `degree` comes out exactly.  Multiplying by 1 - q^d is
+    the pass s_i -= s_(i-d) from the top down, dividing by it the pass
+    s_i += s_(i-d) from the bottom up, and both are empty when d > degree.
+    `at_one()`, the product at q = 1, is called only once the passes would
+    fit the limit at 16 bytes a coefficient.
+    """
+    passes = [(d, divide) for d, divide in steps if d <= degree]
+    count, size = len(passes) * (degree + 1), 16
+    if count * size <= SERIES_BYTES_LIMIT:
+        mean = at_one() // (degree + 1)
+        if mean > 256:
+            size = 39 + mean.bit_length() // 30 * 4
+    if count * size > SERIES_BYTES_LIMIT:
+        raise SizeLimitExceeded(
+            f"a degree-{degree} series in {len(passes)} binomial pass(es) would "
+            f"take more than the {SERIES_BYTES_LIMIT >> 20} MB series limit"
+        )
+    s = [1] + [0] * degree
+    for d, divide in passes:
+        if divide:
+            for i in range(d, degree + 1):
+                s[i] += s[i - d]
+        else:
+            for i in range(degree, d - 1, -1):
+                s[i] -= s[i - d]
+    return s
+
+
+def _moebius(n: int) -> tuple[int, list[tuple[int, bool]]]:
+    """phi(n), and each squarefree divisor e of n with whether mu(e) = -1."""
+    phi, squarefree, rest, p = n, [(1, False)], n, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            phi = phi // p * (p - 1)
+            squarefree += [(e * p, not odd) for e, odd in squarefree]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return phi, squarefree
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, monic with integer coefficients.
 
-    For n > 1, Phi_n = prod_{d|n} (1 - q^d)^mu(n/d), where mu(n/d) is
-    nonzero only for squarefree n/d, a product e of distinct primes of n,
-    and is -1 when e has an odd number of them.  The product is taken in
-    power series cut off above degree phi(n).  Every factor has constant
-    term 1, so a coefficient of degree i depends only on the coefficients
-    of degree at most i, and Phi_n has degree phi(n): the cut-off series is
-    Phi_n exactly, and a factor with d > phi(n) changes nothing in it.
-    Multiplying by 1 - q^d is the pass s_i -= s_(i-d) from the top down;
-    dividing by it, the pass s_i += s_(i-d) from the bottom up; both
-    passes are empty when d > phi(n).
+    For n > 1, Phi_n = prod_{e|n} (1 - q^(n/e))^mu(e), taken in power
+    series cut off above its degree phi(n): one pass per squarefree e.
 
     >>> print(cyclotomic(1))
     -1 + q
@@ -50,32 +101,8 @@ def cyclotomic(n: int) -> IntPoly:
         raise ValueError("cyclotomic index must be positive")
     if n == 1:
         return IntPoly((-1, 1))
-    primes, rest, p = [], n, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        primes.append(rest)
-    degree = n
-    for p in primes:
-        degree = degree // p * (p - 1)
-    # each squarefree divisor of n, with whether it has an odd number of primes
-    squarefree = [(1, False)]
-    for p in primes:
-        squarefree += [(e * p, not odd) for e, odd in squarefree]
-    s = [1] + [0] * degree
-    for e, odd in squarefree:
-        d = n // e
-        if odd:
-            for i in range(d, degree + 1):
-                s[i] += s[i - d]
-        else:
-            for i in range(degree, d - 1, -1):
-                s[i] -= s[i - d]
-    return IntPoly(s)
+    phi, squarefree = _moebius(n)
+    return IntPoly(_binomial_series([(n // e, odd) for e, odd in squarefree], phi))
 
 
 def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:
@@ -155,11 +182,28 @@ class FactoredPoly:
         return FactoredPoly(merged)
 
     def expand(self) -> IntPoly:
-        """Multiply the product out; always monic."""
-        result = ONE
+        """Multiply the product out; always monic.
+
+        Phi_d^e = prod_{k|d} (1 - q^(d/k))^(e mu(k)): the exponents of all
+        factors are summed into a net exponent per binomial, many cancel,
+        and the binomials are taken as one series cut off above the degree.
+        Phi_1 = q - 1 = -(1 - q), hence the sign (-1)^e_1.
+
+        >>> print(FactoredPoly({1: 1, 2: 1}).expand())
+        -1 + q^2
+        """
+        net: dict[int, int] = {}
+        degree, powers = 0, []
         for d, e in self._factors.items():
-            result = result * cyclotomic(d) ** e
-        return result
+            phi, squarefree = _moebius(d)
+            degree += e * phi
+            if len(squarefree) == 2:
+                powers.append((squarefree[1][0], e))  # Phi_(p^j)(1) = p
+            for k, odd in squarefree:
+                net[d // k] = net.get(d // k, 0) + (-e if odd else e)
+        steps = [(c, x < 0) for c, x in sorted(net.items()) for _ in range(abs(x))]
+        s = _binomial_series(steps, degree, lambda: math.prod(p**e for p, e in powers))
+        return IntPoly([-c for c in s] if self.exponent(1) % 2 else s)
 
     def binomial_split(self) -> list[tuple[int, int]] | None:
         """The product as prod (1 + q^j)^e, as (j, e) pairs with j falling,

@@ -23,7 +23,7 @@ ENUMERATION_CAP = 5
 
 
 class SizeLimitExceeded(ValueError):
-    """A request beyond a size guard: enumeration or a triangle row."""
+    """A request beyond a size guard: enumeration, a triangle row or a binomial series."""
 
 
 def _guard(n: int) -> None:

@@ -147,6 +147,15 @@ def root_power(m: int, j: int) -> ResidueElem:
     return ResidueElem(m, [0] * (j % m) + [1])
 
 
+def naive_expand(factors: dict) -> list:
+    """prod Phi_d^e multiplied out, one cyclotomic factor at a time."""
+    product = [1]
+    for d, e in factors.items():
+        for _ in range(e):
+            product = naive_mul(product, list(naive_cyclotomic(d)))
+    return product
+
+
 def naive_factored_divides(factors: dict, a: list) -> tuple[bool, list]:
     """Expand prod Phi_d^e and long-divide a by it.
 
@@ -154,11 +163,7 @@ def naive_factored_divides(factors: dict, a: list) -> tuple[bool, list]:
     remainder) otherwise: the expand-then-divide route for a cyclotomic
     product.
     """
-    divisor = [1]
-    for d, e in factors.items():
-        for _ in range(e):
-            divisor = naive_mul(divisor, list(naive_cyclotomic(d)))
-    quot, rem = naive_divmod(a, divisor)
+    quot, rem = naive_divmod(a, naive_expand(factors))
     return (False, rem) if rem else (True, quot)
 
 

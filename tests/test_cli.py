@@ -219,10 +219,10 @@ print(json.dumps({"code": code, "cached": sizes}), file=sys.stderr)
 """
 
 
-LOWERED_GAUSS_LIMIT = """
-import json, sys
+LOWERED_SERIES_LIMIT = """
+import importlib, json, sys
 from qcong import cli, qbinom
-qbinom.GAUSS_BYTES_LIMIT = 1 << 20
+importlib.import_module("qcong.cyclotomic").SERIES_BYTES_LIMIT = 1 << 20
 try:
     cli.main(sys.argv[1:])
 except SystemExit as exc:
@@ -233,23 +233,58 @@ print(json.dumps({"code": code, "cached": qbinom._gauss.cache_info().currsize}),
 """
 
 
-def test_gauss_table_limit_is_usage_error():
-    # [2000 over 1] fills about 2 M coefficients of the q-Pascal cone: past
-    # a 1 MB table limit it is refused before any entry is filled
+# Runs the CLI with its address space capped near 600 MB, so a request that
+# slipped past the series limit fails with a MemoryError traceback instead of
+# exhausting the machine.
+ADDRESS_SPACE_CAP = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+from qcong import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def run_capped(*argv):
+    env = dict(os.environ)
+    env.pop("QCONG_MAX_N", None)
+    return subprocess.run(
+        [sys.executable, "-c", ADDRESS_SPACE_CAP, *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+
+
+def test_series_limit_is_usage_error():
+    # [2000 over 10] is 20 binomial passes over 19,901 coefficients of about
+    # 47 bytes: past a 1 MB series limit it is refused before any pass
     proc = subprocess.run(
-        [sys.executable, "-c", LOWERED_GAUSS_LIMIT,
-         "compute", "--family", "gauss", "--n", "2000", "--k", "1"],
+        [sys.executable, "-c", LOWERED_SERIES_LIMIT,
+         "compute", "--family", "gauss", "--n", "2000", "--k", "10"],
         capture_output=True, text=True,
     )
     assert proc.stdout == ""
     *_, message, result = proc.stderr.strip().splitlines()
     assert message == (
-        "qcong: error: gauss: [2000 over 1]_q would fill more than "
-        "the 1 MB limit of the Gaussian-binomial table"
+        "qcong: error: gauss: a degree-19900 series in 20 binomial pass(es) "
+        "would take more than the 1 MB series limit"
     )
     assert json.loads(result) == {"code": 2, "cached": 0}
-    # at the default 1 GB limit, [20000 over 1] (about 200 M coefficients)
-    assert_usage_error(run("compute", "--family", "gauss", "--n", "20000", "--k", "1"))
+    # at the default 1 GB limit: 2,000 passes over 10^6 coefficients, and
+    # one pass over 10^9
+    for n, k in (("2000", "1000"), ("1000000000", "1")):
+        assert_usage_error(run_capped("compute", "--family", "gauss", "--n", n, "--k", k))
+
+
+def test_huge_cyclotomic_is_usage_error():
+    # Phi_p of the prime p = 10^9 + 7 has 10^9 + 7 coefficients
+    proc = run_capped("compute", "--family", "cyclotomic", "--n", "1000000007")
+    assert_usage_error(proc)
+    assert proc.stderr.strip().splitlines()[-1].startswith("qcong: error: cyclotomic: ")
+
+
+def test_divisor_family_asks_for_its_largest_index_first():
+    # P_400 is 800 binomial passes over 53,345 coefficients, past the 1 GB
+    # series limit; asked for first, it is refused before P_1 .. P_399 are built
+    assert_usage_error(run_capped("compute", "--family", "P", "--n", "400"))
 
 
 def assert_refused_before_any_check(*argv):

@@ -1,13 +1,17 @@
 """Cyclotomic generation and factored products."""
 
-import pytest
-from hypothesis import given, strategies as st
+from math import comb
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from qcong import qbinom
 from qcong.cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd, rem_cyclotomic
-from qcong.divisors import big_d, big_p, q_bar, q_hat, q_tilde
+from qcong.divisors import DIVISOR_FAMILIES, big_d, big_p, q_bar, q_hat, q_tilde
 from qcong.poly import IntPoly, ONE, one_plus_q_power, q_power
+from qcong.qbinom import gauss, gauss_factored
 from qcong.sequences import salie, salie_bar, salie_hat, salie_tilde, tangent
-from oracles import a_exponent, naive_cyclotomic, naive_factored_divides
+from oracles import a_exponent, naive_cyclotomic, naive_expand, naive_factored_divides
 
 
 def poly(*coeffs):
@@ -53,14 +57,19 @@ def test_cyclotomics_match_the_division_oracle():
 
 
 def test_cyclotomic_takes_no_product_and_no_long_division(monkeypatch):
+    # and neither do the Gaussian binomials nor expanded products, which
+    # are built from the same binomial passes
     composite = {n: cyclotomic(n) for n in (105, 2310, 30030)}
+    expanded = {f: IntPoly(naive_expand(f.factors)) for f in (big_d(40), big_p(60))}
 
     def forbidden(*args):
-        raise AssertionError("cyclotomic multiplied or long-divided")
+        raise AssertionError("a product of binomials multiplied or long-divided")
 
     monkeypatch.setattr(IntPoly, "_divmod", forbidden)
     monkeypatch.setattr(IntPoly, "__mul__", forbidden)
+    monkeypatch.setattr(IntPoly, "__pow__", forbidden)
     cyclotomic.cache_clear()
+    qbinom._gauss.cache_clear()
     try:
         for p in (2, 3, 5, 7, 97, 1009):
             assert cyclotomic(p) == IntPoly((1,) * p)
@@ -71,8 +80,35 @@ def test_cyclotomic_takes_no_product_and_no_long_division(monkeypatch):
             assert cyclotomic(n) == expected, n
         phi_105 = cyclotomic(105).coeffs
         assert [i for i, c in enumerate(phi_105) if c == -2] == [7, 41]
+        middle = gauss(200, 100)
+        assert middle.degree() == 100 * 100 and middle.eval_int(1) == comb(200, 100)
+        assert gauss(1500, 1) == IntPoly((1,) * 1500)
+        for factored, expected in expanded.items():
+            assert factored.expand() == expected, factored
     finally:
         cyclotomic.cache_clear()
+        qbinom._gauss.cache_clear()
+
+
+def test_expand_matches_the_multiply_out_oracle():
+    for family in DIVISOR_FAMILIES.values():
+        for n in range(1, 31):
+            factored = family(n)
+            assert factored.expand() == IntPoly(naive_expand(factored.factors)), factored
+    for m in range(21):
+        for n in range(m + 1):
+            factored = gauss_factored(m, n)
+            assert factored.expand() == IntPoly(naive_expand(factored.factors)), (m, n)
+
+
+@given(st.dictionaries(st.integers(1, 40), st.integers(0, 3), max_size=6))
+@example({1: 3, 2: 1})
+def test_expand_random_products_match_the_oracle(factors):
+    # Phi_1 = q - 1 is the one factor whose binomial 1 - q carries a sign
+    factored = FactoredPoly(factors)
+    expanded = factored.expand()
+    assert expanded == IntPoly(naive_expand(factored.factors))
+    assert expanded.leading_coefficient() == 1
 
 
 def test_factor_one_plus_qd_small():

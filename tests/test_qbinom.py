@@ -1,4 +1,6 @@
-"""Gaussian polynomials: three independent computation routes must agree."""
+"""Gaussian polynomials: the binomial-series route of gauss must agree with
+the q-Pascal recurrence, with long division of q-Pochhammer symbols, and
+with the expanded cyclotomic factorization."""
 
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 from qcong.cyclotomic import FactoredPoly, cyclotomic
 from qcong.poly import IntPoly, ONE, ZERO, q_power
 from qcong.qbinom import gauss, gauss_factored, q_lucas_holds
-from oracles import inject
+from oracles import inject, naive_gauss
 
 
 def poly(*coeffs):
@@ -67,6 +69,12 @@ def test_gauss_small():
         gauss(-1, 0)
 
 
+def test_gauss_matches_pascal_oracle():
+    for m in range(31):
+        for n in range(m + 1):
+            assert gauss(m, n) == IntPoly(naive_gauss(m, n)), (m, n)
+
+
 def test_gauss_matches_division_oracle():
     for m in range(21):
         for n in range(m + 1):
@@ -91,7 +99,8 @@ def test_gauss_specializes_to_binomial():
 
 
 def test_cold_table_needs_no_deep_recursion():
-    # a fresh process, so the table starts empty; it is filled row by row
+    # a fresh process, so the memo table starts empty; each value is one
+    # loop of binomial passes, with no recursion
     code = textwrap.dedent("""
         import sys
         sys.setrecursionlimit(200)
@@ -118,7 +127,7 @@ def test_gauss_factored_small():
 def test_gauss_factored_matches_pascal_route():
     for m in range(21):
         for n in range(m + 1):
-            assert gauss_factored(m, n).expand() == gauss(m, n)
+            assert gauss_factored(m, n).expand() == IntPoly(naive_gauss(m, n))
 
 
 def test_pochhammer_cyclo_exponents():
