@@ -25,11 +25,10 @@ from .poly import (
     q_power,
 )
 from .qbinom import gauss, gauss_factored, q_lucas_holds, q_lucas_sides
-from .residues import inject, root_power
+from .residues import inject
 from .sequences import (
     SEQUENCE_FAMILIES,
     euler,
-    family_value,
     gen_euler,
     salie,
     salie_bar,
@@ -56,7 +55,6 @@ __all__ = [
     "euler",
     "ev",
     "factor_one_plus_qd",
-    "family_value",
     "gauss",
     "gauss_factored",
     "gen_euler",
@@ -68,7 +66,6 @@ __all__ = [
     "q_lucas_sides",
     "q_power",
     "q_tilde",
-    "root_power",
     "salie",
     "salie_bar",
     "salie_hat",

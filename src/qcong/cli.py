@@ -20,11 +20,11 @@ from .divisors import DIVISOR_FAMILIES
 from .perms import SizeLimitExceeded
 from .poly import IntPoly
 from .qbinom import gauss
-from .sequences import SEQUENCE_FAMILIES, family_value
+from .sequences import SEQUENCE_FAMILIES
 
 ENV_CAP = "QCONG_MAX_N"
 
-COMPUTE_FAMILIES = SEQUENCE_FAMILIES + tuple(DIVISOR_FAMILIES) + ("cyclotomic", "gauss")
+COMPUTE_FAMILIES = (*SEQUENCE_FAMILIES, *DIVISOR_FAMILIES, "cyclotomic", "gauss")
 
 
 # command -> suite name -> bound name -> default, read from the signature of
@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _compute_records(args, parser) -> list[tuple[dict, str]]:
-    """(json record, text line) pairs for the compute subcommand."""
+    """(json record, text head) pairs for the compute subcommand; "coeffs"
+    holds the IntPoly until main renders it in the printed format only."""
     fam = args.family
     if args.k is not None and fam not in ("gen-euler", "gauss"):
         parser.error(f"--family {fam} does not take --k")
@@ -156,12 +157,13 @@ def _compute_records(args, parser) -> list[tuple[dict, str]]:
             parser.error("--family gen-euler requires --k")
         if fam == "gen-euler" and args.k < 1:
             parser.error("--k must be positive")
-        polys = [family_value(fam, i, args.k) for i in range(args.n, -1, -1)]
+        k = (args.k,) if fam == "gen-euler" else ()
+        polys = [SEQUENCE_FAMILIES[fam](*k, i) for i in range(args.n, -1, -1)]
         for i, poly in enumerate(reversed(polys)):
-            rec = {"family": fam, "index": i, "coeffs": _coeff_strings(poly)}
+            rec = {"family": fam, "index": i, "coeffs": poly}
             if fam == "gen-euler":
                 rec["k"] = args.k
-            records.append((rec, f"{fam} {i}: {poly}"))
+            records.append((rec, f"{fam} {i}:"))
     elif fam in DIVISOR_FAMILIES:
         if args.n < 1:
             parser.error("--n must be positive for divisor families")
@@ -170,24 +172,22 @@ def _compute_records(args, parser) -> list[tuple[dict, str]]:
             rec = {
                 "family": fam,
                 "index": i,
-                "coeffs": _coeff_strings(poly),
+                "coeffs": poly,
                 "factored": _factored_records(factored),
             }
-            records.append((rec, f"{fam} {i}: {factored} = {poly}"))
+            records.append((rec, f"{fam} {i}: {factored} ="))
     elif fam == "cyclotomic":
         if args.n < 1:
             parser.error("--n must be positive for cyclotomic")
-        poly = cyclotomic(args.n)
-        rec = {"family": fam, "index": args.n, "coeffs": _coeff_strings(poly)}
-        records.append((rec, f"cyclotomic {args.n}: {poly}"))
+        rec = {"family": fam, "index": args.n, "coeffs": cyclotomic(args.n)}
+        records.append((rec, f"cyclotomic {args.n}:"))
     else:  # gauss
         if args.k is None:
             parser.error("--family gauss requires --k (the lower index)")
         if args.n < 0:
             parser.error("--n must be nonnegative for gauss")
-        poly = gauss(args.n, args.k)
-        rec = {"family": fam, "index": args.n, "k": args.k, "coeffs": _coeff_strings(poly)}
-        records.append((rec, f"gauss {args.n} {args.k}: {poly}"))
+        rec = {"family": fam, "index": args.n, "k": args.k, "coeffs": gauss(args.n, args.k)}
+        records.append((rec, f"gauss {args.n} {args.k}:"))
     return records
 
 
@@ -216,8 +216,12 @@ def main(argv=None) -> int:
             records = _compute_records(args, parser)
         except SizeLimitExceeded as exc:
             parser.error(f"{args.family}: {exc}")
-        for rec, text in records:
-            lines.append(json.dumps(rec) if args.format == "json" else text)
+        for rec, head in records:
+            if args.format == "json":
+                rec["coeffs"] = _coeff_strings(rec["coeffs"])
+                lines.append(json.dumps(rec))
+            else:
+                lines.append(f"{head} {rec['coeffs']}")
     else:
         option = "suite" if args.command == "verify" else "conjecture"
         chosen = getattr(args, option)

@@ -21,7 +21,9 @@ expanded.  Only a product that does not split is expanded and long-divided.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 
 from .perms import SizeLimitExceeded
 from .poly import IntPoly, ZERO
@@ -40,11 +42,14 @@ def _binomial_series(steps, degree: int, at_one=lambda: 1) -> list[int]:
 
     Every factor has constant term 1, so the coefficient of q^i depends
     only on those of degree at most i: a product that is a polynomial of
-    degree at most `degree` comes out exactly.  Multiplying by 1 - q^d is
-    the pass s_i -= s_(i-d) from the top down, dividing by it the pass
-    s_i += s_(i-d) from the bottom up, and both are empty when d > degree.
-    `at_one()`, the product at q = 1, is called only once the passes would
-    fit the limit at 16 bytes a coefficient.
+    degree at most `degree` comes out exactly.  Multiplying by 1 - q^d
+    subtracts the series shifted by d, dividing by it takes running sums
+    along each class of exponents mod d, and both are empty when d > degree.
+    No coefficient above `top` is nonzero, so a multiply pass stops at
+    top + d, and a divide pass at top when its last d sums are zero (the
+    quotient is then a polynomial of degree top - d).  `at_one()`, the
+    product at q = 1, is called only once the passes would fit the limit
+    at 16 bytes a coefficient.
     """
     passes = [(d, divide) for d, divide in steps if d <= degree]
     count, size = len(passes) * (degree + 1), 16
@@ -57,19 +62,42 @@ def _binomial_series(steps, degree: int, at_one=lambda: 1) -> list[int]:
             f"a degree-{degree} series in {len(passes)} binomial pass(es) would "
             f"take more than the {SERIES_BYTES_LIMIT >> 20} MB series limit"
         )
-    s = [1] + [0] * degree
+    s, top = [1] + [0] * degree, 0
     for d, divide in passes:
-        if divide:
-            for i in range(d, degree + 1):
-                s[i] += s[i - d]
-        else:
-            for i in range(degree, d - 1, -1):
-                s[i] -= s[i - d]
+        if not divide:
+            top = min(top + d, degree)
+            s[d : top + 1] = map(operator.sub, s[d : top + 1], s[: top + 1 - d])
+            continue
+        for r in range(min(d, top + 1)):
+            s[r : top + 1 : d] = itertools.accumulate(s[r : top + 1 : d])
+        if top >= d and not any(s[top - d + 1 : top + 1]):
+            top -= d
+            continue
+        for i in range(max(d, top + 1), degree + 1):
+            s[i] = s[i - d]
+        top = degree
     return s
 
 
 def _moebius(n: int) -> tuple[int, list[tuple[int, bool]]]:
-    """phi(n), and each squarefree divisor e of n with whether mu(e) = -1."""
+    """phi(n), and each squarefree divisor e of n with whether mu(e) = -1.
+
+    n has no more prime factors than there are first primes with product at
+    most n, so n prod (p - 1)/p over those is at most phi(n): a series of
+    degree phi(n) past the limit is refused on it before n is factored.
+    Every prime below p divides `den`, so p is prime when coprime to it.
+    """
+    num, den, p = 1, 1, 2
+    while den * p <= n:
+        if math.gcd(den, p) == 1:
+            num, den = num * (p - 1), den * p
+        p += 1
+    low = n * num // den
+    if (low + 1) * 16 > SERIES_BYTES_LIMIT:
+        raise SizeLimitExceeded(
+            f"a series of degree at least {low} would take more than the "
+            f"{SERIES_BYTES_LIMIT >> 20} MB series limit"
+        )
     phi, squarefree, rest, p = n, [(1, False)], n, 2
     while rest > 1:
         if p * p > rest:
@@ -122,13 +150,16 @@ def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:
     return folded.rem_monic(cyclotomic(m))
 
 
+def one_plus_qd_indices(d: int) -> list[int]:
+    """The indices 2k of the factors Phi_2k of 1 + q^d: k | d, 2k does not divide d."""
+    return [2 * k for k in range(1, d + 1) if d % k == 0 and d % (2 * k) != 0]
+
+
 def factor_one_plus_qd(d: int) -> "FactoredPoly":
-    """Cyclotomic factorization of 1 + q^d: {Phi_2k : k | d, 2k does not divide d}."""
+    """Cyclotomic factorization of 1 + q^d."""
     if d < 1:
         raise ValueError("exponent must be positive")
-    return FactoredPoly(
-        {2 * k: 1 for k in range(1, d + 1) if d % k == 0 and d % (2 * k) != 0}
-    )
+    return FactoredPoly(dict.fromkeys(one_plus_qd_indices(d), 1))
 
 
 class FactoredPoly:
@@ -162,17 +193,6 @@ class FactoredPoly:
 
     def is_one(self) -> bool:
         return not self._factors
-
-    def __mul__(self, other: "FactoredPoly") -> "FactoredPoly":
-        merged = dict(self._factors)
-        for d, e in other._factors.items():
-            merged[d] = merged.get(d, 0) + e
-        return FactoredPoly(merged)
-
-    def __pow__(self, e: int) -> "FactoredPoly":
-        if e < 0:
-            raise ValueError("negative power of a factored product")
-        return FactoredPoly({d: x * e for d, x in self._factors.items()})
 
     def lcm(self, other: "FactoredPoly") -> "FactoredPoly":
         """Least common multiple: exponent-wise max (cyclotomics are coprime)."""
@@ -225,7 +245,7 @@ class FactoredPoly:
             if top % 2:
                 return None
             j, e = top // 2, rest[top]
-            for d in factor_one_plus_qd(j)._factors:
+            for d in one_plus_qd_indices(j):
                 left = rest.get(d, 0) - e
                 if left < 0:
                     return None

@@ -8,7 +8,18 @@ division is exact or not.
 
 from __future__ import annotations
 
-from .cyclotomic import FactoredPoly, factor_one_plus_qd
+from .cyclotomic import FactoredPoly, one_plus_qd_indices
+
+
+def _binomials(exponents) -> FactoredPoly:
+    """prod (1 + q^j) over j in `exponents`, repeats included."""
+    return FactoredPoly((d, 1) for j in exponents for d in one_plus_qd_indices(j))
+
+
+def _ev_exponents(n: int) -> list[int]:
+    """2^j r for j = 0..s, where n = 2^s r with r odd."""
+    r = n // (n & -n)
+    return [r << j for j in range((n // r).bit_length())]
 
 
 def big_p(n: int) -> FactoredPoly:
@@ -29,12 +40,7 @@ def ev(n: int) -> FactoredPoly:
     """Ev_n = prod_{j=0..s} (1 + q^(2^j r)) for n = 2^s r with r odd."""
     if n < 1:
         raise ValueError("need a positive integer")
-    out = FactoredPoly()
-    d = n // (n & -n)
-    while d <= n:
-        out = out * factor_one_plus_qd(d)
-        d *= 2
-    return out
+    return _binomials(_ev_exponents(n))
 
 
 def big_d(n: int) -> FactoredPoly:
@@ -44,37 +50,31 @@ def big_d(n: int) -> FactoredPoly:
     """
     if n < 1:
         raise ValueError("need a positive integer")
-    out = FactoredPoly()
-    for k in range(1, n + 1):
-        out = out * ev(k)
-    if n % 2 == 0:
-        out = out * factor_one_plus_qd(2)
-    return out
+    extra = [2] if n % 2 == 0 else []
+    return _binomials([j for k in range(1, n + 1) for j in _ev_exponents(k)] + extra)
+
+
+def _q_bar_pairs(n: int) -> list[tuple[int, int]]:
+    if n < 1:
+        raise ValueError("need a positive integer")
+    return [(4 * r, n // (2 * r)) for r in range(1, n // 2 + 1)]
 
 
 def q_bar(n: int) -> FactoredPoly:
     """Qbar_n = prod_{r>=1} Phi_{4r}^{floor(n/(2r))}, the even counterpart of P_n."""
-    if n < 1:
-        raise ValueError("need a positive integer")
-    return FactoredPoly({4 * r: n // (2 * r) for r in range(1, n // 2 + 1)})
+    return FactoredPoly(_q_bar_pairs(n))
 
 
 def q_hat(n: int) -> FactoredPoly:
-    """Qhat_n = Qbar_n for even n, (1 + q^2) Qbar_n for odd n."""
-    out = q_bar(n)
-    if n % 2 == 1:
-        out = out * factor_one_plus_qd(2)
-    return out
+    """Qhat_n = Qbar_n for even n, (1 + q^2) Qbar_n = Phi_4 Qbar_n for odd n."""
+    return FactoredPoly(_q_bar_pairs(n) + [(4, n % 2)])
 
 
 def q_tilde(n: int) -> FactoredPoly:
     """Qtilde_n = (1+q)(1+q^2)...(1+q^n)."""
     if n < 1:
         raise ValueError("need a positive integer")
-    out = FactoredPoly()
-    for j in range(1, n + 1):
-        out = out * factor_one_plus_qd(j)
-    return out
+    return _binomials(range(1, n + 1))
 
 
 DIVISOR_FAMILIES = {

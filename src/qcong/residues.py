@@ -9,16 +9,9 @@ root of unity exactly when their residues are equal.  No floating point.
 from __future__ import annotations
 
 from .cyclotomic import rem_cyclotomic
-from .poly import IntPoly, q_power
+from .poly import IntPoly
 
 
 def inject(p: IntPoly, m: int) -> IntPoly:
     """The residue of an integer polynomial in Z[q]/Phi_m."""
     return rem_cyclotomic(p, m)
-
-
-def root_power(m: int, j: int) -> IntPoly:
-    """The residue of q^(j mod m): the j-th power of a primitive m-th root of unity."""
-    if m < 1:
-        raise ValueError("modulus index must be positive")
-    return rem_cyclotomic(q_power(j % m), m)

@@ -216,7 +216,7 @@ def salie_tilde(n: int) -> IntPoly:
 
 
 # family tag -> generator; gen-euler takes the extra parameter k first.
-_FAMILIES = {
+SEQUENCE_FAMILIES = {
     "euler": euler,
     "tangent": tangent,
     "salie": salie,
@@ -225,17 +225,3 @@ _FAMILIES = {
     "salie-hat": salie_hat,
     "salie-tilde": salie_tilde,
 }
-
-SEQUENCE_FAMILIES = tuple(_FAMILIES)
-
-
-def family_value(family: str, n: int, k: int | None = None) -> IntPoly:
-    """Dispatch on a family tag; gen-euler requires the extra parameter k."""
-    if family == "gen-euler":
-        if k is None:
-            raise ValueError("family gen-euler requires the parameter k")
-        return gen_euler(k, n)
-    try:
-        return _FAMILIES[family](n)
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None

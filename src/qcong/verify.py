@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import functools
 
-from .cyclotomic import FactoredPoly, factor_one_plus_qd, rem_cyclotomic
+from .cyclotomic import FactoredPoly, one_plus_qd_indices, rem_cyclotomic
 from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
 from .perms import alternating_gf, salie_perm_gf
-from .poly import IntPoly
+from .poly import IntPoly, q_power
 from .qbinom import gauss
-from .residues import inject, root_power
+from .residues import inject
 from .sequences import (
     euler,
     gen_euler,
@@ -122,10 +122,6 @@ class Report:
         """A congruence report passes when observed agrees with expected."""
         fields = {"expected_equivalence": expected, "observed_congruence": observed}
         return cls("congruence", check, params, expected == observed, witness, **fields)
-
-    @property
-    def holds(self) -> bool:
-        return self.passed
 
     @property
     def conjecture(self) -> str:
@@ -239,7 +235,7 @@ def _gen_euler_in_ring(k: int, n: int, ring: int) -> IntPoly:
 @functools.lru_cache(maxsize=None)
 def _root_in_ring(ring: int, j: int) -> IntPoly:
     """The residue of q^j in Z[q]/Phi_ring."""
-    return root_power(ring, j)
+    return rem_cyclotomic(q_power(j), ring)
 
 
 def check_theorem51(k: int, m: int, n: int, d: int) -> Report:
@@ -281,7 +277,8 @@ def check_theorem2(n: int) -> Report:
 def check_theorem2_power(n: int, r: int) -> Report:
     """(1 + q^(2r+1))^floor(n/(2r+1)) divides S_{2n}."""
     _require(n >= 1 and r >= 0 and 2 * r + 1 <= n, "need 2r+1 <= n")
-    divisor = factor_one_plus_qd(2 * r + 1) ** (n // (2 * r + 1))
+    power = n // (2 * r + 1)
+    divisor = FactoredPoly((d, power) for d in one_plus_qd_indices(2 * r + 1))
     return _divisibility("theorem2-power", "salie", n, divisor, salie(n), {"r": r})
 
 

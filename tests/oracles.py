@@ -347,3 +347,62 @@ def naive_salie_hat(count: int) -> list[list]:
 def naive_salie_tilde(count: int) -> list[list]:
     """Stil_{2n} = q^{n^2} - sum_{k<n} (-1)^{n-k} [2n over 2k] Stil_{2k}."""
     return _naive_salie_family(lambda n: _monomial(n * n), count)
+
+
+# the divisor families as multiply chains -----------------------------------------
+#
+# Each family as a chain of products, one factor 1 + q^d at a time, on plain
+# {cyclotomic index: exponent} dicts: 1 + q^d = prod Phi_2k over k | d with
+# d/k odd.
+
+
+def chain_binomials(pairs) -> dict:
+    """prod (1 + q^d)^e over (d, e) in `pairs`."""
+    out = {}
+    for d, e in pairs:
+        for _ in range(e):
+            for k in range(1, d + 1):
+                if d % k == 0 and (d // k) % 2:
+                    out[2 * k] = out.get(2 * k, 0) + 1
+    return out
+
+
+def chain_ev(n: int) -> dict:
+    """Ev_n = (1 + q^r)(1 + q^2r)...(1 + q^n), r the odd part of n."""
+    pairs, d = [], n
+    while d % 2 == 0:
+        d //= 2
+    while d <= n:
+        pairs, d = pairs + [(d, 1)], 2 * d
+    return chain_binomials(pairs)
+
+
+def chain_big_d(n: int) -> dict:
+    """D_n = Ev_1 ... Ev_n, times 1 + q^2 for even n."""
+    out = chain_binomials([(2, 1)] if n % 2 == 0 else [])
+    for k in range(1, n + 1):
+        for d, e in chain_ev(k).items():
+            out[d] = out.get(d, 0) + e
+    return out
+
+
+def chain_q_hat(n: int) -> dict:
+    """Qhat_n = Qbar_n, times 1 + q^2 for odd n."""
+    out = chain_binomials([(2, n % 2)])
+    for r in range(1, n // 2 + 1):
+        out[4 * r] = out.get(4 * r, 0) + n // (2 * r)
+    return out
+
+
+def full_binomial_series(steps, degree: int) -> list:
+    """prod (1 - q^d)^(-1 if divide else 1) in power series cut off above
+    `degree`, every pass over the whole range."""
+    s = [1] + [0] * degree
+    for d, divide in steps:
+        if divide:
+            for i in range(d, degree + 1):
+                s[i] += s[i - d]
+        else:
+            for i in range(degree, d - 1, -1):
+                s[i] -= s[i - d]
+    return s

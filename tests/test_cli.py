@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from qcong import verify as v
 from qcong.cli import report_record
@@ -214,7 +215,7 @@ except SystemExit as exc:
     code = exc.code
 else:
     code = 0
-sizes = [fn.cache_info().currsize for fn in sequences._FAMILIES.values()]
+sizes = [fn.cache_info().currsize for fn in sequences.SEQUENCE_FAMILIES.values()]
 print(json.dumps({"code": code, "cached": sizes}), file=sys.stderr)
 """
 
@@ -279,6 +280,49 @@ def test_huge_cyclotomic_is_usage_error():
     proc = run_capped("compute", "--family", "cyclotomic", "--n", "1000000007")
     assert_usage_error(proc)
     assert proc.stderr.strip().splitlines()[-1].startswith("qcong: error: cyclotomic: ")
+
+
+def test_huge_cyclotomic_index_is_refused_before_factoring():
+    # 2^61 - 1 is prime: trial division would take minutes, but a lower
+    # bound on phi(n) is past the series limit already
+    start = time.perf_counter()
+    proc = run_capped("compute", "--family", "cyclotomic", "--n", str(2**61 - 1))
+    assert time.perf_counter() - start < 1
+    assert_usage_error(proc)
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "qcong: error: cyclotomic: a series of degree at least 319829862353704159 "
+        "would take more than the 1024 MB series limit"
+    )
+
+
+STR_FORBIDDEN = """
+import sys
+from qcong import cli
+from qcong.poly import IntPoly
+
+def forbidden(self):
+    raise AssertionError("a polynomial was rendered as text")
+
+IntPoly.__str__ = forbidden
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_json_compute_renders_no_text():
+    # only the printed format is built: JSON output never calls str(poly)
+    for argv in (
+        ("--family", "euler", "--n", "6"),
+        ("--family", "gen-euler", "--k", "3", "--n", "4"),
+        ("--family", "D", "--n", "5"),
+        ("--family", "cyclotomic", "--n", "30"),
+        ("--family", "gauss", "--n", "8", "--k", "3"),
+    ):
+        argv = ("compute", *argv, "--format", "json")
+        proc = subprocess.run(
+            [sys.executable, "-c", STR_FORBIDDEN, *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run(*argv).stdout
 
 
 def test_divisor_family_asks_for_its_largest_index_first():

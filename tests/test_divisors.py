@@ -2,10 +2,12 @@
 
 import pytest
 
+from qcong import verify as v
 from qcong.cyclotomic import FactoredPoly, factor_one_plus_qd
 from qcong.divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
 from qcong.poly import IntPoly, ONE, one_plus_q_power
 from qcong.sequences import salie, tangent
+import oracles
 from oracles import a_exponent
 
 
@@ -19,10 +21,7 @@ def little_p(n):
 
 def chunks(*pairs):
     """Product of (1 + q^base)^exp factors, in factored form."""
-    out = FactoredPoly()
-    for base, exp in pairs:
-        out = out * factor_one_plus_qd(base) ** exp
-    return out
+    return FactoredPoly(oracles.chain_binomials(pairs))
 
 
 # Table of P_n as printed: (odd base, exponent) pairs.
@@ -78,9 +77,9 @@ def test_big_p_table():
 def test_big_p_two_forms_agree():
     # prod_k little_p(k) == prod_r (1+q^{2r+1})^{a(n,r)} == big_p(n)
     for n in range(1, 31):
-        via_little = FactoredPoly()
-        for k in range(1, n + 1):
-            via_little = via_little * little_p(k)
+        via_little = FactoredPoly(
+            pair for k in range(1, n + 1) for pair in little_p(k).factors.items()
+        )
         via_counts = chunks(
             *((2 * r + 1, a_exponent(n, r)) for r in range((n + 1) // 2))
         )
@@ -97,13 +96,13 @@ def test_big_p_is_lcm_of_powers():
     for n in range(1, 21):
         acc = FactoredPoly()
         for r in range((n + 1) // 2):
-            acc = acc.lcm(factor_one_plus_qd(2 * r + 1) ** (n // (2 * r + 1)))
+            acc = acc.lcm(chunks((2 * r + 1, n // (2 * r + 1))))
         assert acc == big_p(n)
 
 
 def test_ev():
     assert ev(1) == factor_one_plus_qd(1)
-    assert ev(6) == factor_one_plus_qd(3) * factor_one_plus_qd(6)
+    assert ev(6) == chunks((3, 1), (6, 1))
     assert ev(4) == chunks((1, 1), (2, 1), (4, 1))
     for n in range(1, 40):
         s, odd = 0, n
@@ -145,12 +144,12 @@ def test_q_bar_is_lcm_of_even_powers():
     for n in range(1, 21):
         acc = FactoredPoly()
         for r in range(1, n // 2 + 1):
-            acc = acc.lcm(factor_one_plus_qd(2 * r) ** (n // (2 * r)))
+            acc = acc.lcm(chunks((2 * r, n // (2 * r))))
         assert acc == q_bar(n)
 
 
 def test_q_hat():
-    assert q_hat(3) == q_bar(3) * factor_one_plus_qd(2)
+    assert q_hat(3) == FactoredPoly([*q_bar(3).factors.items(), *chunks((2, 1)).factors.items()])
     assert q_hat(4) == q_bar(4)
     assert q_hat(1) == FactoredPoly({4: 1})
 
@@ -168,3 +167,23 @@ def test_preconditions():
     for fn in (little_p, big_p, ev, big_d, q_bar, q_hat, q_tilde):
         with pytest.raises(ValueError):
             fn(0)
+
+
+def test_families_match_their_multiply_chains():
+    # each family is built by one FactoredPoly call on its summed pairs
+    for n in range(1, 41):
+        assert ev(n).factors == oracles.chain_ev(n), n
+        assert big_d(n).factors == oracles.chain_big_d(n), n
+        assert q_hat(n).factors == oracles.chain_q_hat(n), n
+        assert q_tilde(n).factors == oracles.chain_binomials((j, 1) for j in range(1, n + 1)), n
+
+
+def test_theorem2_power_divisor_matches_its_multiply_chain(monkeypatch):
+    # only the divisor is compared: the division itself is skipped
+    monkeypatch.setattr(v, "salie", lambda n: None)
+    monkeypatch.setattr(v, "_divisibility", lambda *args, **kwargs: args[3])
+    for n in range(1, 41):
+        for r in range((n + 1) // 2):
+            divisor = v.check_theorem2_power(n, r)
+            expected = oracles.chain_binomials([(2 * r + 1, n // (2 * r + 1))])
+            assert divisor.factors == expected, (n, r)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qcong import residues
+from qcong import residues, verify
 from qcong.cyclotomic import cyclotomic
 from qcong.poly import IntPoly, ONE, q_power
 from oracles import ModulusMismatch, ResidueElem, inject, root_power
@@ -100,12 +100,10 @@ def test_library_inject_is_the_reference_rep():
         assert residues.inject(p, m) == inject(p, m).rep
 
 
-def test_library_root_power_is_the_reference_rep():
+def test_theorem51_root_residue_is_the_reference_rep():
+    # theorem51 reduces each power of q, already taken mod the ring, once
     for m in range(1, 25):
         for j in range(m):
-            assert residues.root_power(m, j) == root_power(m, j).rep
-    assert residues.root_power(5, -1) == residues.root_power(5, 4)
-    with pytest.raises(ValueError):
-        residues.root_power(0, 1)
+            assert verify._root_in_ring(m, j) == root_power(m, j).rep
     with pytest.raises(ValueError):
         residues.inject(ONE, 0)

@@ -15,8 +15,8 @@ from qcong import sequences
 from qcong.poly import IntPoly, ONE, Q, q_power
 from qcong.qbinom import gauss
 from qcong.sequences import (
+    SEQUENCE_FAMILIES,
     euler,
-    family_value,
     gen_euler,
     gen_euler_at_one,
     salie,
@@ -341,13 +341,19 @@ def test_salie_one_plus_q_power_divisibility():
 # dispatch + concurrency ------------------------------------------------------
 
 
-def test_family_value_dispatch():
-    assert family_value("euler", 2) == euler(2)
-    assert family_value("gen-euler", 3, 3) == gen_euler(3, 3)
-    with pytest.raises(ValueError):
-        family_value("gen-euler", 3)
-    with pytest.raises(ValueError):
-        family_value("nope", 1)
+def test_sequence_families_dispatch():
+    # tag -> generator, as DIVISOR_FAMILIES; gen-euler takes k first
+    assert SEQUENCE_FAMILIES == {
+        "euler": euler,
+        "tangent": tangent,
+        "salie": salie,
+        "gen-euler": gen_euler,
+        "salie-bar": salie_bar,
+        "salie-hat": salie_hat,
+        "salie-tilde": salie_tilde,
+    }
+    assert SEQUENCE_FAMILIES["euler"](2) == euler(2)
+    assert SEQUENCE_FAMILIES["gen-euler"](3, 3) == gen_euler(3, 3)
 
 
 def test_concurrent_fills_are_consistent():

@@ -236,10 +236,10 @@ def test_theorem52_sweep():
 
 
 def test_corollary52_examples():
-    assert v.check_corollary52_and_stern(1, 1, 0).holds
+    assert v.check_corollary52_and_stern(1, 1, 0).passed
     r = v.check_corollary52_and_stern(1, 3, 1)
-    assert r.holds and r.params["s"] == 2 and r.witness == -60
-    assert v.check_corollary52_and_stern(2, 2, 1).holds
+    assert r.passed and r.params["s"] == 2 and r.witness == -60
+    assert v.check_corollary52_and_stern(2, 2, 1).passed
 
 
 def test_corollary52_sweep():
@@ -249,7 +249,7 @@ def test_corollary52_sweep():
 def test_stern_sweep():
     all_pass(v.sweep_stern(9))
     r = v.check_stern(3, 1)
-    assert r.holds and r.params["s"] == 2
+    assert r.passed and r.params["s"] == 2
 
 
 # conjecture explorers ----------------------------------------------------------
@@ -257,29 +257,29 @@ def test_stern_sweep():
 
 def test_conjecture51_small():
     reports = v.explore_conjecture51(2, 6)
-    assert all(r.holds for r in reports)
+    assert all(r.passed for r in reports)
     k1 = [r for r in reports if r.params["k"] == 1]
-    assert k1 and all(r.holds for r in k1)
+    assert k1 and all(r.passed for r in k1)
 
 
 def test_conjecture51_first_instance():
     r = v.explore_conjecture51(1, 1)[0]
     assert r.params == {"k": 1, "m": 1, "n": 0, "s": 1}
-    assert r.holds  # E_2 - E_0 = -2 = 2 mod 4
+    assert r.passed  # E_2 - E_0 = -2 = 2 mod 4
 
 
 def test_conjecture61_small():
     reports = v.explore_conjecture61(8)
-    assert all(r.holds for r in reports)
+    assert all(r.passed for r in reports)
     variants = {r.params["variant"] for r in reports}
     assert variants == {"bar", "hat", "tilde"}
 
 
 def test_explorer_reports_do_not_raise():
-    # explorers report rather than assert: holds is a plain field
+    # explorers report rather than assert: passed is a plain field
     r = v.explore_conjecture61(2)[0]
-    assert isinstance(r.holds, bool)
-    assert r.passed == r.holds
+    assert isinstance(r.passed, bool)
+    assert r.status == ("holds" if r.passed else "fails")
 
 
 # report plumbing ----------------------------------------------------------------
@@ -302,7 +302,7 @@ def test_failed_report_descriptions():
     r = v.Report("identity", "eq23", {"n": 2}, False, poly(0, -2))
     assert r.describe() == "eq23 n=2: FAIL difference=-2q"
     r = v.Report("conjecture", "conj51", {"k": 1, "m": 2, "n": 0, "s": 2}, False, 3)
-    assert not r.holds
+    assert not r.passed
     assert r.describe() == "conj51 k=1 m=2 n=0 s=2: fails witness=3"
 
 
