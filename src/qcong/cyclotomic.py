@@ -8,11 +8,10 @@ it; since distinct cyclotomic polynomials are coprime, divisibility
 questions between such products reduce to exponent comparisons, and lcm is
 an exponent-wise max.
 
-Every divisor of the paper's divisibility claims is a product of binomials
-1 + q^j.  ``FactoredPoly.divides`` splits such a product back into its
-binomials and takes a one-pass binomial divmod by each in turn; a failure's
-witness is recombined from the step remainders, so the divisor is never
-expanded.  Only a product that does not split is expanded and long-divided.
+``FactoredPoly.divides`` divides on the same passes: the reversal of a
+monic product is the product of the same binomials, so the reversed
+dividend over it, in power series, holds the reversed quotient and, past
+it, what the remainder comes back from.  No product is expanded.
 
 >>> print(cyclotomic(6))
 1 - q + q^2
@@ -26,7 +25,7 @@ import math
 import operator
 
 from .perms import SizeLimitExceeded
-from .poly import IntPoly, ZERO
+from .poly import IntPoly
 
 # The most bytes one binomial product may take: (nonempty passes) x
 # (degree + 1) x (bytes per coefficient), 16 for the list and tuple slots
@@ -36,9 +35,10 @@ from .poly import IntPoly, ZERO
 SERIES_BYTES_LIMIT = 1 << 30
 
 
-def _binomial_series(steps, degree: int, at_one=lambda: 1) -> list[int]:
-    """prod (1 - q^d)^(-1 if divide else 1) over (d, divide) in `steps`, in
-    power series cut off above `degree`.
+def _binomial_series(steps, degree: int, at_one=lambda: 1, start=(1,)) -> list[int]:
+    """`start` times prod (1 - q^d)^(-1 if divide else 1) over (d, divide)
+    in `steps`, in power series cut off above `degree`; `start` has at most
+    degree + 1 coefficients.
 
     Every factor has constant term 1, so the coefficient of q^i depends
     only on those of degree at most i: a product that is a polynomial of
@@ -62,7 +62,7 @@ def _binomial_series(steps, degree: int, at_one=lambda: 1) -> list[int]:
             f"a degree-{degree} series in {len(passes)} binomial pass(es) would "
             f"take more than the {SERIES_BYTES_LIMIT >> 20} MB series limit"
         )
-    s, top = [1] + [0] * degree, 0
+    s, top = [*start] + [0] * (degree + 1 - len(start)), len(start) - 1
     for d, divide in passes:
         if not divide:
             top = min(top + d, degree)
@@ -201,92 +201,77 @@ class FactoredPoly:
             merged[d] = max(merged.get(d, 0), e)
         return FactoredPoly(merged)
 
+    def _net(self) -> tuple[dict[int, int], int]:
+        """The net exponents {c: x_c} of the product as prod (1 - q^c)^x_c,
+        up to the sign (-1)^e_1, and its degree.
+
+        Phi_d^e = prod_{k|d} (1 - q^(d/k))^(e mu(k)) for d > 1, and
+        Phi_1 = q - 1 = -(1 - q); the exponents of all factors are summed
+        per binomial, and many cancel.
+        """
+        net: dict[int, int] = {}
+        degree = 0
+        for d, e in self._factors.items():
+            phi, squarefree = _moebius(d)
+            degree += e * phi
+            for k, odd in squarefree:
+                net[d // k] = net.get(d // k, 0) + (-e if odd else e)
+        return net, degree
+
     def expand(self) -> IntPoly:
         """Multiply the product out; always monic.
 
-        Phi_d^e = prod_{k|d} (1 - q^(d/k))^(e mu(k)): the exponents of all
-        factors are summed into a net exponent per binomial, many cancel,
-        and the binomials are taken as one series cut off above the degree.
-        Phi_1 = q - 1 = -(1 - q), hence the sign (-1)^e_1.
+        The binomials of `_net` are taken as one series cut off above the
+        degree, with the sign (-1)^e_1.  At q = 1 each Phi_d with d > 1 is
+        prod_k (d/k)^mu(k), so the product of c^x_c is its value there.
 
         >>> print(FactoredPoly({1: 1, 2: 1}).expand())
         -1 + q^2
         """
-        net: dict[int, int] = {}
-        degree, powers = 0, []
-        for d, e in self._factors.items():
-            phi, squarefree = _moebius(d)
-            degree += e * phi
-            if len(squarefree) == 2:
-                powers.append((squarefree[1][0], e))  # Phi_(p^j)(1) = p
-            for k, odd in squarefree:
-                net[d // k] = net.get(d // k, 0) + (-e if odd else e)
+        net, degree = self._net()
         steps = [(c, x < 0) for c, x in sorted(net.items()) for _ in range(abs(x))]
-        s = _binomial_series(steps, degree, lambda: math.prod(p**e for p, e in powers))
+
+        def at_one():
+            up = math.prod(c**x for c, x in net.items() if x > 0)
+            return up // math.prod(c**-x for c, x in net.items() if x < 0)
+
+        s = _binomial_series(steps, degree, at_one)
         return IntPoly([-c for c in s] if self.exponent(1) % 2 else s)
 
-    def binomial_split(self) -> list[tuple[int, int]] | None:
-        """The product as prod (1 + q^j)^e, as (j, e) pairs with j falling,
-        or None when it is no such product.
-
-        The largest index 2j present can only come from 1 + q^j, and with
-        the exponent e of Phi_2j, so peeling (1 + q^j)^e off greedily finds
-        the split whenever one exists.
-
-        >>> FactoredPoly({2: 3, 6: 1}).binomial_split()
-        [(3, 1), (1, 2)]
-        >>> print(FactoredPoly({6: 1}).binomial_split())
-        None
-        """
-        rest = dict(self._factors)
-        split = []
-        while rest:
-            top = max(rest)
-            if top % 2:
-                return None
-            j, e = top // 2, rest[top]
-            for d in one_plus_qd_indices(j):
-                left = rest.get(d, 0) - e
-                if left < 0:
-                    return None
-                if left:
-                    rest[d] = left
-                else:
-                    del rest[d]
-            split.append((j, e))
-        return split
-
     def divides(self, p: IntPoly) -> tuple[bool, IntPoly]:
-        """Whether the expanded product divides p exactly.
+        """Whether the expanded product D divides p exactly.
 
         Returns (True, quotient) on success and (False, remainder witness)
-        on failure, as the long division by the expanded product gives them.
-        A product of binomials B_t = 1 + q^(j_t) is divided out one binomial
-        divmod at a time, q_(t-1) = B_t q_t + r_t, so p = B_1...B_n q_n + R
-        with R = r_1 + B_1 (r_2 + B_2 (... r_n)) of degree below the
-        product's: R is the canonical remainder, zero exactly when every
-        r_t is.  Only a product that does not split is expanded.
+        on failure, as the long division by D gives them.  The reversal
+        q^delta D(1/q) of D, of degree delta, is prod (1 - q^c)^x_c over
+        `_net` with sign +: each 1 - q^c reverses to -(1 - q^c), and the
+        x_c sum to e_1.  For p = Q D + R of degree N >= delta, the reversed
+        p over that product, in power series cut off above N, holds the
+        reversed Q in its first N - delta + 1 entries and, in its last
+        delta entries T, the reversed R over the same product: R is zero
+        exactly when T is, and is otherwise T times the product, cut off
+        above delta - 1 and reversed.  No product is expanded.
 
         >>> FactoredPoly({2: 1, 4: 1}).divides(IntPoly((2, 0, 0, 1)))
         (False, IntPoly((1, -1, -1)))
+        >>> FactoredPoly({3: 1}).divides(IntPoly((1, 2, 3, 2, 1)))
+        (True, IntPoly((1, 1, 1)))
+        >>> FactoredPoly({3: 1}).divides(IntPoly((0, 0, 0, 1)))
+        (False, IntPoly((1,)))
         """
         if p.is_zero():
             raise ValueError("divisibility of the zero polynomial is not tested")
-        split = self.binomial_split()
-        if split is None:
-            quotient, remainder = p._divmod(self.expand())
-            return (True, quotient) if remainder.is_zero() else (False, remainder)
-        quotient, steps = p, []
-        for j, e in split:
-            for _ in range(e):
-                quotient, remainder = quotient.divmod_binomial(j)
-                steps.append((j, remainder))
-        if not any(remainder for _, remainder in steps):
-            return True, quotient
-        witness = ZERO
-        for j, remainder in reversed(steps):
-            witness = remainder + witness + witness.shift(j)
-        return False, witness
+        net, degree = self._net()
+        n = p.degree()
+        if n < degree:
+            return False, p
+        steps = [(c, x > 0) for c, x in sorted(net.items()) for _ in range(abs(x))]
+        s = _binomial_series(steps, n, start=p.coeffs[::-1])
+        tail = s[n - degree + 1 :]
+        if not any(tail):
+            return True, IntPoly(s[n - degree :: -1])
+        inverse = [(c, not divide) for c, divide in steps]
+        return False, IntPoly(_binomial_series(inverse, degree - 1, start=tail)[::-1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredPoly):

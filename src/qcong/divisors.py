@@ -1,9 +1,10 @@
 """Divisor families for the q-Salie and q-tangent divisibility theorems.
 
 All products are kept in cyclotomic-factored form (FactoredPoly).  Each is
-a product of binomials 1 + q^j, so FactoredPoly.divides divides the dividend
-by them one binomial at a time and never expands the divisor, whether the
-division is exact or not.
+a product of binomials 1 + q^j = (1 - q^2j) / (1 - q^j), and
+FactoredPoly.divides divides the dividend by all of them in one power
+series, at most two passes a binomial, and never expands the divisor,
+whether the division is exact or not.
 """
 
 from __future__ import annotations

@@ -267,24 +267,6 @@ class IntPoly:
             tail = [-x for x in tail]
         return IntPoly([*tail, *head])
 
-    def divmod_binomial(self, k: int) -> tuple["IntPoly", "IntPoly"]:
-        """Quotient and canonical remainder modulo 1 + q^k, in one pass.
-
-        Long division by the monic 1 + q^k turns the top coefficient s_i into
-        the quotient term s_i q^(i-k) and subtracts s_i from s_(i-k), so one
-        pass s_(i-k) -= s_i from the top down leaves the quotient in the
-        entries from k on and the remainder in the first k.
-
-        >>> print(*IntPoly((2, 0, 0, 1)).divmod_binomial(2), sep=" | ")
-        q | 2 - q
-        """
-        if k < 1:
-            raise ValueError("binomial divisor needs k >= 1")
-        s = list(self.coeffs)
-        for i in range(len(s) - 1, k - 1, -1):
-            s[i - k] -= s[i]
-        return IntPoly(s[k:]), IntPoly(s[:k])
-
     # specializations ----------------------------------------------------------
 
     def shift(self, j: int) -> "IntPoly":

@@ -59,6 +59,11 @@ from .poly import IntPoly
 # euler value under it; euler(200) needs a 10 GB row.
 ROW_BYTES_LIMIT = 1 << 30
 
+# The largest subscript k*n that gen_euler_at_one may take: its binomials
+# C(kn, kj) grow with it.  On 2 vCPUs gen_euler_at_one(1 << 15, 3) takes
+# 0.25 s, (1 << 16, 3) 0.9 s and (1 << 20, 3) more than a minute.
+AT_ONE_INDEX_LIMIT = 1 << 16
+
 
 def _widen(packed: int, old: int, new: int) -> int:
     """`packed` with its `old`-byte digits moved into `new`-byte slots."""
@@ -176,6 +181,10 @@ def gen_euler_at_one(k: int, n: int) -> int:
         raise ValueError("family parameter must be positive")
     if n < 0:
         raise ValueError("index must be nonnegative")
+    if k * n > AT_ONE_INDEX_LIMIT:
+        raise SizeLimitExceeded(
+            f"E^({k})_{k * n}(1): subscript {k * n} is past the q = 1 limit of {AT_ONE_INDEX_LIMIT}"
+        )
     return -sum(comb(k * n, k * j) * gen_euler_at_one(k, j) for j in range(n)) if n else 1
 
 

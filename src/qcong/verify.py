@@ -388,6 +388,7 @@ def explore_conjecture51(k_max: int = 3, m_max: int = 10) -> list[Report]:
     """E^(2^k)_{2^k m}(1) = E^(2^k)_{2^k n}(1) + 2^s mod 2^(s+1),
     s = v2(m-n) + 1; reported per instance, never asserted."""
     _require(k_max >= 1 and m_max >= 1, "bounds must be >= 1")
+    gen_euler_at_one(1 << k_max, m_max)  # the largest value, before any check
     reports = []
     for k in range(1, k_max + 1):
         fam = 1 << k
@@ -415,7 +416,7 @@ def explore_conjecture61(n_max: int = 12) -> list[Report]:
     reported per instance, never asserted."""
     _require(n_max >= 1, "bound must be >= 1")
     reports = []
-    cases = _largest_first(list(range(1, n_max + 1)), lambda: [f(n_max) for _, _, f in _VARIANTS])
+    cases = _largest_first(range(1, n_max + 1), lambda: [f(n_max) for _, _, f in _VARIANTS])
     for n in cases:
         for name, divisor_fn, value_fn in _VARIANTS:
             ok, witness = divisor_fn(n).divides(value_fn(n))
@@ -435,54 +436,57 @@ def _iter_mnd(m_max: int, d_max: int | None):
                 yield m, n, d
 
 
-def _largest_first(cases: list, largest) -> list:
-    """`cases`, after calling `largest` for the largest family value the
-    sweep reads, when there is a case: a bound past the row limit of the
-    triangles then fails before the first check."""
-    if cases:
-        largest()
-    return cases
+def _largest_first(cases, largest) -> list:
+    """The list of `cases`, built after calling `largest` for the largest
+    family value the sweep reads, when there is a case: a bound past a size
+    limit then fails before any case is listed or checked."""
+    cases = iter(cases)
+    first = next(cases, None)
+    if first is None:
+        return []
+    largest()
+    return [first, *cases]
 
 
 def sweep_theorem1(m_max: int = 12, d_max: int | None = None):
-    cases = _largest_first(list(_iter_mnd(m_max, d_max)), lambda: gen_euler(2, m_max))
+    cases = _largest_first(_iter_mnd(m_max, d_max), lambda: gen_euler(2, m_max))
     return [check_theorem1(m, n, d) for m, n, d in cases]
 
 
 def sweep_lemma31(m_max: int = 12, d_max: int | None = None):
-    cases = _largest_first(list(_iter_mnd(m_max, d_max)), lambda: gen_euler(2, m_max))
+    cases = _largest_first(_iter_mnd(m_max, d_max), lambda: gen_euler(2, m_max))
     return [check_lemma31(m, n, d) for m, n, d in cases]
 
 
 def sweep_corollary1(m_max: int = 10):
-    cases = [(m, n) for m in range(1, m_max + 1) for n in range(m)]
+    cases = ((m, n) for m in range(1, m_max + 1) for n in range(m))
     cases = _largest_first(cases, lambda: euler(m_max))
     return [check_corollary1(m, n) for m, n in cases]
 
 
 def sweep_desarmenien(k_max: int = 4, n_max: int = 10):
     """Every (k, m, n) with k <= k_max and k*m + n <= n_max."""
-    cases = [
+    cases = (
         (k, m, n)
         for k in range(1, k_max + 1)
         for m in range(n_max // k + 1)
         for n in range(n_max - k * m + 1)
-    ]
+    )
     cases = _largest_first(cases, lambda: gen_euler(2, n_max))
     return [check_desarmenien(k, m, n) for k, m, n in cases]
 
 
 def sweep_theorem2(n_max: int = 15):
     reports = []
-    for n in _largest_first(list(range(1, n_max + 1)), lambda: salie(n_max)):
+    for n in _largest_first(range(1, n_max + 1), lambda: salie(n_max)):
         reports.append(check_theorem2(n))
         for r in range((n + 1) // 2):
             reports.append(check_theorem2_power(n, r))
     return reports
 
 
-def _k_mnd(k_max: int, m_max: int, d_max: int | None) -> list:
-    return [(k, m, n, d) for k in range(1, k_max + 1) for m, n, d in _iter_mnd(m_max, d_max)]
+def _k_mnd(k_max: int, m_max: int, d_max: int | None):
+    return ((k, m, n, d) for k in range(1, k_max + 1) for m, n, d in _iter_mnd(m_max, d_max))
 
 
 def sweep_theorem51(k_max: int = 3, m_max: int = 6, d_max: int | None = None):
@@ -500,12 +504,9 @@ def sweep_theorem52(k_max: int = 2, m_max: int = 8, d_max: int | None = None):
 
 
 def sweep_corollary52(k_max: int = 2, m_max: int = 8):
-    return [
-        check_corollary52_and_stern(k, m, n)
-        for k in range(1, k_max + 1)
-        for m in range(1, m_max + 1)
-        for n in range(m)
-    ]
+    cases = ((k, m, n) for k in range(1, k_max + 1) for m in range(1, m_max + 1) for n in range(m))
+    cases = _largest_first(cases, lambda: gen_euler_at_one(1 << k_max, m_max))
+    return [check_corollary52_and_stern(k, m, n) for k, m, n in cases]
 
 
 def sweep_stern(m_max: int = 10):
@@ -513,23 +514,23 @@ def sweep_stern(m_max: int = 10):
 
 
 def sweep_lemma41(n_max: int = 15):
-    cases = _largest_first(list(range(1, n_max + 1)), lambda: (salie(n_max), tangent(n_max - 1)))
+    cases = _largest_first(range(1, n_max + 1), lambda: (salie(n_max), tangent(n_max - 1)))
     return [check_lemma41(n) for n in cases]
 
 
 def sweep_eq23(n_max: int = 15):
-    cases = _largest_first(list(range(n_max + 1)), lambda: (salie_bar(n_max), euler(n_max)))
+    cases = _largest_first(range(n_max + 1), lambda: (salie_bar(n_max), euler(n_max)))
     return [check_eq23(n) for n in cases]
 
 
 def sweep_eq24(n_max: int = 15):
-    cases = _largest_first(list(range(2, n_max + 1)), lambda: (salie_hat(n_max), tangent(n_max - 1)))
+    cases = _largest_first(range(2, n_max + 1), lambda: (salie_hat(n_max), tangent(n_max - 1)))
     return [check_eq24(n) for n in cases]
 
 
 def sweep_foata(n_max: int = 15):
     reports = []
-    cases = _largest_first(list(range(1, n_max + 1)), lambda: (tangent(n_max), salie(n_max)))
+    cases = _largest_first(range(1, n_max + 1), lambda: (tangent(n_max), salie(n_max)))
     for n in cases:
         reports.append(check_foata(n))
         reports.append(check_salie_unit_power(n))

@@ -356,6 +356,39 @@ def test_congruence_sweeps_meet_the_row_limit_before_any_check():
         assert_refused_before_any_check("verify", *argv)
 
 
+def test_congruence_sweeps_ask_for_their_largest_value_before_listing_cases():
+    # theorem1 and lemma31 at m_max = 3000 have about 10^10 cases, which
+    # would exhaust the address-space cap before the row guard is asked
+    for argv, row in (
+        (("theorem1", "--m-max", "3000"), 6001),
+        (("lemma31", "--m-max", "3000"), 6001),
+        (("theorem51", "--k-max", "1", "--m-max", "3000"), 3001),
+        (("corollary1", "--m-max", "100000"), 200001),
+    ):
+        proc = run_capped("verify", "--suite", *argv)
+        assert_usage_error(proc)
+        assert proc.stderr.strip().splitlines()[-1] == (
+            f"qcong: error: {argv[0]}: row {row} of the q-Seidel triangle would "
+            "take more than the 1024 MB row limit"
+        )
+
+
+def test_q_at_one_sweeps_meet_the_subscript_limit_at_once():
+    # C(2^40 * 3, 2^40 * j) would run for hours
+    for argv in (
+        ("verify", "--suite", "corollary52", "--k-max", "40", "--m-max", "3"),
+        ("explore", "--conjecture", "conj51", "--k-max", "40", "--m-max", "3"),
+    ):
+        start = time.perf_counter()
+        proc = run_capped(*argv)
+        assert time.perf_counter() - start < 1
+        assert_usage_error(proc)
+        assert proc.stderr.strip().splitlines()[-1] == (
+            f"qcong: error: {argv[2]}: E^(1099511627776)_3298534883328(1): "
+            "subscript 3298534883328 is past the q = 1 limit of 65536"
+        )
+
+
 def test_divisibility_sweeps_meet_the_row_limit_before_any_check():
     for argv in (
         ("verify", "--suite", "theorem2", "--n-max", "40"),

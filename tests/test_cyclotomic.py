@@ -28,6 +28,7 @@ from oracles import (
     naive_cyclotomic,
     naive_expand,
     naive_factored_divides,
+    naive_mul,
 )
 
 # the package namespace binds `qcong.cyclotomic` to the function
@@ -233,8 +234,6 @@ def divisibility_cases():
 
 def test_divides_matches_expanded_long_division():
     for divisor, p in divisibility_cases():
-        # every divisor of the suites is a product of binomials 1 + q^j
-        assert divisor.binomial_split() is not None
         assert assert_divides_like_oracle(divisor, p)
         # q^i is a unit modulo every Phi_d, so this fails unless divisor is 1,
         # and the witness is the canonical remainder of the long division
@@ -242,55 +241,89 @@ def test_divides_matches_expanded_long_division():
         assert assert_divides_like_oracle(divisor, perturbed) == divisor.is_one()
 
 
+# products of cyclotomic polynomials that are no product of binomials 1 + q^j
+UNSPLIT = ({1: 1}, {3: 1}, {6: 1}, {2: 1, 3: 1}, {2: 1, 6: 2})
+
+
 def test_divides_products_that_do_not_split():
     s5 = salie(5)
-    for factors in ({1: 1}, {3: 1}, {6: 1}, {2: 1, 3: 1}, {2: 1, 6: 2}):
+    for factors in UNSPLIT:
         divisor = FactoredPoly(factors)
-        assert divisor.binomial_split() is None
         assert assert_divides_like_oracle(divisor, s5 * divisor.expand())
         assert not assert_divides_like_oracle(divisor, s5 + q_power(3))
 
 
 def test_divides_fails_late_in_the_chain():
-    # (1 + q^3) passes, then (1 + q) does not divide 1 + q^2
+    # divided binomial by binomial, (1 + q^3) passes and then (1 + q) does
+    # not divide 1 + q^2
     divisor = FactoredPoly(chain_binomials([(3, 1), (1, 1)]))
-    assert divisor.binomial_split() == [(3, 1), (1, 1)]
-    assert not assert_divides_like_oracle(divisor, one_plus_q_power(3) * one_plus_q_power(2))
-    # remainder q^2 modulo 1 + q^3, then 2 modulo 1 + q: the witness is
-    # recombined from two nonzero step remainders
-    p = one_plus_q_power(3) * one_plus_q_power(2) + q_power(2)
-    quotient, first = p.divmod_binomial(3)
-    assert first and quotient.divmod_binomial(1)[1]
+    p = one_plus_q_power(3) * one_plus_q_power(2)
+    assert factor_one_plus_qd(3).divides(p) == (True, one_plus_q_power(2))
     assert not assert_divides_like_oracle(divisor, p)
+    # remainder q^2 modulo 1 + q^3, then 2 modulo 1 + q
+    assert not assert_divides_like_oracle(divisor, p + q_power(2))
     # a P_12 chain of 12 binomial steps, seven of them inexact
-    divisor, p = big_p(12), salie(12) + q_power(40)
-    nonzero, quotient = 0, p
-    for j, e in divisor.binomial_split():
-        for _ in range(e):
-            quotient, remainder = quotient.divmod_binomial(j)
-            nonzero += not remainder.is_zero()
-    assert nonzero >= 2
-    assert not assert_divides_like_oracle(divisor, p)
+    assert not assert_divides_like_oracle(big_p(12), salie(12) + q_power(40))
 
 
-def test_divides_by_a_split_product_never_expands(monkeypatch):
+def test_divides_never_expands_or_multiplies(monkeypatch):
     cases = [
         (divisor, p, p + q_power(p.degree() // 2 + len(divisor.factors)))
         for divisor, p in divisibility_cases()
     ]
+    s5 = salie(5)
+    unsplit = [(FactoredPoly(f), s5 * FactoredPoly(f).expand(), s5 + q_power(3)) for f in UNSPLIT]
 
     def forbidden(*args):
-        raise AssertionError("a split product was expanded or long-divided")
+        raise AssertionError("a product was expanded, multiplied or long-divided")
 
     monkeypatch.setattr(FactoredPoly, "expand", forbidden)
     monkeypatch.setattr(IntPoly, "_divmod", forbidden)
-    for divisor, p, perturbed in cases:
+    monkeypatch.setattr(IntPoly, "__mul__", forbidden)
+    monkeypatch.setattr(IntPoly, "__rmul__", forbidden)
+    for divisor, p, perturbed in cases + unsplit:
         assert divisor.divides(p)[0]
         assert divisor.divides(perturbed)[0] == divisor.is_one()
 
 
+@given(
+    st.dictionaries(st.integers(1, 40), st.integers(0, 3), max_size=5),
+    st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=201),
+)
+@example({}, [5])
+@example({1: 3}, [0, 0, 1])
+@example({1: 1, 2: 2, 30: 3}, [1, -1] * 100)
+def test_divides_random_products_match_the_oracle(factors, a):
+    # odd powers of Phi_1, products that do not split, the empty product,
+    # dividends shorter than the divisor, and their exact multiples
+    divisor, p = FactoredPoly(factors), IntPoly(a)
+    if p.is_zero():
+        with pytest.raises(ValueError):
+            divisor.divides(p)
+        return
+    assert_divides_like_oracle(divisor, p)
+    multiple = IntPoly(naive_mul(a, naive_expand(divisor.factors)))
+    assert divisor.divides(multiple) == (True, p)
+
+
+@given(
+    st.dictionaries(st.integers(1, 40), st.integers(0, 3), max_size=4),
+    st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=60),
+    st.integers(0, 400),
+)
+def test_binomial_series_from_a_starting_series(factors, start, cut):
+    # start times prod (1 - q^c)^x_c = (-1)^e_1 prod Phi_d^e_d, cut off
+    factored = FactoredPoly(factors)
+    net, degree = factored._net()
+    steps = [(c, x < 0) for c, x in sorted(net.items()) for _ in range(abs(x))]
+    cut = max(cut, len(start) - 1)
+    sign = -1 if factored.exponent(1) % 2 else 1
+    product = [sign * c for c in naive_mul(start, naive_expand(factored.factors))]
+    expected = (product + [0] * (cut + 1))[: cut + 1]
+    assert _binomial_series(steps, cut, start=start) == expected
+
+
 def test_divides_by_the_empty_product():
-    assert FactoredPoly().binomial_split() == []
     for p in (salie(4), poly(-3), q_power(5)):
         assert FactoredPoly().divides(p) == (True, p)
         assert assert_divides_like_oracle(FactoredPoly(), p)
@@ -299,9 +332,7 @@ def test_divides_by_the_empty_product():
 def test_big_p_splits_into_its_binomials():
     # P_n = prod_r (1 + q^(2r+1))^a(n, r), largest binomial first
     for n in range(1, 31):
-        split = big_p(n).binomial_split()
-        expected = [(2 * r + 1, a_exponent(n, r)) for r in range((n - 1) // 2, -1, -1)]
-        assert split == expected
+        split = [(2 * r + 1, a_exponent(n, r)) for r in range((n - 1) // 2, -1, -1)]
         assert FactoredPoly(chain_binomials(split)) == big_p(n)
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from qcong.cyclotomic import cyclotomic
+from qcong.cyclotomic import cyclotomic, factor_one_plus_qd
 from qcong.poly import (
     IntPoly,
     NonMonicModulus,
@@ -254,27 +254,34 @@ def test_divmod_binomial_matches_naive_division(a, k, r):
     # both as the naive long division gives them
     binomial = list(one_plus_q_power(k).coeffs)
     r = r[:k]
-    dividend = IntPoly(naive_mul(a, binomial)) + IntPoly(r)
+    multiple = IntPoly(naive_mul(a, binomial))
+    dividend = multiple + IntPoly(r)
     naive_q, naive_r = naive_divmod(list(dividend.coeffs), binomial)
-    quotient, remainder = dividend.divmod_binomial(k)
-    assert (quotient.coeffs, remainder.coeffs) == (tuple(naive_q), tuple(naive_r))
-    assert (quotient, remainder) == (IntPoly(a), IntPoly(r))
+    assert (IntPoly(naive_q), IntPoly(naive_r)) == (IntPoly(a), IntPoly(r))
+    divides = factor_one_plus_qd(k).divides
+    if multiple:
+        assert divides(multiple) == (True, IntPoly(a))
+    if IntPoly(r):
+        assert divides(dividend) == (False, IntPoly(r))
 
 
 def test_divmod_binomial_edge_cases():
-    assert ZERO.divmod_binomial(3) == (ZERO, ZERO)
-    assert one_plus_q_power(5).divmod_binomial(5) == (ONE, ZERO)
-    # shorter than the divisor: no quotient, and the dividend is the remainder
+    # division by 1 + q^k is FactoredPoly(factor_one_plus_qd(k)).divides
+    with pytest.raises(ValueError):
+        factor_one_plus_qd(3).divides(ZERO)
+    assert factor_one_plus_qd(5).divides(one_plus_q_power(5)) == (True, ONE)
+    # shorter than the divisor: the dividend is the remainder
     for p, k in ((poly(1, 1), 3), (poly(0, 0, 7), 3), (poly(5), 1)):
-        assert p.divmod_binomial(k) == (ZERO, p)
+        assert factor_one_plus_qd(k).divides(p) == (False, p)
     # a monomial folds down with alternating sign: q^7 = (1 + q^3)(q^4 - q) + q
     for i, k in ((4, 2), (7, 3), (2, 2), (9, 1)):
-        naive_q, naive_r = naive_divmod(list(q_power(i).coeffs), list(one_plus_q_power(k).coeffs))
-        assert q_power(i).divmod_binomial(k) == (IntPoly(naive_q), IntPoly(naive_r))
-    assert q_power(7).divmod_binomial(3) == (poly(0, -1, 0, 0, 1), Q)
+        _, naive_r = naive_divmod(list(q_power(i).coeffs), list(one_plus_q_power(k).coeffs))
+        assert factor_one_plus_qd(k).divides(q_power(i)) == (False, IntPoly(naive_r))
+    assert factor_one_plus_qd(3).divides(q_power(7)) == (False, Q)
+    assert factor_one_plus_qd(3).divides(q_power(7) - Q) == (True, poly(0, -1, 0, 0, 1))
     for k in (0, -1, -5):
         with pytest.raises(ValueError):
-            poly(1, 1).divmod_binomial(k)
+            factor_one_plus_qd(k)
 
 
 def test_rem_binomial_rejects_other_moduli():

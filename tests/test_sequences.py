@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcong import sequences
+from qcong.perms import SizeLimitExceeded
 from qcong.poly import IntPoly, ONE, Q, q_power
 from qcong.qbinom import gauss
 from qcong.sequences import (
@@ -115,6 +116,14 @@ def test_gen_euler_at_one_matches_integer_recurrence():
 
 
 # the integer route at q = 1 ---------------------------------------------------
+
+
+def test_gen_euler_at_one_refuses_a_subscript_past_its_limit():
+    limit = sequences.AT_ONE_INDEX_LIMIT
+    assert gen_euler_at_one(limit, 1) == -1
+    for k, n in ((limit + 1, 1), (1 << 20, 3), (1 << 40, 3)):
+        with pytest.raises(SizeLimitExceeded, match=f"subscript {k * n} "):
+            gen_euler_at_one(k, n)
 
 
 def test_gen_euler_at_one_matches_polynomial_route():
