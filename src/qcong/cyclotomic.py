@@ -6,7 +6,8 @@ shift-and-add pass per binomial with no product and no long division.
 ``FactoredPoly`` represents a product prod_d Phi_d^{e_d} without expanding
 it; since distinct cyclotomic polynomials are coprime, divisibility
 questions between such products reduce to exponent comparisons, and lcm is
-an exponent-wise max.
+an exponent-wise max.  ``cyclotomic(n)`` is the one-factor product Phi_n,
+expanded by ``FactoredPoly.expand``.
 
 ``FactoredPoly.divides`` divides on the same passes: the reversal of a
 monic product is the product of the same binomials, so the reversed
@@ -115,8 +116,9 @@ def _moebius(n: int) -> tuple[int, list[tuple[int, bool]]]:
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, monic with integer coefficients.
 
-    For n > 1, Phi_n = prod_{e|n} (1 - q^(n/e))^mu(e), taken in power
-    series cut off above its degree phi(n): one pass per squarefree e.
+    The product of the single factor Phi_n, expanded: for n > 1 that is
+    prod_{e|n} (1 - q^(n/e))^mu(e) in power series cut off above its
+    degree phi(n), one pass per squarefree e.
 
     >>> print(cyclotomic(1))
     -1 + q
@@ -125,12 +127,7 @@ def cyclotomic(n: int) -> IntPoly:
     >>> [i for i, c in enumerate(cyclotomic(105).coeffs) if c == -2]
     [7, 41]
     """
-    if n < 1:
-        raise ValueError("cyclotomic index must be positive")
-    if n == 1:
-        return IntPoly((-1, 1))
-    phi, squarefree = _moebius(n)
-    return IntPoly(_binomial_series([(n // e, odd) for e, odd in squarefree], phi))
+    return FactoredPoly({n: 1}).expand()
 
 
 def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:
@@ -201,13 +198,15 @@ class FactoredPoly:
             merged[d] = max(merged.get(d, 0), e)
         return FactoredPoly(merged)
 
-    def _net(self) -> tuple[dict[int, int], int]:
-        """The net exponents {c: x_c} of the product as prod (1 - q^c)^x_c,
-        up to the sign (-1)^e_1, and its degree.
+    def _net(self) -> tuple[list[tuple[int, bool]], int]:
+        """The product as prod (1 - q^c)^(-1 if divide else 1) over its
+        passes (c, divide), up to the sign (-1)^e_1, and its degree.
 
         Phi_d^e = prod_{k|d} (1 - q^(d/k))^(e mu(k)) for d > 1, and
         Phi_1 = q - 1 = -(1 - q); the exponents of all factors are summed
-        per binomial, and many cancel.
+        per binomial, and many cancel.  The passes come in the order in
+        which each binomial first appears; for a single Phi_d that is the
+        order of the squarefree divisors k from `_moebius`.
         """
         net: dict[int, int] = {}
         degree = 0
@@ -216,24 +215,24 @@ class FactoredPoly:
             degree += e * phi
             for k, odd in squarefree:
                 net[d // k] = net.get(d // k, 0) + (-e if odd else e)
-        return net, degree
+        return [(c, x < 0) for c, x in net.items() for _ in range(abs(x))], degree
 
     def expand(self) -> IntPoly:
         """Multiply the product out; always monic.
 
-        The binomials of `_net` are taken as one series cut off above the
+        The passes of `_net` are taken as one series cut off above the
         degree, with the sign (-1)^e_1.  At q = 1 each Phi_d with d > 1 is
-        prod_k (d/k)^mu(k), so the product of c^x_c is its value there.
+        prod_k (d/k)^mu(k), so the product of c^(+-1) over the passes is
+        its value there.
 
         >>> print(FactoredPoly({1: 1, 2: 1}).expand())
         -1 + q^2
         """
-        net, degree = self._net()
-        steps = [(c, x < 0) for c, x in sorted(net.items()) for _ in range(abs(x))]
+        steps, degree = self._net()
 
         def at_one():
-            up = math.prod(c**x for c, x in net.items() if x > 0)
-            return up // math.prod(c**-x for c, x in net.items() if x < 0)
+            up = math.prod(c for c, divide in steps if not divide)
+            return up // math.prod(c for c, divide in steps if divide)
 
         s = _binomial_series(steps, degree, at_one)
         return IntPoly([-c for c in s] if self.exponent(1) % 2 else s)
@@ -243,14 +242,15 @@ class FactoredPoly:
 
         Returns (True, quotient) on success and (False, remainder witness)
         on failure, as the long division by D gives them.  The reversal
-        q^delta D(1/q) of D, of degree delta, is prod (1 - q^c)^x_c over
-        `_net` with sign +: each 1 - q^c reverses to -(1 - q^c), and the
-        x_c sum to e_1.  For p = Q D + R of degree N >= delta, the reversed
-        p over that product, in power series cut off above N, holds the
-        reversed Q in its first N - delta + 1 entries and, in its last
-        delta entries T, the reversed R over the same product: R is zero
-        exactly when T is, and is otherwise T times the product, cut off
-        above delta - 1 and reversed.  No product is expanded.
+        q^delta D(1/q) of D, of degree delta, is the product of the passes
+        of `_net` with sign +: each 1 - q^c reverses to -(1 - q^c), and
+        the multiply passes outnumber the divide passes by e_1.  For
+        p = Q D + R of degree N >= delta, the reversed p over that product,
+        in power series cut off above N, holds the reversed Q in its first
+        N - delta + 1 entries and, in its last delta entries T, the
+        reversed R over the same product: R is zero exactly when T is, and
+        is otherwise T times the product, cut off above delta - 1 and
+        reversed.  No product is expanded.
 
         >>> FactoredPoly({2: 1, 4: 1}).divides(IntPoly((2, 0, 0, 1)))
         (False, IntPoly((1, -1, -1)))
@@ -261,17 +261,16 @@ class FactoredPoly:
         """
         if p.is_zero():
             raise ValueError("divisibility of the zero polynomial is not tested")
-        net, degree = self._net()
+        steps, degree = self._net()
         n = p.degree()
         if n < degree:
             return False, p
-        steps = [(c, x > 0) for c, x in sorted(net.items()) for _ in range(abs(x))]
-        s = _binomial_series(steps, n, start=p.coeffs[::-1])
+        inverse = [(c, not divide) for c, divide in steps]
+        s = _binomial_series(inverse, n, start=p.coeffs[::-1])
         tail = s[n - degree + 1 :]
         if not any(tail):
             return True, IntPoly(s[n - degree :: -1])
-        inverse = [(c, not divide) for c, divide in steps]
-        return False, IntPoly(_binomial_series(inverse, degree - 1, start=tail)[::-1])
+        return False, IntPoly(_binomial_series(steps, degree - 1, start=tail)[::-1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredPoly):

@@ -234,38 +234,33 @@ class IntPoly:
         step = 2 * d
         return IntPoly([sum(cs[r::step]) - sum(cs[r + d :: step]) for r in range(d)])
 
-    def rotate(self, j: int, d: int, c: int) -> "IntPoly":
-        """q^j * self modulo q^d - c, for a residue self of degree below d.
+    def rotate(self, j: int, d: int) -> "IntPoly":
+        """q^j * self modulo 1 + q^d, for a residue self of degree below d.
 
-        Since q^d = c in the quotient, q^j = c^(j // d) q^(j % d), and
+        Since q^d = -1 in the quotient, q^j = (-1)^(j // d) q^(j % d), and
         multiplying by q^s with s < d rotates the d coefficients s places
-        up; the s coefficients that wrap past q^(d-1) take the sign c.
-        This equals self.shift(j).rem_binomial(d, c), with no shift to
-        full length and no fold.
+        up and negates the s that wrap past q^(d-1).  This equals
+        self.shift(j).rem_binomial(d, -1), with no shift to full length
+        and no fold.
 
-        >>> print(IntPoly((1, 2, 3)).rotate(2, 3, -1))
+        >>> print(IntPoly((1, 2, 3)).rotate(2, 3))
         -2 - 3q + q^2
         """
         if d < 1:
             raise ValueError("binomial modulus needs d >= 1")
-        if c not in (1, -1):
-            raise ValueError("binomial modulus needs c = 1 or c = -1")
         if j < 0:
             raise ValueError("rotation must be nonnegative")
         cs = self.coeffs
         if len(cs) > d:
             raise ValueError(f"rotate needs a residue of degree below {d}")
         turns, s = divmod(j, d)
-        sign = c ** (turns % 2)
-        if not cs or (s == 0 and sign == 1):
+        if not cs or (s == 0 and turns % 2 == 0):
             return self
         cs = cs + (0,) * (d - len(cs))
         head, tail = cs[: d - s], cs[d - s :]
-        if sign == -1:
-            head = [-x for x in head]
-        if sign * c == -1:
-            tail = [-x for x in tail]
-        return IntPoly([*tail, *head])
+        if turns % 2:
+            return IntPoly([*tail, *(-x for x in head)])
+        return IntPoly([*(-x for x in tail), *head])
 
     # specializations ----------------------------------------------------------
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import functools
 from math import comb
 
-from .cyclotomic import FactoredPoly, _binomial_series
+from .cyclotomic import FactoredPoly, _binomial_series, rem_cyclotomic
 from .poly import IntPoly, ZERO
-from .residues import inject
 
 
 def gauss(m: int, n: int) -> IntPoly:
@@ -69,8 +68,8 @@ def q_lucas_sides(m: int, k: int, d: int) -> tuple[IntPoly, IntPoly]:
         raise ValueError("need m, k >= 0 and d >= 1")
     a, b = divmod(m, d)
     r, s = divmod(k, d)
-    lhs = inject(gauss(m, k), d)
-    rhs = comb(a, r) * inject(gauss(b, s), d)
+    lhs = rem_cyclotomic(gauss(m, k), d)
+    rhs = comb(a, r) * rem_cyclotomic(gauss(b, s), d)
     return lhs, rhs
 
 

@@ -164,12 +164,12 @@ def summarize(reports) -> tuple[int, int, int]:
 
 # congruence checkers -----------------------------------------------------------
 #
-# Reduction modulo 1 + q^d is a ring map, and 1 + q^d is a multiple of
-# Phi_2k for every k with d/k odd.  So each check folds each family value
-# modulo 1 + q^d once per (index, d), caches the residue, and combines two
-# cached residues with a sign, or with a signed rotation for the factor
-# q^s: in Z[q]/(1 + q^d), q^s r turns the d coefficients of r s places and
-# negates those that wrap, so no difference is built past degree d.
+# Reduction modulo 1 + q^e is a ring map, and 1 + q^e is a multiple of
+# Phi_2k for every k with e/k odd.  So each check folds each family value
+# modulo 1 + q^e once per (index, e), caches the residue, and forms
+# E^(c)_{cm} - q^s E^(c)_{cn} from two cached residues and one rotation:
+# in Z[q]/(1 + q^e), q^s r turns the e coefficients of r s places and
+# negates those that wrap, so no difference is built past degree e.
 # theorem51 likewise reduces each E^(k)_{kn}(q^2), and each power of q, to
 # its residue modulo Phi_2kd once per ring, and reduces one product per check.
 # Remainders modulo a monic polynomial are unique, so every witness is the
@@ -182,36 +182,36 @@ def _gen_euler_mod(c: int, n: int, d: int) -> IntPoly:
     return gen_euler(c, n).rem_binomial(d, -1)
 
 
+def _residue(c: int, m: int, n: int, s: int, e: int) -> IntPoly:
+    """E^(c)_{cm} - q^s E^(c)_{cn} modulo 1 + q^e."""
+    return _gen_euler_mod(c, m, e) - _gen_euler_mod(c, n, e).rotate(s, e)
+
+
 def _iff_report(check: str, params: dict, remainder: IntPoly) -> Report:
     """Report of a congruence predicted to hold iff m = n mod d."""
     expected = (params["m"] - params["n"]) % params["d"] == 0
     return Report.congruence(check, params, expected, remainder.is_zero(), remainder)
 
 
-def _theorem1_residue(m: int, n: int, d: int) -> IntPoly:
-    """E_{2m} - q^(m-n) E_{2n} modulo 1 + q^d."""
-    _require(m > n >= 0 and 1 <= d <= m, "need m > n >= 0 and 1 <= d <= m")
-    top, bottom = _gen_euler_mod(2, m, d), _gen_euler_mod(2, n, d)
-    return top - bottom.rotate(m - n, d, -1)
-
-
 def check_theorem1(m: int, n: int, d: int) -> Report:
     """E_{2m} = q^(m-n) E_{2n} mod (1 + q^d) holds iff m = n mod d."""
-    remainder = _theorem1_residue(m, n, d)
+    _require(m > n >= 0 and 1 <= d <= m, "need m > n >= 0 and 1 <= d <= m")
+    remainder = _residue(2, m, n, m - n, d)
     return _iff_report("theorem1", {"m": m, "n": n, "d": d}, remainder)
 
 
 def check_lemma31(m: int, n: int, d: int) -> Report:
     """Same congruence as theorem1 but modulo the single factor Phi_{2d}."""
-    remainder = rem_cyclotomic(_theorem1_residue(m, n, d), 2 * d)
+    remainder = rem_cyclotomic(check_theorem1(m, n, d).witness, 2 * d)
     return _iff_report("lemma31", {"m": m, "n": n, "d": d}, remainder)
 
 
 def check_desarmenien(k: int, m: int, n: int) -> Report:
-    """E_{2km+2n} = (-1)^m E_{2n} mod Phi_{2k}; always congruent."""
+    """E_{2km+2n} = (-1)^m E_{2n} mod Phi_{2k}; always congruent.
+
+    (-1)^m is q^(km) modulo 1 + q^k, a multiple of Phi_{2k}."""
     _require(k >= 1 and m >= 0 and n >= 0, "need k >= 1 and m, n >= 0")
-    top, bottom = _gen_euler_mod(2, k * m + n, k), _gen_euler_mod(2, n, k)
-    remainder = rem_cyclotomic(top + bottom if m % 2 else top - bottom, 2 * k)
+    remainder = rem_cyclotomic(_residue(2, k * m + n, n, k * m, k), 2 * k)
     params = {"k": k, "m": m, "n": n}
     return Report.congruence(
         "desarmenien", params, True, remainder.is_zero(), remainder
@@ -257,11 +257,8 @@ def check_theorem52(k: int, m: int, n: int, d: int) -> Report:
         k >= 1 and m > n >= 0 and 1 <= d <= m,
         "need k >= 1, m > n >= 0 and 1 <= d <= m",
     )
-    fam = 1 << k
     half = 1 << (k - 1)
-    e = half * d
-    bottom = _gen_euler_mod(fam, n, e).rotate(half * (m - n), e, -1)
-    remainder = _gen_euler_mod(fam, m, e) - bottom
+    remainder = _residue(1 << k, m, n, half * (m - n), half * d)
     return _iff_report("theorem52", {"k": k, "m": m, "n": n, "d": d}, remainder)
 
 
@@ -510,7 +507,9 @@ def sweep_corollary52(k_max: int = 2, m_max: int = 8):
 
 
 def sweep_stern(m_max: int = 10):
-    return [check_stern(m, n) for m in range(1, m_max + 1) for n in range(m)]
+    cases = ((m, n) for m in range(1, m_max + 1) for n in range(m))
+    cases = _largest_first(cases, lambda: gen_euler_at_one(2, m_max))
+    return [check_stern(m, n) for m, n in cases]
 
 
 def sweep_lemma41(n_max: int = 15):

@@ -374,18 +374,20 @@ def test_congruence_sweeps_ask_for_their_largest_value_before_listing_cases():
 
 
 def test_q_at_one_sweeps_meet_the_subscript_limit_at_once():
-    # C(2^40 * 3, 2^40 * j) would run for hours
-    for argv in (
-        ("verify", "--suite", "corollary52", "--k-max", "40", "--m-max", "3"),
-        ("explore", "--conjecture", "conj51", "--k-max", "40", "--m-max", "3"),
+    # C(2^40 * 3, 2^40 * j) would run for hours, and stern at m_max = 40000
+    # would check about 5 * 10^8 cases before it reached the limit at m = 32769
+    for argv, k, subscript in (
+        (("verify", "--suite", "corollary52", "--k-max", "40", "--m-max", "3"), 1 << 40, 3 << 40),
+        (("explore", "--conjecture", "conj51", "--k-max", "40", "--m-max", "3"), 1 << 40, 3 << 40),
+        (("verify", "--suite", "stern", "--m-max", "40000"), 2, 80000),
     ):
         start = time.perf_counter()
         proc = run_capped(*argv)
         assert time.perf_counter() - start < 1
         assert_usage_error(proc)
         assert proc.stderr.strip().splitlines()[-1] == (
-            f"qcong: error: {argv[2]}: E^(1099511627776)_3298534883328(1): "
-            "subscript 3298534883328 is past the q = 1 limit of 65536"
+            f"qcong: error: {argv[2]}: E^({k})_{subscript}(1): "
+            f"subscript {subscript} is past the q = 1 limit of 65536"
         )
 
 
@@ -510,6 +512,21 @@ def test_default_bound_outputs_are_pinned():
         proc = run(*argv)
         assert proc.returncode == code, argv
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, argv
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "..", "bench", "golden.json")
+
+
+def test_benchmark_invocations_match_their_golden_record():
+    # the benchmark times these invocations and rejects any whose exit code
+    # or stdout differs from its golden record; a changed route fails here too
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 12
+    for key, want in golden.items():
+        proc = run(*key.split())
+        assert proc.returncode == want["exit"], key
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == want["sha256"], key
 
 
 def test_record_shapes():

@@ -314,8 +314,7 @@ def test_divides_random_products_match_the_oracle(factors, a):
 def test_binomial_series_from_a_starting_series(factors, start, cut):
     # start times prod (1 - q^c)^x_c = (-1)^e_1 prod Phi_d^e_d, cut off
     factored = FactoredPoly(factors)
-    net, degree = factored._net()
-    steps = [(c, x < 0) for c, x in sorted(net.items()) for _ in range(abs(x))]
+    steps, degree = factored._net()
     cut = max(cut, len(start) - 1)
     sign = -1 if factored.exponent(1) % 2 else 1
     product = [sign * c for c in naive_mul(start, naive_expand(factored.factors))]
