@@ -5,11 +5,17 @@ Exit codes: 0 success, 1 at least one theorem check failed, 2 usage error.
 Coefficients are serialized as decimal strings (they outgrow 64-bit integers
 quickly); the json format emits one record per line followed, for verify and
 explore, by a summary object with counts.
+
+Records are rendered one at a time and written in blocks of BLOCK_CHARS
+characters, once nothing can be refused.  `console_entry`, behind both
+`qcong` and `python -m qcong`, flushes the output after `main` returns and
+ends the process with `os._exit`, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -23,6 +29,9 @@ from .qbinom import gauss
 from .sequences import SEQUENCE_FAMILIES
 
 ENV_CAP = "QCONG_MAX_N"
+
+# Characters gathered before one write of the output.
+BLOCK_CHARS = 1 << 18
 
 COMPUTE_FAMILIES = (*SEQUENCE_FAMILIES, *DIVISOR_FAMILIES, "cyclotomic", "gauss")
 
@@ -208,7 +217,6 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
 
-    lines: list[str] = []
     exit_code = 0
 
     if args.command == "compute":
@@ -216,12 +224,13 @@ def main(argv=None) -> int:
             records = _compute_records(args, parser)
         except SizeLimitExceeded as exc:
             parser.error(f"{args.family}: {exc}")
-        for rec, head in records:
-            if args.format == "json":
-                rec["coeffs"] = _coeff_strings(rec["coeffs"])
-                lines.append(json.dumps(rec))
-            else:
-                lines.append(f"{head} {rec['coeffs']}")
+        if args.format == "json":
+            lines = (
+                json.dumps({**rec, "coeffs": _coeff_strings(rec["coeffs"])})
+                for rec, _ in records
+            )
+        else:
+            lines = (f"{head} {rec['coeffs']}" for rec, head in records)
     else:
         option = "suite" if args.command == "verify" else "conjecture"
         chosen = getattr(args, option)
@@ -241,31 +250,47 @@ def main(argv=None) -> int:
         checked, passed, failed = v.summarize(reports)
         if checked == 0:
             parser.error(f"{args.command}: no instances within these bounds")
-        for r in reports:
-            lines.append(
-                json.dumps(report_record(r)) if args.format == "json" else r.describe()
-            )
         summary.update(checked=checked, passed=passed, failed=failed)
-        lines.append(
-            json.dumps(summary)
-            if args.format == "json"
-            else f"checked={checked} {words[0]}={passed} {words[1]}={failed}"
-        )
+        if args.format == "json":
+            lines = (json.dumps(report_record(r)) for r in reports)
+            last = json.dumps(summary)
+        else:
+            lines = (r.describe() for r in reports)
+            last = f"checked={checked} {words[0]}={passed} {words[1]}={failed}"
+        lines = itertools.chain(lines, (last,))
         # conjecture explorers report, they never assert
         if args.command == "verify" and failed:
             exit_code = 1
 
-    text = "\n".join(lines) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write_blocks(fh, lines)
         except OSError as exc:
             parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
     else:
-        sys.stdout.write(text)
+        _write_blocks(sys.stdout, lines)
     return exit_code
 
 
+def _write_blocks(fh, lines) -> None:
+    """Write each line with its newline, in blocks of about BLOCK_CHARS."""
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line) + 1
+        if size >= BLOCK_CHARS:
+            fh.write("\n".join(block) + "\n")
+            block, size = [], 0
+    if block:
+        fh.write("\n".join(block) + "\n")
+
+
 def console_entry() -> None:
-    raise SystemExit(main())
+    """Run `main` as a process: once its output is flushed, end without the
+    interpreter's teardown.  A usage error (SystemExit) or any exception
+    from `main` takes the normal exit."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -80,13 +80,15 @@ def _binomial_series(steps, degree: int, at_one=lambda: 1, start=(1,)) -> list[i
     return s
 
 
-def _moebius(n: int) -> tuple[int, list[tuple[int, bool]]]:
+def _moebius(n: int) -> tuple[int, tuple[tuple[int, bool], ...]]:
     """phi(n), and each squarefree divisor e of n with whether mu(e) = -1.
 
     n has no more prime factors than there are first primes with product at
     most n, so n prod (p - 1)/p over those is at most phi(n): a series of
     degree phi(n) past the limit is refused on it before n is factored.
     Every prime below p divides `den`, so p is prime when coprime to it.
+    The bound is checked on every call, against the limit of the moment;
+    only the factorization is memoized.
     """
     num, den, p = 1, 1, 2
     while den * p <= n:
@@ -99,6 +101,12 @@ def _moebius(n: int) -> tuple[int, list[tuple[int, bool]]]:
             f"a series of degree at least {low} would take more than the "
             f"{SERIES_BYTES_LIMIT >> 20} MB series limit"
         )
+    return _factor(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _factor(n: int) -> tuple[int, tuple[tuple[int, bool], ...]]:
+    """phi(n) and the squarefree divisors of `_moebius`, by trial division."""
     phi, squarefree, rest, p = n, [(1, False)], n, 2
     while rest > 1:
         if p * p > rest:
@@ -109,7 +117,7 @@ def _moebius(n: int) -> tuple[int, list[tuple[int, bool]]]:
             while rest % p == 0:
                 rest //= p
         p += 1
-    return phi, squarefree
+    return phi, tuple(squarefree)
 
 
 @functools.lru_cache(maxsize=None)

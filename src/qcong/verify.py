@@ -202,7 +202,8 @@ def check_theorem1(m: int, n: int, d: int) -> Report:
 
 def check_lemma31(m: int, n: int, d: int) -> Report:
     """Same congruence as theorem1 but modulo the single factor Phi_{2d}."""
-    remainder = rem_cyclotomic(check_theorem1(m, n, d).witness, 2 * d)
+    _require(m > n >= 0 and 1 <= d <= m, "need m > n >= 0 and 1 <= d <= m")
+    remainder = rem_cyclotomic(_residue(2, m, n, m - n, d), 2 * d)
     return _iff_report("lemma31", {"m": m, "n": n, "d": d}, remainder)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+from qcong import cli
 from qcong import verify as v
 from qcong.cli import report_record
 from qcong.divisors import big_p
@@ -173,6 +174,67 @@ def test_out_file(tmp_path):
     assert proc.stdout == ""
     records = [json.loads(line) for line in target.read_text().splitlines()]
     assert len(records) == 4
+
+
+def test_block_writes_match_one_write(monkeypatch, capsys, tmp_path):
+    # blocks of a few characters print what a single block prints, and an
+    # --out file of many blocks holds exactly what stdout gets
+    monkeypatch.delenv(cli.ENV_CAP, raising=False)
+    target = tmp_path / "out.txt"
+    for argv in (
+        ("compute", "--family", "euler", "--n", "4"),
+        ("compute", "--family", "P", "--n", "4"),
+        ("verify", "--suite", "theorem51", "--k-max", "1", "--m-max", "4", "--d-max", "3"),
+        ("explore", "--conjecture", "conj61", "--n-max", "4"),
+    ):
+        for fmt in ("text", "json"):
+            argv_fmt = [*argv, "--format", fmt]
+            monkeypatch.setattr(cli, "BLOCK_CHARS", 1 << 40)
+            code = cli.main(argv_fmt)
+            whole = capsys.readouterr().out
+            monkeypatch.setattr(cli, "BLOCK_CHARS", 5)
+            assert cli.main(argv_fmt) == code, argv_fmt
+            assert capsys.readouterr().out == whole, argv_fmt
+            assert cli.main([*argv_fmt, "--out", str(target)]) == code, argv_fmt
+            assert capsys.readouterr().out == ""
+            assert target.read_text(encoding="utf-8") == whole, argv_fmt
+            assert whole.count("\n") > 2, argv_fmt
+
+
+FAST_EXIT = """
+import atexit, os, runpy, sys
+atexit.register(os.write, 2, b"teardown ran\\n")
+route, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+if route == "module":
+    runpy.run_module("qcong", run_name="__main__", alter_sys=True)
+else:
+    from qcong.cli import console_entry
+    console_entry()
+"""
+
+
+def test_entry_points_end_without_teardown(capsys):
+    # `python -m qcong` and the `qcong` script flush and skip the atexit
+    # hooks once main returns; a usage error still exits normally
+    env = dict(os.environ)
+    env.pop(cli.ENV_CAP, None)
+    for argv in (
+        ("compute", "--family", "euler", "--n", "30", "--format", "json"),
+        ("verify", "--suite", "theorem51"),
+    ):
+        code = cli.main(list(argv))
+        want = capsys.readouterr().out
+        for route in ("module", "script"):
+            proc = subprocess.run([sys.executable, "-c", FAST_EXIT, route, *argv],
+                                  capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stderr) == (code, ""), (route, argv)
+            assert proc.stdout == want, (route, argv)
+    assert code == 1
+    for route in ("module", "script"):
+        proc = subprocess.run([sys.executable, "-c", FAST_EXIT, route, "verify"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.endswith("teardown ran\n")
 
 
 def test_missing_subcommand_usage_error():

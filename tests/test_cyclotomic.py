@@ -136,6 +136,21 @@ def test_moebius_refuses_on_a_lower_bound_of_phi(monkeypatch):
         _moebius(30030)
 
 
+def test_factorizations_are_memoized_but_the_bound_is_not(monkeypatch):
+    # each index is factored once however often its product is divided or
+    # expanded, and the lower bound still answers to the limit of the moment
+    CYCLOTOMIC._factor.cache_clear()
+    divisor = big_p(12)
+    for _ in range(3):
+        divisor.divides(salie(12))
+        divisor.expand()
+    assert CYCLOTOMIC._factor.cache_info().misses == len(divisor.factors)
+    assert _moebius(12) == (4, ((1, False), (2, True), (3, True), (6, False)))
+    monkeypatch.setattr(CYCLOTOMIC, "SERIES_BYTES_LIMIT", 4 * 16)
+    with pytest.raises(SizeLimitExceeded, match="degree at least 4 "):
+        _moebius(12)
+
+
 def test_huge_cyclotomic_index_is_refused_before_factoring():
     # trial division of the prime 2^61 - 1 would take minutes
     with pytest.raises(SizeLimitExceeded):
