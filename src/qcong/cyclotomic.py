@@ -7,7 +7,8 @@ shift-and-add pass per binomial with no product and no long division.
 it; since distinct cyclotomic polynomials are coprime, divisibility
 questions between such products reduce to exponent comparisons, and lcm is
 an exponent-wise max.  ``cyclotomic(n)`` is the one-factor product Phi_n,
-expanded by ``FactoredPoly.expand``.
+expanded by ``FactoredPoly.expand``, and ``factor_one_plus_qd`` is the one
+place that factors products of binomials 1 + q^d.
 
 ``FactoredPoly.divides`` divides on the same passes: the reversal of a
 monic product is the product of the same binomials, so the reversed
@@ -155,16 +156,18 @@ def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:
     return folded.rem_monic(cyclotomic(m))
 
 
-def one_plus_qd_indices(d: int) -> list[int]:
-    """The indices 2k of the factors Phi_2k of 1 + q^d: k | d, 2k does not divide d."""
-    return [2 * k for k in range(1, d + 1) if d % k == 0 and d % (2 * k) != 0]
+def factor_one_plus_qd(*exponents: int) -> "FactoredPoly":
+    """Cyclotomic factorization of prod (1 + q^d) over d in `exponents`; a
+    repeated exponent raises the power.  1 + q^d is the product of the
+    Phi_2k with k | d and 2k not dividing d.
 
-
-def factor_one_plus_qd(d: int) -> "FactoredPoly":
-    """Cyclotomic factorization of 1 + q^d."""
-    if d < 1:
+    >>> print(factor_one_plus_qd(3, 1, 1))
+    Phi_2^3 * Phi_6
+    """
+    if min(exponents, default=1) < 1:
         raise ValueError("exponent must be positive")
-    return FactoredPoly(dict.fromkeys(one_plus_qd_indices(d), 1))
+    pairs = ((2 * k, 1) for d in exponents for k in range(1, d + 1) if d % k == 0 and d % (2 * k))
+    return FactoredPoly(pairs)
 
 
 class FactoredPoly:

@@ -1,20 +1,16 @@
 """Divisor families for the q-Salie and q-tangent divisibility theorems.
 
-All products are kept in cyclotomic-factored form (FactoredPoly).  Each is
-a product of binomials 1 + q^j = (1 - q^2j) / (1 - q^j), and
-FactoredPoly.divides divides the dividend by all of them in one power
-series, at most two passes a binomial, and never expands the divisor,
-whether the division is exact or not.
+All products are kept in cyclotomic-factored form (FactoredPoly).  P_n,
+Qbar_n and Qhat_n are given by their cyclotomic exponents; Ev_n, D_n and
+Qtilde_n are products of binomials 1 + q^j, built from their exponents j by
+cyclotomic.factor_one_plus_qd.  FactoredPoly.divides divides the dividend by
+all factors in one power series and never expands the divisor, whether the
+division is exact or not.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import FactoredPoly, one_plus_qd_indices
-
-
-def _binomials(exponents) -> FactoredPoly:
-    """prod (1 + q^j) over j in `exponents`, repeats included."""
-    return FactoredPoly((d, 1) for j in exponents for d in one_plus_qd_indices(j))
+from .cyclotomic import FactoredPoly, factor_one_plus_qd
 
 
 def _ev_exponents(n: int) -> list[int]:
@@ -41,7 +37,7 @@ def ev(n: int) -> FactoredPoly:
     """Ev_n = prod_{j=0..s} (1 + q^(2^j r)) for n = 2^s r with r odd."""
     if n < 1:
         raise ValueError("need a positive integer")
-    return _binomials(_ev_exponents(n))
+    return factor_one_plus_qd(*_ev_exponents(n))
 
 
 def big_d(n: int) -> FactoredPoly:
@@ -52,7 +48,7 @@ def big_d(n: int) -> FactoredPoly:
     if n < 1:
         raise ValueError("need a positive integer")
     extra = [2] if n % 2 == 0 else []
-    return _binomials([j for k in range(1, n + 1) for j in _ev_exponents(k)] + extra)
+    return factor_one_plus_qd(*(j for k in range(1, n + 1) for j in _ev_exponents(k)), *extra)
 
 
 def _q_bar_pairs(n: int) -> list[tuple[int, int]]:
@@ -75,7 +71,7 @@ def q_tilde(n: int) -> FactoredPoly:
     """Qtilde_n = (1+q)(1+q^2)...(1+q^n)."""
     if n < 1:
         raise ValueError("need a positive integer")
-    return _binomials(range(1, n + 1))
+    return factor_one_plus_qd(*range(1, n + 1))
 
 
 DIVISOR_FAMILIES = {

@@ -14,6 +14,8 @@ k = 0 is not.
 
 from __future__ import annotations
 
+import functools
+
 from .poly import IntPoly
 
 # The largest half-size n that the verify suites enumerate.  On a 2.0 GHz
@@ -36,6 +38,7 @@ def _guard(n: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=None)
 def alternating_gf(n: int) -> IntPoly:
     """Sum of q^inv(x) over alternating permutations of [2n].
 
@@ -44,6 +47,7 @@ def alternating_gf(n: int) -> IntPoly:
     return _inversion_gf(n, tails=False)
 
 
+@functools.lru_cache(maxsize=None)
 def salie_perm_gf(n: int) -> IntPoly:
     """Sum of q^inv(x) over Salie permutations of [2n], each counted once.
 

@@ -4,15 +4,18 @@ plus numeric explorers for the two open conjectures.
 Every checker returns a `Report`.  Theorem checkers always test both
 directions of an if-and-only-if: a report passes when the observed congruence
 agrees with the predicted equivalence.  Conjecture explorers never assert;
-they report holds/fails per instance with a witness.  `SUITES` maps each
-suite name of the command line to its sweep or explorer.
+they report holds/fails per instance with a witness.  The identities share
+`_signed_gauss_sum` and `_identity`, and the claims at q = 1 `_gap_at_one`.
+`SUITES` maps each suite name of the command line to its sweep or explorer,
+and each of those lists its cases through `_largest_first`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
-from .cyclotomic import FactoredPoly, one_plus_qd_indices, rem_cyclotomic
+from .cyclotomic import factor_one_plus_qd, rem_cyclotomic
 from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
 from .perms import alternating_gf, salie_perm_gf
 from .poly import IntPoly, q_power
@@ -275,8 +278,7 @@ def check_theorem2(n: int) -> Report:
 def check_theorem2_power(n: int, r: int) -> Report:
     """(1 + q^(2r+1))^floor(n/(2r+1)) divides S_{2n}."""
     _require(n >= 1 and r >= 0 and 2 * r + 1 <= n, "need 2r+1 <= n")
-    power = n // (2 * r + 1)
-    divisor = FactoredPoly((d, power) for d in one_plus_qd_indices(2 * r + 1))
+    divisor = factor_one_plus_qd(*[2 * r + 1] * (n // (2 * r + 1)))
     return _divisibility("theorem2-power", "salie", n, divisor, salie(n), {"r": r})
 
 
@@ -289,94 +291,87 @@ def check_foata(n: int) -> Report:
 def check_salie_unit_power(n: int) -> Report:
     """(1 + q)^n divides S_{2n}."""
     _require(n >= 1, "need n >= 1")
-    divisor = FactoredPoly({2: n})
+    divisor = factor_one_plus_qd(*[1] * n)
     return _divisibility("salie-unit-power", "salie", n, divisor, salie(n))
 
 
 # identity checkers ------------------------------------------------------------
 
 
+def _signed_gauss_sum(n: int, factors, a: int) -> IntPoly:
+    """sum_k (-1)^k q^(a k) [2n,2k] prod factors(k), k = 0..n."""
+    total = IntPoly()
+    for k in range(n + 1):
+        term = math.prod(factors(k), start=gauss(2 * n, 2 * k)).shift(a * k)
+        total = total - term if k % 2 else total + term
+    return total
+
+
+def _identity(check: str, n: int, diff: IntPoly) -> Report:
+    """Report of an identity whose two sides differ by `diff`."""
+    return Report("identity", check, {"n": n}, diff.is_zero(), diff)
+
+
 def check_lemma41(n: int) -> Report:
     """sum_k (-1)^k q^k [2n,2k] S_{2k} S_{2n-2k} = T_{2n-1} (1 - q^{2n})."""
     _require(n >= 1, "need n >= 1")
-    lhs = IntPoly()
-    for k in range(n + 1):
-        term = (gauss(2 * n, 2 * k) * salie(k) * salie(n - k)).shift(k)
-        lhs = lhs - term if k % 2 else lhs + term
+    lhs = _signed_gauss_sum(n, lambda k: (salie(k), salie(n - k)), 1)
     t = tangent(n - 1)
-    rhs = t - t.shift(2 * n)
-    diff = lhs - rhs
-    return Report("identity", "lemma41", {"n": n}, diff.is_zero(), diff)
+    return _identity("lemma41", n, lhs - (t - t.shift(2 * n)))
 
 
 def check_eq23(n: int) -> Report:
     """Sbar_{2n} = sum_k (-1)^k [2n,2k] E_{2k}."""
     _require(n >= 0, "need n >= 0")
-    rhs = IntPoly()
-    for k in range(n + 1):
-        term = gauss(2 * n, 2 * k) * euler(k)
-        rhs = rhs - term if k % 2 else rhs + term
-    diff = salie_bar(n) - rhs
-    return Report("identity", "eq23", {"n": n}, diff.is_zero(), diff)
+    return _identity("eq23", n, salie_bar(n) - _signed_gauss_sum(n, lambda k: (euler(k),), 0))
 
 
 def check_eq24(n: int) -> Report:
     """sum_k (-1)^k q^{2k} [2n,2k] Shat_{2k} Shat_{2n-2k}
     = T_{2n-1} (1 + q)(1 - q^{2n}), valid for n >= 2."""
     _require(n >= 2, "need n >= 2")
-    lhs = IntPoly()
-    for k in range(n + 1):
-        term = (gauss(2 * n, 2 * k) * salie_hat(k) * salie_hat(n - k)).shift(2 * k)
-        lhs = lhs - term if k % 2 else lhs + term
+    lhs = _signed_gauss_sum(n, lambda k: (salie_hat(k), salie_hat(n - k)), 2)
     t = tangent(n - 1)
     t = t + t.shift(1)
-    rhs = t - t.shift(2 * n)
-    diff = lhs - rhs
-    return Report("identity", "eq24", {"n": n}, diff.is_zero(), diff)
+    return _identity("eq24", n, lhs - (t - t.shift(2 * n)))
 
 
 def check_perm_euler(n: int) -> Report:
     """The alternating-permutation inversion gf equals (-1)^n E_{2n}."""
     gf = alternating_gf(n)
-    diff = gf + euler(n) if n % 2 else gf - euler(n)
-    return Report("identity", "perm-euler", {"n": n}, diff.is_zero(), diff)
+    return _identity("perm-euler", n, gf + euler(n) if n % 2 else gf - euler(n))
 
 
 def check_perm_salie(n: int) -> Report:
     """Twice the Salie-permutation inversion gf equals Sbar_{2n}."""
-    diff = 2 * salie_perm_gf(n) - salie_bar(n)
-    return Report("identity", "perm-salie", {"n": n}, diff.is_zero(), diff)
+    return _identity("perm-salie", n, 2 * salie_perm_gf(n) - salie_bar(n))
 
 
 # integer congruences at q = 1 -----------------------------------------------------
+
+
+def _gap_at_one(k: int, m: int, n: int) -> tuple[int, int]:
+    """s = v2(m-n) + 1 and E^(2^k)_{2^k m}(1) - E^(2^k)_{2^k n}(1)."""
+    return _v2(m - n) + 1, gen_euler_at_one(1 << k, m) - gen_euler_at_one(1 << k, n)
 
 
 def check_corollary52_and_stern(k: int, m: int, n: int) -> Report:
     """At q = 1, the E^(2^k) family satisfies a - b = 0 mod 2^s with
     s = v2(m-n) + 1; for k = 1 the congruence is 2-adically exact (Stern)."""
     _require(k >= 1 and m > n >= 0, "need k >= 1 and m > n >= 0")
-    fam = 1 << k
-    a = gen_euler_at_one(fam, m)
-    b = gen_euler_at_one(fam, n)
-    s = _v2(m - n) + 1
-    diff = a - b
-    holds = diff % (1 << s) == 0
-    if k == 1:
-        holds = holds and diff % (1 << (s + 1)) != 0
+    s, diff = _gap_at_one(k, m, n)
+    holds = diff % (1 << s) == 0 and (k > 1 or diff % (2 << s) != 0)
     params = {"k": k, "m": m, "n": n, "s": s}
     return Report("conjecture", "corollary52", params, holds, diff)
 
 
 def check_stern(m: int, n: int) -> Report:
     """Both directions of Stern's congruence at q = 1:
-    v2(E_{2m}(1) - E_{2n}(1)) equals v2(2m - 2n) exactly."""
+    v2(E_{2m}(1) - E_{2n}(1)) equals v2(2m - 2n) = s exactly."""
     _require(m > n >= 0, "need m > n >= 0")
-    a = gen_euler_at_one(2, m)
-    b = gen_euler_at_one(2, n)
-    target = _v2(2 * (m - n))
-    actual = _v2(a - b) if a != b else -1
-    params = {"m": m, "n": n, "s": target}
-    return Report("conjecture", "stern", params, actual == target, actual)
+    s, diff = _gap_at_one(1, m, n)
+    actual = _v2(diff) if diff else -1
+    return Report("conjecture", "stern", {"m": m, "n": n, "s": s}, actual == s, actual)
 
 
 # conjecture explorers -------------------------------------------------------------
@@ -384,21 +379,15 @@ def check_stern(m: int, n: int) -> Report:
 
 def explore_conjecture51(k_max: int = 3, m_max: int = 10) -> list[Report]:
     """E^(2^k)_{2^k m}(1) = E^(2^k)_{2^k n}(1) + 2^s mod 2^(s+1),
-    s = v2(m-n) + 1; reported per instance, never asserted."""
+    s = v2(m-n) + 1; reported per instance, never asserted.  The witness
+    is the difference mod 2^(s+1), which the conjecture puts at 2^s."""
     _require(k_max >= 1 and m_max >= 1, "bounds must be >= 1")
-    gen_euler_at_one(1 << k_max, m_max)  # the largest value, before any check
     reports = []
-    for k in range(1, k_max + 1):
-        fam = 1 << k
-        values = [gen_euler_at_one(fam, i) for i in range(m_max + 1)]
-        for m in range(1, m_max + 1):
-            for n in range(m):
-                s = _v2(m - n) + 1
-                diff = values[m] - values[n]
-                holds = (diff - (1 << s)) % (1 << (s + 1)) == 0
-                params = {"k": k, "m": m, "n": n, "s": s}
-                witness = diff % (1 << (s + 1))
-                reports.append(Report("conjecture", "conj51", params, holds, witness))
+    for k, m, n in _k_mn_at_one(k_max, m_max):
+        s, diff = _gap_at_one(k, m, n)
+        witness = diff % (1 << (s + 1))
+        params = {"k": k, "m": m, "n": n, "s": s}
+        reports.append(Report("conjecture", "conj51", params, witness == 1 << s, witness))
     return reports
 
 
@@ -426,12 +415,15 @@ def explore_conjecture61(n_max: int = 12) -> list[Report]:
 # sweeps ---------------------------------------------------------------------------
 
 
+def _mn(m_max: int):
+    return ((m, n) for m in range(1, m_max + 1) for n in range(m))
+
+
 def _iter_mnd(m_max: int, d_max: int | None):
-    for m in range(1, m_max + 1):
+    for m, n in _mn(m_max):
         top_d = m if d_max is None else min(m, d_max)
-        for n in range(m):
-            for d in range(1, top_d + 1):
-                yield m, n, d
+        for d in range(1, top_d + 1):
+            yield m, n, d
 
 
 def _largest_first(cases, largest) -> list:
@@ -457,8 +449,7 @@ def sweep_lemma31(m_max: int = 12, d_max: int | None = None):
 
 
 def sweep_corollary1(m_max: int = 10):
-    cases = ((m, n) for m in range(1, m_max + 1) for n in range(m))
-    cases = _largest_first(cases, lambda: euler(m_max))
+    cases = _largest_first(_mn(m_max), lambda: euler(m_max))
     return [check_corollary1(m, n) for m, n in cases]
 
 
@@ -501,15 +492,18 @@ def sweep_theorem52(k_max: int = 2, m_max: int = 8, d_max: int | None = None):
     return [check_theorem52(k, m, n, d) for k, m, n, d in cases]
 
 
+def _k_mn_at_one(k_max: int, m_max: int) -> list:
+    """Every (k, m, n), k <= k_max and n < m <= m_max, after the largest value."""
+    cases = ((k, m, n) for k in range(1, k_max + 1) for m, n in _mn(m_max))
+    return _largest_first(cases, lambda: gen_euler_at_one(1 << k_max, m_max))
+
+
 def sweep_corollary52(k_max: int = 2, m_max: int = 8):
-    cases = ((k, m, n) for k in range(1, k_max + 1) for m in range(1, m_max + 1) for n in range(m))
-    cases = _largest_first(cases, lambda: gen_euler_at_one(1 << k_max, m_max))
-    return [check_corollary52_and_stern(k, m, n) for k, m, n in cases]
+    return [check_corollary52_and_stern(k, m, n) for k, m, n in _k_mn_at_one(k_max, m_max)]
 
 
 def sweep_stern(m_max: int = 10):
-    cases = ((m, n) for m in range(1, m_max + 1) for n in range(m))
-    cases = _largest_first(cases, lambda: gen_euler_at_one(2, m_max))
+    cases = _largest_first(_mn(m_max), lambda: gen_euler_at_one(2, m_max))
     return [check_stern(m, n) for m, n in cases]
 
 
@@ -538,11 +532,13 @@ def sweep_foata(n_max: int = 15):
 
 
 def sweep_perm_euler(n_max: int = 3):
-    return [check_perm_euler(n) for n in range(1, n_max + 1)]
+    cases = _largest_first(range(1, n_max + 1), lambda: alternating_gf(n_max))
+    return [check_perm_euler(n) for n in cases]
 
 
 def sweep_perm_salie(n_max: int = 3):
-    return [check_perm_salie(n) for n in range(1, n_max + 1)]
+    cases = _largest_first(range(1, n_max + 1), lambda: salie_perm_gf(n_max))
+    return [check_perm_salie(n) for n in cases]
 
 
 # suite registry ---------------------------------------------------------------------

@@ -406,3 +406,81 @@ def full_binomial_series(steps, degree: int) -> list:
             for i in range(degree, d - 1, -1):
                 s[i] -= s[i - d]
     return s
+
+
+# the identity and q = 1 checks as separate loops -----------------------------------
+#
+# One hand-written route per claim, as the checks stood before they shared
+# `verify._signed_gauss_sum` and `verify._gap_at_one`.  Every family is an
+# argument, so a test can hand in the same (possibly perturbed) functions
+# that it patches into `qcong.verify`; each returns (passed, witness).
+
+
+def _v2(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def loop_lemma41(n, gauss, salie, tangent):
+    """sum_k (-1)^k q^k [2n,2k] S_{2k} S_{2n-2k} - T_{2n-1} (1 - q^{2n})."""
+    lhs = IntPoly()
+    for k in range(n + 1):
+        term = (gauss(2 * n, 2 * k) * salie(k) * salie(n - k)).shift(k)
+        lhs = lhs - term if k % 2 else lhs + term
+    t = tangent(n - 1)
+    diff = lhs - (t - t.shift(2 * n))
+    return diff.is_zero(), diff
+
+
+def loop_eq23(n, gauss, salie_bar, euler):
+    """Sbar_{2n} - sum_k (-1)^k [2n,2k] E_{2k}."""
+    rhs = IntPoly()
+    for k in range(n + 1):
+        term = gauss(2 * n, 2 * k) * euler(k)
+        rhs = rhs - term if k % 2 else rhs + term
+    diff = salie_bar(n) - rhs
+    return diff.is_zero(), diff
+
+
+def loop_eq24(n, gauss, salie_hat, tangent):
+    """sum_k (-1)^k q^{2k} [2n,2k] Shat_{2k} Shat_{2n-2k}
+    - T_{2n-1} (1 + q)(1 - q^{2n})."""
+    lhs = IntPoly()
+    for k in range(n + 1):
+        term = (gauss(2 * n, 2 * k) * salie_hat(k) * salie_hat(n - k)).shift(2 * k)
+        lhs = lhs - term if k % 2 else lhs + term
+    t = tangent(n - 1)
+    t = t + t.shift(1)
+    diff = lhs - (t - t.shift(2 * n))
+    return diff.is_zero(), diff
+
+
+def at_one_corollary52(k, m, n, at_one):
+    """a - b = 0 mod 2^s, s = v2(m-n) + 1, and not mod 2^(s+1) when k = 1."""
+    diff = at_one(1 << k, m) - at_one(1 << k, n)
+    s = _v2(m - n) + 1
+    holds = diff % (1 << s) == 0
+    if k == 1:
+        holds = holds and diff % (1 << (s + 1)) != 0
+    return holds, diff
+
+
+def at_one_stern(m, n, at_one):
+    """v2(E_{2m}(1) - E_{2n}(1)) against v2(2m - 2n); witness the former, -1 for 0."""
+    a, b = at_one(2, m), at_one(2, n)
+    actual = _v2(a - b) if a != b else -1
+    return actual == _v2(2 * (m - n)), actual
+
+
+def at_one_conj51(k_max, m_max, at_one):
+    """(params, holds, witness) of every conj51 instance, from a value table."""
+    out = []
+    for k in range(1, k_max + 1):
+        values = [at_one(1 << k, i) for i in range(m_max + 1)]
+        for m in range(1, m_max + 1):
+            for n in range(m):
+                s = _v2(m - n) + 1
+                diff = values[m] - values[n]
+                holds = (diff - (1 << s)) % (1 << (s + 1)) == 0
+                params = {"k": k, "m": m, "n": n, "s": s}
+                out.append((params, holds, diff % (1 << (s + 1))))
+    return out

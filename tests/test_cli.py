@@ -7,6 +7,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from qcong import cli
 from qcong import verify as v
 from qcong.cli import report_record
@@ -255,6 +257,52 @@ def test_enumeration_cap_is_usage_error():
         proc = run("verify", "--suite", suite, "--n-max", str(ENUMERATION_CAP + 1))
         assert_usage_error(proc)
         assert f"enumeration cap {ENUMERATION_CAP}" in proc.stderr
+
+
+# suite or conjecture -> bounds past its guard
+PAST_THE_GUARD = {
+    "theorem1": ("--m-max", "3000"),
+    "lemma31": ("--m-max", "3000"),
+    "corollary1": ("--m-max", "100000"),
+    "desarmenien": ("--n-max", "3000"),
+    "theorem2": ("--n-max", "3000"),
+    "lemma41": ("--n-max", "3000"),
+    "eq23": ("--n-max", "3000"),
+    "eq24": ("--n-max", "3000"),
+    "foata": ("--n-max", "3000"),
+    "conj61": ("--n-max", "3000"),
+    "theorem51": ("--k-max", "1", "--m-max", "3000"),
+    "theorem52": ("--k-max", "2", "--m-max", "3000"),
+    "corollary52": ("--k-max", "40", "--m-max", "3"),
+    "conj51": ("--k-max", "40", "--m-max", "3"),
+    "stern": ("--m-max", "40000"),
+    "perm-euler": ("--n-max", str(ENUMERATION_CAP + 1)),
+    "perm-salie": ("--n-max", str(ENUMERATION_CAP + 1)),
+}
+
+
+def test_every_suite_is_refused_before_its_first_report(monkeypatch, capsys):
+    # every sweep and explorer asks for its largest value before it checks
+    # anything, so a bound past a guard exits 2 with no Report built
+    monkeypatch.delenv(cli.ENV_CAP, raising=False)
+    built = []
+    init = v.Report.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(v.Report, "__init__", counting_init)
+    assert set(PAST_THE_GUARD) == {name for suites in v.SUITES.values() for name in suites}
+    for command, suites in v.SUITES.items():
+        option = "--suite" if command == "verify" else "--conjecture"
+        for name in suites:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, option, name, *PAST_THE_GUARD[name]])
+            assert exc.value.code == 2, name
+            assert built == [], name
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines()[-1].startswith(f"qcong: error: {name}: "), name
 
 
 def test_triangle_row_limit_is_usage_error():

@@ -192,6 +192,30 @@ def test_factor_one_plus_qd_expands_correctly():
         assert factor_one_plus_qd(d).expand() == one_plus_q_power(d)
 
 
+@given(st.lists(st.integers(1, 40), max_size=6))
+@example([3, 1, 1])
+@example([2, 2, 2])
+def test_factor_one_plus_qd_of_a_multiset_is_the_binomial_chain(exponents):
+    # a repeated exponent raises the power of each of its factors
+    factored = factor_one_plus_qd(*exponents)
+    assert factored.factors == chain_binomials((d, 1) for d in exponents)
+    product = ONE
+    for d in exponents:
+        product = product * one_plus_q_power(d)
+    assert factored.expand() == product
+
+
+def test_factor_one_plus_qd_of_no_exponent_is_one():
+    assert factor_one_plus_qd().is_one()
+    assert factor_one_plus_qd().expand() == ONE
+
+
+def test_factor_one_plus_qd_refuses_an_exponent_below_one():
+    for exponents in ((0,), (-1,), (3, 0), (1, 2, -4)):
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            factor_one_plus_qd(*exponents)
+
+
 def test_odd_exponent_uses_all_divisors():
     # For odd d = 2r+1 every factor Phi_{2t} with t | d appears once.
     for r in range(31):

@@ -4,10 +4,11 @@ root-of-unity congruence family."""
 
 import pytest
 
+import oracles
 from qcong import verify as v
 from qcong.cyclotomic import FactoredPoly, cyclotomic, rem_cyclotomic
 from qcong.poly import IntPoly, ONE, one_plus_q_power, q_power
-from qcong.sequences import euler, gen_euler
+from qcong.sequences import euler, gen_euler, gen_euler_at_one
 
 
 def poly(*coeffs):
@@ -250,6 +251,58 @@ def test_stern_sweep():
     all_pass(v.sweep_stern(9))
     r = v.check_stern(3, 1)
     assert r.passed and r.params["s"] == 2
+
+
+# the shared identity and q = 1 routes against the separate loops -------------------
+
+IDENTITY_ROUTES = (
+    (v.check_lemma41, oracles.loop_lemma41, ("gauss", "salie", "tangent"), 1),
+    (v.check_eq23, oracles.loop_eq23, ("gauss", "salie_bar", "euler"), 0),
+    (v.check_eq24, oracles.loop_eq24, ("gauss", "salie_hat", "tangent"), 2),
+)
+
+
+def routes_agree() -> list[bool]:
+    """Assert that every identity check for n <= 12, and every q = 1 check
+    for k <= 3, m <= 10, gives the (passed, witness) of its separate loop,
+    on the families `verify` reads now; return the passed flags."""
+    flags = []
+    for check, loop, names, first in IDENTITY_ROUTES:
+        for n in range(first, 13):
+            r = check(n)
+            assert (r.passed, r.witness) == loop(n, *(getattr(v, f) for f in names)), (check, n)
+            flags.append(r.passed)
+    at_one = v.gen_euler_at_one
+    for m in range(1, 11):
+        for n in range(m):
+            r = v.check_stern(m, n)
+            assert (r.passed, r.witness) == oracles.at_one_stern(m, n, at_one), (m, n)
+            flags.append(r.passed)
+            for k in range(1, 4):
+                r = v.check_corollary52_and_stern(k, m, n)
+                assert (r.passed, r.witness) == oracles.at_one_corollary52(k, m, n, at_one)
+                flags.append(r.passed)
+    reports = v.explore_conjecture51(3, 10)
+    assert [(r.params, r.passed, r.witness) for r in reports] == oracles.at_one_conj51(3, 10, at_one)
+    return flags + [r.passed for r in reports]
+
+
+def test_shared_routes_match_the_separate_loops():
+    assert all(routes_agree())
+
+
+@pytest.mark.parametrize("scale", (lambda c: 1, lambda c: c // 2), ids=("n", "c/2 n"))
+def test_shared_routes_match_the_separate_loops_on_perturbed_families(monkeypatch, scale):
+    # shifted families make every identity and many q = 1 instances fail,
+    # so nonzero witnesses are compared, not only zeros; E^(c)(1) shifted
+    # by c/2 n differs 2-adically between families, so reading the wrong
+    # one shows, and shifted by n it fails every q = 1 claim
+    for name in ("gauss", "salie", "salie_bar", "salie_hat", "euler", "tangent"):
+        f = getattr(v, name)
+        monkeypatch.setattr(v, name, lambda *a, f=f: f(*a) + q_power(a[-1] % 3))
+    monkeypatch.setattr(v, "gen_euler_at_one", lambda c, n: gen_euler_at_one(c, n) + scale(c) * n)
+    flags = routes_agree()
+    assert not any(flags[:33]) and False in flags[33:]
 
 
 # conjecture explorers ----------------------------------------------------------
