@@ -1,8 +1,9 @@
 """Cyclotomic polynomials and exact products of them.
 
 Every polynomial expanded here, and the Gaussian binomials of ``qbinom``,
-is a product of binomials 1 - q^d and their inverses, built by one
-shift-and-add pass per binomial with no product and no long division.
+is a product of binomials 1 - q^c and 1 + q^c and their inverses, built by
+one shift-and-add pass per binomial with no product and no long division;
+a 1 - q^(2c) over a 1 - q^c is the one pass 1 + q^c.
 ``FactoredPoly`` represents a product prod_d Phi_d^{e_d} without expanding
 it; since distinct cyclotomic polynomials are coprime, divisibility
 questions between such products reduce to exponent comparisons, and lcm is
@@ -22,7 +23,6 @@ it, what the remainder comes back from.  No product is expanded.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 
@@ -38,22 +38,24 @@ SERIES_BYTES_LIMIT = 1 << 30
 
 
 def _binomial_series(steps, degree: int, at_one=lambda: 1, start=(1,)) -> list[int]:
-    """`start` times prod (1 - q^d)^(-1 if divide else 1) over (d, divide)
+    """`start` times prod (1 + q^c)^(-1 if divide else 1) over (c, divide,
+    True) and prod (1 - q^c)^(-1 if divide else 1) over (c, divide, False)
     in `steps`, in power series cut off above `degree`; `start` has at most
     degree + 1 coefficients.
 
     Every factor has constant term 1, so the coefficient of q^i depends
     only on those of degree at most i: a product that is a polynomial of
-    degree at most `degree` comes out exactly.  Multiplying by 1 - q^d
-    subtracts the series shifted by d, dividing by it takes running sums
-    along each class of exponents mod d, and both are empty when d > degree.
-    No coefficient above `top` is nonzero, so a multiply pass stops at
-    top + d, and a divide pass at top when its last d sums are zero (the
-    quotient is then a polynomial of degree top - d).  `at_one()`, the
-    product at q = 1, is called only once the passes would fit the limit
-    at 16 bytes a coefficient.
+    degree at most `degree` comes out exactly.  Multiplying by 1 -+ q^c
+    takes s[i] -+= s[i - c] from the entries before the pass, and dividing
+    by it takes s[i] +-= s[i - c] in ascending i, from the entries the pass
+    has already made; each is one map over a slice.  Every pass is empty
+    when c > degree.  No coefficient above `top` is nonzero, so a multiply
+    pass stops at top + c, and a divide pass at top when its last c entries
+    are zero (the quotient is then a polynomial of degree top - c).
+    `at_one()`, the product at q = 1, is called only once the passes would
+    fit the limit at 16 bytes a coefficient.
     """
-    passes = [(d, divide) for d, divide in steps if d <= degree]
+    passes = [step for step in steps if step[0] <= degree]
     count, size = len(passes) * (degree + 1), 16
     if count * size <= SERIES_BYTES_LIMIT:
         mean = at_one() // (degree + 1)
@@ -65,18 +67,22 @@ def _binomial_series(steps, degree: int, at_one=lambda: 1, start=(1,)) -> list[i
             f"take more than the {SERIES_BYTES_LIMIT >> 20} MB series limit"
         )
     s, top = [*start] + [0] * (degree + 1 - len(start)), len(start) - 1
-    for d, divide in passes:
+    for c, divide, plus in passes:
+        op = operator.add if plus != divide else operator.sub
         if not divide:
-            top = min(top + d, degree)
-            s[d : top + 1] = map(operator.sub, s[d : top + 1], s[: top + 1 - d])
+            top = min(top + c, degree)
+            s[c : top + 1] = map(op, s[c : top + 1], s[: top + 1 - c])
             continue
-        for r in range(min(d, top + 1)):
-            s[r : top + 1 : d] = itertools.accumulate(s[r : top + 1 : d])
-        if top >= d and not any(s[top - d + 1 : top + 1]):
-            top -= d
+        # += appends each entry as map makes it, and map reads t as it
+        # grows: t[i - c] is the quotient's entry when t[i] is made
+        t = s[: min(c, top + 1)]
+        t += map(op, s[c : top + 1], t)
+        s[: top + 1] = t
+        if top >= c and not any(t[top - c + 1 :]):
+            top -= c
             continue
-        for i in range(max(d, top + 1), degree + 1):
-            s[i] = s[i - d]
+        for i in range(max(c, top + 1), degree + 1):
+            s[i] = op(s[i], s[i - c])
         top = degree
     return s
 
@@ -209,15 +215,22 @@ class FactoredPoly:
             merged[d] = max(merged.get(d, 0), e)
         return FactoredPoly(merged)
 
-    def _net(self) -> tuple[list[tuple[int, bool]], int]:
-        """The product as prod (1 - q^c)^(-1 if divide else 1) over its
-        passes (c, divide), up to the sign (-1)^e_1, and its degree.
+    def _net(self) -> tuple[list[tuple[int, bool, bool]], int]:
+        """The product as the passes (c, divide, plus) of `_binomial_series`,
+        up to the sign (-1)^e_1, and its degree.
 
         Phi_d^e = prod_{k|d} (1 - q^(d/k))^(e mu(k)) for d > 1, and
         Phi_1 = q - 1 = -(1 - q); the exponents of all factors are summed
-        per binomial, and many cancel.  The passes come in the order in
-        which each binomial first appears; for a single Phi_d that is the
-        order of the squarefree divisors k from `_moebius`.
+        per binomial, and many cancel.  Where the net exponents of 1 - q^c
+        and 1 - q^(2c) have opposite signs, as many of the two as can be are
+        paired into 1 + q^c = (1 - q^(2c)) / (1 - q^c): one pass in place of
+        two.  Pairing up each chain c, 2c, 4c, ... from its odd start leaves
+        the fewest passes.  Every Phi_2k is prod (1 + q^(k/e))^mu(e) over
+        the odd squarefree e | k, half the passes of its Moebius product,
+        and P_n, a product of n binomials 1 + q^c, is n passes.  The
+        passes come in the order in which each binomial 1 - q^c first
+        appears, a 1 + q^c where its 1 - q^(2c) does; for a single Phi_d
+        that is the order of the squarefree divisors k from `_moebius`.
         """
         net: dict[int, int] = {}
         degree = 0
@@ -226,14 +239,25 @@ class FactoredPoly:
             degree += e * phi
             for k, odd in squarefree:
                 net[d // k] = net.get(d // k, 0) + (-e if odd else e)
-        return [(c, x < 0) for c, x in net.items() for _ in range(abs(x))], degree
+        plus: dict[int, int] = {}
+        for c in sorted(net):
+            x, y = net[c], net.get(2 * c, 0)
+            if x * y < 0:
+                plus[c] = k = min(-x, y) if x < 0 else max(-x, y)
+                net[c], net[2 * c] = x + k, y - k
+        steps = []
+        for c, x in net.items():
+            k = plus.get(c // 2, 0) if c % 2 == 0 else 0
+            steps += [(c // 2, k < 0, True)] * abs(k) + [(c, x < 0, False)] * abs(x)
+        return steps, degree
 
     def expand(self) -> IntPoly:
         """Multiply the product out; always monic.
 
         The passes of `_net` are taken as one series cut off above the
         degree, with the sign (-1)^e_1.  At q = 1 each Phi_d with d > 1 is
-        prod_k (d/k)^mu(k), so the product of c^(+-1) over the passes is
+        prod_k (d/k)^mu(k), so the product over the passes of c^(+-1) for
+        1 - q^c, and of 2^(+-1) for 1 + q^c = (1 - q^(2c)) / (1 - q^c), is
         its value there.
 
         >>> print(FactoredPoly({1: 1, 2: 1}).expand())
@@ -242,8 +266,8 @@ class FactoredPoly:
         steps, degree = self._net()
 
         def at_one():
-            up = math.prod(c for c, divide in steps if not divide)
-            return up // math.prod(c for c, divide in steps if divide)
+            up = math.prod(2 if plus else c for c, divide, plus in steps if not divide)
+            return up // math.prod(2 if plus else c for c, divide, plus in steps if divide)
 
         s = _binomial_series(steps, degree, at_one)
         return IntPoly([-c for c in s] if self.exponent(1) % 2 else s)
@@ -255,7 +279,8 @@ class FactoredPoly:
         on failure, as the long division by D gives them.  The reversal
         q^delta D(1/q) of D, of degree delta, is the product of the passes
         of `_net` with sign +: each 1 - q^c reverses to -(1 - q^c), and
-        the multiply passes outnumber the divide passes by e_1.  For
+        its multiply passes outnumber its divide passes by e_1, while each
+        1 + q^c reverses to itself, so it carries no sign.  For
         p = Q D + R of degree N >= delta, the reversed p over that product,
         in power series cut off above N, holds the reversed Q in its first
         N - delta + 1 entries and, in its last delta entries T, the
@@ -276,7 +301,7 @@ class FactoredPoly:
         n = p.degree()
         if n < degree:
             return False, p
-        inverse = [(c, not divide) for c, divide in steps]
+        inverse = [(c, not divide, plus) for c, divide, plus in steps]
         s = _binomial_series(inverse, n, start=p.coeffs[::-1])
         tail = s[n - degree + 1 :]
         if not any(tail):

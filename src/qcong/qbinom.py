@@ -39,7 +39,9 @@ def _gauss(m: int, n: int) -> IntPoly:
     # it the series is [m-n+j over j] exactly, of degree j(m-n), which is
     # coefficientwise at most [m over n]: no coefficient on the way is
     # more than twice the largest of the result.
-    steps = [step for j in range(1, n + 1) for step in ((m - n + j, False), (j, True))]
+    steps = [
+        step for j in range(1, n + 1) for step in ((m - n + j, False, False), (j, True, False))
+    ]
     return IntPoly(_binomial_series(steps, n * (m - n), lambda: comb(m, n)))
 
 

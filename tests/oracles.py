@@ -395,16 +395,32 @@ def chain_q_hat(n: int) -> dict:
 
 
 def full_binomial_series(steps, degree: int) -> list:
-    """prod (1 - q^d)^(-1 if divide else 1) in power series cut off above
-    `degree`, every pass over the whole range."""
+    """prod (1 + q^c)^(-1 if divide else 1) over (c, divide, True) and
+    prod (1 - q^c)^(-1 if divide else 1) over (c, divide, False) in power
+    series cut off above `degree`, every pass over the whole range."""
     s = [1] + [0] * degree
-    for d, divide in steps:
+    for c, divide, plus in steps:
+        sign = 1 if plus else -1
         if divide:
-            for i in range(d, degree + 1):
-                s[i] += s[i - d]
+            for i in range(c, degree + 1):
+                s[i] -= sign * s[i - c]
         else:
-            for i in range(degree, d - 1, -1):
-                s[i] -= s[i - d]
+            for i in range(degree, c - 1, -1):
+                s[i] += sign * s[i - c]
+    return s
+
+
+def binomial_power_series(c: int, divide: bool, plus: bool, degree: int) -> list:
+    """(1 + q^c)^(-1 if divide else 1) if plus, else with 1 - q^c, in power
+    series cut off above `degree`: 1/(1 + x) is the geometric series in -x."""
+    sign = 1 if plus else -1
+    s = [1] + [0] * degree
+    if not divide:
+        if c <= degree:
+            s[c] = sign
+        return s
+    for k in range(1, degree // c + 1):
+        s[k * c] = (-sign) ** k
     return s
 
 

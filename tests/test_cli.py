@@ -436,8 +436,9 @@ def test_json_compute_renders_no_text():
 
 
 def test_divisor_family_asks_for_its_largest_index_first():
-    # P_400 is 800 binomial passes over 53,345 coefficients, past the 1 GB
-    # series limit; asked for first, it is refused before P_1 .. P_399 are built
+    # P_400 is 400 binomial passes over 53,345 coefficients, about 1.86 GB,
+    # past the 1 GB series limit; asked for first, it is refused before
+    # P_1 .. P_399 are built
     assert_usage_error(run_capped("compute", "--family", "P", "--n", "400"))
 
 

@@ -23,6 +23,7 @@ from qcong.qbinom import gauss, gauss_factored
 from qcong.sequences import salie, salie_bar, salie_hat, salie_tilde, tangent
 from oracles import (
     a_exponent,
+    binomial_power_series,
     chain_binomials,
     full_binomial_series,
     naive_cyclotomic,
@@ -111,17 +112,49 @@ def test_cyclotomic_takes_no_product_and_no_long_division(monkeypatch):
         qbinom._gauss.cache_clear()
 
 
-@given(
-    st.lists(st.tuples(st.integers(1, 12), st.booleans()), max_size=12),
-    st.integers(0, 60),
+STEPS = st.lists(st.tuples(st.integers(1, 12), st.booleans(), st.booleans()), max_size=12)
+
+
+@given(STEPS, st.integers(0, 60))
+@example([(6, False, False), (3, True, False), (2, True, False), (1, False, False)], 2)  # Phi_6
+@example([(3, False, True), (1, True, True)], 2)  # Phi_6 as (1 + q^3) / (1 + q)
+@example(
+    [(8, False, False), (4, True, False), (2, True, False), (4, False, False), (2, True, False)], 60
 )
-@example([(6, False), (3, True), (2, True), (1, False)], 2)  # Phi_6
-@example([(8, False), (4, True), (2, True), (4, False), (2, True)], 60)
-@example([(3, True), (6, False), (3, False), (2, True)], 10)
+@example([(3, True, False), (6, False, False), (3, False, False), (2, True, False)], 10)
+@example([(2, True, True), (1, False, True), (3, False, True), (3, True, True)], 12)
 def test_binomial_series_matches_full_passes(steps, degree):
     # the passes stop at the live degree, and a divide that leaves a
     # polynomial lowers it; every pass over the whole range is the reference
     assert _binomial_series(steps, degree) == full_binomial_series(steps, degree)
+
+
+@given(STEPS, st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=40), st.integers(0, 60))
+@example([(3, True, True)], [1, 0, 0, 1], 3)  # (1 + q^3) / (1 + q^3), exact
+@example([(1, True, True), (2, True, True)], [1, 1], 9)  # 1 / (1 + q^2), a power series
+@example([(2, True, True)], [5], 0)  # nothing past the cut-off
+def test_binomial_series_matches_the_product_oracle(steps, start, cut):
+    # start times each binomial's power series, multiplied out and cut off;
+    # divisions by 1 + q^c may be exact or leave a true power series
+    cut = max(cut, len(start) - 1)
+    expected = start
+    for step in steps:
+        expected = naive_mul(expected, binomial_power_series(*step, cut))[: cut + 1]
+    expected = (expected + [0] * (cut + 1))[: cut + 1]
+    assert _binomial_series(steps, cut, start=start) == expected
+
+
+def test_each_one_plus_q_power_is_one_pass():
+    # (1 - q^(2c)) / (1 - q^c) is paired into the one pass 1 + q^c
+    for n in range(1, 41):
+        steps, _ = big_p(n)._net()
+        assert len(steps) == n and all(plus for _, _, plus in steps), n
+    for m in range(1, 25):
+        for b in range(1, 4):
+            assert factor_one_plus_qd(*[m] * b)._net()[0] == [(m, False, True)] * b
+    for p in (3, 5, 7, 11, 97):
+        # Phi_2p = (1 + q^p) / (1 + q)
+        assert FactoredPoly({2 * p: 1})._net()[0] == [(p, False, True), (1, True, True)]
 
 
 def test_moebius_refuses_on_a_lower_bound_of_phi(monkeypatch):

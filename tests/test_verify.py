@@ -253,6 +253,13 @@ def test_stern_sweep():
     assert r.passed and r.params["s"] == 2
 
 
+def test_stern_fails_with_witness_minus_one_on_equal_values(monkeypatch):
+    # v2 of a zero gap is undefined; the check fails with the witness -1
+    monkeypatch.setattr(v, "gen_euler_at_one", lambda k, n: 61)
+    r = v.check_stern(3, 1)
+    assert r.passed is False and r.witness == -1
+
+
 # the shared identity and q = 1 routes against the separate loops -------------------
 
 IDENTITY_ROUTES = (
