@@ -4,7 +4,8 @@ conjectures.
 Exit codes: 0 success, 1 at least one theorem check failed, 2 usage error.
 Coefficients are serialized as decimal strings (they outgrow 64-bit integers
 quickly); the json format emits one record per line followed, for verify and
-explore, by a summary object with counts.
+explore, by a summary object with counts.  compute asks each family for its
+largest index first, and the family refuses a bad or oversized one itself.
 
 Records are rendered one at a time and written in blocks of BLOCK_CHARS
 characters, once nothing can be refused.  `console_entry`, behind both
@@ -150,54 +151,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _compute_records(args, parser) -> list[tuple[dict, str]]:
+def _compute_records(args) -> list[tuple[dict, str]]:
     """(json record, text head) pairs for the compute subcommand; "coeffs"
     holds the IntPoly until main renders it in the printed format only."""
-    fam = args.family
-    if args.k is not None and fam not in ("gen-euler", "gauss"):
-        parser.error(f"--family {fam} does not take --k")
-    records = []
-    # sequence and divisor families are built from the largest index down:
-    # past a size limit it fails before any work; output stays ascending
-    if fam in SEQUENCE_FAMILIES:
-        if args.n < 0:
-            parser.error("--n must be nonnegative for sequence families")
-        if fam == "gen-euler" and args.k is None:
-            parser.error("--family gen-euler requires --k")
-        if fam == "gen-euler" and args.k < 1:
-            parser.error("--k must be positive")
-        k = (args.k,) if fam == "gen-euler" else ()
-        polys = [SEQUENCE_FAMILIES[fam](*k, i) for i in range(args.n, -1, -1)]
-        for i, poly in enumerate(reversed(polys)):
-            rec = {"family": fam, "index": i, "coeffs": poly}
-            if fam == "gen-euler":
-                rec["k"] = args.k
-            records.append((rec, f"{fam} {i}:"))
-    elif fam in DIVISOR_FAMILIES:
-        if args.n < 1:
-            parser.error("--n must be positive for divisor families")
-        pairs = [(f, f.expand()) for f in map(DIVISOR_FAMILIES[fam], range(args.n, 0, -1))]
-        for i, (factored, poly) in enumerate(reversed(pairs), 1):
-            rec = {
-                "family": fam,
-                "index": i,
-                "coeffs": poly,
-                "factored": _factored_records(factored),
-            }
-            records.append((rec, f"{fam} {i}: {factored} ="))
-    elif fam == "cyclotomic":
-        if args.n < 1:
-            parser.error("--n must be positive for cyclotomic")
-        rec = {"family": fam, "index": args.n, "coeffs": cyclotomic(args.n)}
-        records.append((rec, f"cyclotomic {args.n}:"))
-    else:  # gauss
-        if args.k is None:
-            parser.error("--family gauss requires --k (the lower index)")
-        if args.n < 0:
-            parser.error("--n must be nonnegative for gauss")
-        rec = {"family": fam, "index": args.n, "k": args.k, "coeffs": gauss(args.n, args.k)}
-        records.append((rec, f"gauss {args.n} {args.k}:"))
-    return records
+    fam, n, k = args.family, args.n, args.k
+    takes_k = fam in ("gen-euler", "gauss")
+    if takes_k != (k is not None):
+        raise ValueError(f"--family {fam} {'requires' if takes_k else 'does not take'} --k")
+    if fam == "cyclotomic":
+        return [({"family": fam, "index": n, "coeffs": cyclotomic(n)}, f"cyclotomic {n}:")]
+    if fam == "gauss":
+        return [({"family": fam, "index": n, "k": k, "coeffs": gauss(n, k)}, f"gauss {n} {k}:")]
+
+    def record(i):
+        rec = {"family": fam, "index": i}
+        if fam in DIVISOR_FAMILIES:
+            f = DIVISOR_FAMILIES[fam](i)
+            rec.update(coeffs=f.expand(), factored=_factored_records(f))
+            return rec, f"{fam} {i}: {f} ="
+        rec["coeffs"] = SEQUENCE_FAMILIES[fam](k, i) if takes_k else SEQUENCE_FAMILIES[fam](i)
+        if takes_k:
+            rec["k"] = k
+        return rec, f"{fam} {i}:"
+
+    last = record(n)
+    return [record(i) for i in range(fam in DIVISOR_FAMILIES, n)] + [last]
 
 
 def _reject_foreign_bounds(args, parser, command: str, name: str) -> None:
@@ -221,8 +199,8 @@ def main(argv=None) -> int:
 
     if args.command == "compute":
         try:
-            records = _compute_records(args, parser)
-        except SizeLimitExceeded as exc:
+            records = _compute_records(args)
+        except ValueError as exc:  # SizeLimitExceeded among them
             parser.error(f"{args.family}: {exc}")
         if args.format == "json":
             lines = (

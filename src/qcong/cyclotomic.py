@@ -3,7 +3,9 @@
 Every polynomial expanded here, and the Gaussian binomials of ``qbinom``,
 is a product of binomials 1 - q^c and 1 + q^c and their inverses, built by
 one shift-and-add pass per binomial with no product and no long division;
-a 1 - q^(2c) over a 1 - q^c is the one pass 1 + q^c.
+a 1 - q^(2c) over a 1 - q^c is the one pass 1 + q^c.  `_binomial_series`
+sizes its own guard from the binomials it is given, so no caller computes
+a value at q = 1.
 ``FactoredPoly`` represents a product prod_d Phi_d^{e_d} without expanding
 it; since distinct cyclotomic polynomials are coprime, divisibility
 questions between such products reduce to exponent comparisons, and lcm is
@@ -29,19 +31,28 @@ import operator
 from .perms import SizeLimitExceeded
 from .poly import IntPoly
 
-# The most bytes one binomial product may take: (nonempty passes) x
-# (degree + 1) x (bytes per coefficient), 16 for the list and tuple slots
-# of a small int, more for a mean coefficient (value at q = 1) / (degree + 1)
+# What one binomial product may take, as passes x coefficients x bytes: the
+# nonempty passes, degree + 1, and 16 bytes for the list and tuple slots of
+# a small int, more for a mean coefficient (value at q = 1) / (degree + 1)
 # past 256.  At the limit gauss(1184, 100) and gauss(6882961, 2) take
 # 2.5-4.5 s and under 650 MB; gauss(20000000, 1) peaks at 319 MB.
 SERIES_BYTES_LIMIT = 1 << 30
 
 
-def _binomial_series(steps, degree: int, at_one=lambda: 1, start=(1,)) -> list[int]:
+def _refuse_degree(low: int) -> None:
+    """Refuse a series of degree at least `low` even at 16 bytes a coefficient."""
+    if (low + 1) * 16 > SERIES_BYTES_LIMIT:
+        raise SizeLimitExceeded(
+            f"a series of degree at least {low} would take more than the "
+            f"{SERIES_BYTES_LIMIT >> 20} MB series limit"
+        )
+
+
+def _binomial_series(steps, degree: int, start=(1,)) -> list[int]:
     """`start` times prod (1 + q^c)^(-1 if divide else 1) over (c, divide,
     True) and prod (1 - q^c)^(-1 if divide else 1) over (c, divide, False)
-    in `steps`, in power series cut off above `degree`; `start` has at most
-    degree + 1 coefficients.
+    in the list `steps`, in power series cut off above `degree`; `start`
+    has at most degree + 1 coefficients.
 
     Every factor has constant term 1, so the coefficient of q^i depends
     only on those of degree at most i: a product that is a polynomial of
@@ -52,13 +63,19 @@ def _binomial_series(steps, degree: int, at_one=lambda: 1, start=(1,)) -> list[i
     when c > degree.  No coefficient above `top` is nonzero, so a multiply
     pass stops at top + c, and a divide pass at top when its last c entries
     are zero (the quotient is then a polynomial of degree top - c).
-    `at_one()`, the product at q = 1, is called only once the passes would
-    fit the limit at 16 bytes a coefficient.
+
+    The guard sizes coefficients by the product at q = 1, over every step
+    (Phi_p(1) = p needs the empty pass 1 - q^p): c^(+-1) for 1 - q^c, read
+    as (1 - q^c) / (1 - q), and 2^(+-1) for 1 + q^c; only once the passes
+    would fit the limit at 16 bytes a coefficient.
     """
     passes = [step for step in steps if step[0] <= degree]
     count, size = len(passes) * (degree + 1), 16
     if count * size <= SERIES_BYTES_LIMIT:
-        mean = at_one() // (degree + 1)
+        value = [1, 1]  # of the multiply steps and of the divide steps
+        for c, divide, plus in steps:
+            value[divide] *= 2 if plus else c
+        mean = value[0] // value[1] // (degree + 1)
         if mean > 256:
             size = 39 + mean.bit_length() // 30 * 4
     if count * size > SERIES_BYTES_LIMIT:
@@ -102,12 +119,7 @@ def _moebius(n: int) -> tuple[int, tuple[tuple[int, bool], ...]]:
         if math.gcd(den, p) == 1:
             num, den = num * (p - 1), den * p
         p += 1
-    low = n * num // den
-    if (low + 1) * 16 > SERIES_BYTES_LIMIT:
-        raise SizeLimitExceeded(
-            f"a series of degree at least {low} would take more than the "
-            f"{SERIES_BYTES_LIMIT >> 20} MB series limit"
-        )
+    _refuse_degree(n * num // den)
     return _factor(n)
 
 
@@ -165,13 +177,15 @@ def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:
 def factor_one_plus_qd(*exponents: int) -> "FactoredPoly":
     """Cyclotomic factorization of prod (1 + q^d) over d in `exponents`; a
     repeated exponent raises the power.  1 + q^d is the product of the
-    Phi_2k with k | d and 2k not dividing d.
+    Phi_2k with k | d and 2k not dividing d.  A product of degree sum(d)
+    past the series limit is refused before any divisor is scanned.
 
     >>> print(factor_one_plus_qd(3, 1, 1))
     Phi_2^3 * Phi_6
     """
     if min(exponents, default=1) < 1:
         raise ValueError("exponent must be positive")
+    _refuse_degree(sum(exponents))
     pairs = ((2 * k, 1) for d in exponents for k in range(1, d + 1) if d % k == 0 and d % (2 * k))
     return FactoredPoly(pairs)
 
@@ -256,20 +270,14 @@ class FactoredPoly:
 
         The passes of `_net` are taken as one series cut off above the
         degree, with the sign (-1)^e_1.  At q = 1 each Phi_d with d > 1 is
-        prod_k (d/k)^mu(k), so the product over the passes of c^(+-1) for
-        1 - q^c, and of 2^(+-1) for 1 + q^c = (1 - q^(2c)) / (1 - q^c), is
-        its value there.
+        prod_k (d/k)^mu(k), so the value at q = 1 that sizes the series
+        guard, read off the passes, is the product's own value there.
 
         >>> print(FactoredPoly({1: 1, 2: 1}).expand())
         -1 + q^2
         """
         steps, degree = self._net()
-
-        def at_one():
-            up = math.prod(2 if plus else c for c, divide, plus in steps if not divide)
-            return up // math.prod(2 if plus else c for c, divide, plus in steps if divide)
-
-        s = _binomial_series(steps, degree, at_one)
+        s = _binomial_series(steps, degree)
         return IntPoly([-c for c in s] if self.exponent(1) % 2 else s)
 
     def divides(self, p: IntPoly) -> tuple[bool, IntPoly]:

@@ -27,7 +27,7 @@ def big_p(n: int) -> FactoredPoly:
     2^s (2r+1) <= n; P_n(1) = 2^n.
     """
     if n < 1:
-        raise ValueError("need a positive integer")
+        raise ValueError("index must be positive")
     return FactoredPoly(
         {4 * r + 2: n // (2 * r + 1) for r in range((n + 1) // 2)}
     )
@@ -36,7 +36,7 @@ def big_p(n: int) -> FactoredPoly:
 def ev(n: int) -> FactoredPoly:
     """Ev_n = prod_{j=0..s} (1 + q^(2^j r)) for n = 2^s r with r odd."""
     if n < 1:
-        raise ValueError("need a positive integer")
+        raise ValueError("index must be positive")
     return factor_one_plus_qd(*_ev_exponents(n))
 
 
@@ -46,14 +46,14 @@ def big_d(n: int) -> FactoredPoly:
     The q-tangent number T_{2n+1} is divisible by D_n.
     """
     if n < 1:
-        raise ValueError("need a positive integer")
+        raise ValueError("index must be positive")
     extra = [2] if n % 2 == 0 else []
     return factor_one_plus_qd(*(j for k in range(1, n + 1) for j in _ev_exponents(k)), *extra)
 
 
 def _q_bar_pairs(n: int) -> list[tuple[int, int]]:
     if n < 1:
-        raise ValueError("need a positive integer")
+        raise ValueError("index must be positive")
     return [(4 * r, n // (2 * r)) for r in range(1, n // 2 + 1)]
 
 
@@ -70,7 +70,7 @@ def q_hat(n: int) -> FactoredPoly:
 def q_tilde(n: int) -> FactoredPoly:
     """Qtilde_n = (1+q)(1+q^2)...(1+q^n)."""
     if n < 1:
-        raise ValueError("need a positive integer")
+        raise ValueError("index must be positive")
     return factor_one_plus_qd(*range(1, n + 1))
 
 

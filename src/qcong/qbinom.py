@@ -42,7 +42,7 @@ def _gauss(m: int, n: int) -> IntPoly:
     steps = [
         step for j in range(1, n + 1) for step in ((m - n + j, False, False), (j, True, False))
     ]
-    return IntPoly(_binomial_series(steps, n * (m - n), lambda: comb(m, n)))
+    return IntPoly(_binomial_series(steps, n * (m - n)))
 
 
 def gauss_factored(m: int, n: int) -> FactoredPoly:

@@ -410,6 +410,33 @@ def full_binomial_series(steps, degree: int) -> list:
     return s
 
 
+def series_bytes(steps, degree: int, at_one: int) -> int:
+    """The binomial series guard's estimate, passes x coefficients x bytes,
+    with `at_one` the value at q = 1 that its callers once handed it: the
+    passes are the steps with c <= degree, and a coefficient takes 16 bytes,
+    or 39 + 4 per 30 bits of a mean (value at q = 1) / (degree + 1) past 256."""
+    passes = sum(1 for c, _, _ in steps if c <= degree)
+    mean = at_one // (degree + 1)
+    size = 39 + mean.bit_length() // 30 * 4 if mean > 256 else 16
+    return passes * (degree + 1) * size
+
+
+def gauss_series_bytes(m: int, n: int) -> int:
+    """The estimate for [m over n], 0 < n <= m - n, sized by C(m, n)."""
+    steps = [(c, False, False) for j in range(1, n + 1) for c in (m - n + j, j)]
+    return series_bytes(steps, n * (m - n), comb(m, n))
+
+
+def factored_series_bytes(steps, degree: int) -> int:
+    """The estimate for the passes (c, divide, plus) of a cyclotomic product
+    of that degree, sized by the product over every pass of 2^(+-1) for
+    1 + q^c and c^(+-1) for 1 - q^c."""
+    value = [1, 1]
+    for c, divide, plus in steps:
+        value[divide] *= 2 if plus else c
+    return series_bytes(steps, degree, value[0] // value[1])
+
+
 def binomial_power_series(c: int, divide: bool, plus: bool, degree: int) -> list:
     """(1 + q^c)^(-1 if divide else 1) if plus, else with 1 - q^c, in power
     series cut off above `degree`: 1/(1 + x) is the geometric series in -x."""

@@ -12,10 +12,10 @@ import pytest
 from qcong import cli
 from qcong import verify as v
 from qcong.cli import report_record
-from qcong.divisors import big_p
+from qcong.divisors import DIVISOR_FAMILIES, big_p
 from qcong.perms import ENUMERATION_CAP
 from qcong.poly import IntPoly
-from qcong.sequences import euler, gen_euler, gen_euler_at_one
+from qcong.sequences import SEQUENCE_FAMILIES, euler, gen_euler, gen_euler_at_one
 
 CMD = [sys.executable, "-m", "qcong"]
 
@@ -97,6 +97,45 @@ def test_compute_gauss_and_cyclotomic():
     proc = run("compute", "--family", "cyclotomic", "--n", "6")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "cyclotomic 6: 1 - q + q^2"
+
+
+# compute argv -> the one-line refusal; the family refuses its own index,
+# and --k is given exactly to gen-euler and gauss
+COMPUTE_REFUSALS = {
+    ("euler", "--n", "-1"): "euler: index must be nonnegative",
+    ("gen-euler", "--n", "3", "--k", "0"): "gen-euler: family parameter must be positive",
+    ("P", "--n", "0"): "P: index must be positive",
+    ("Ev", "--n", "-4"): "Ev: index must be positive",
+    ("cyclotomic", "--n", "0"): "cyclotomic: cyclotomic index must be positive",
+    ("gauss", "--n", "-1", "--k", "2"): "gauss: upper index must be nonnegative",
+    ("gauss", "--n", "4"): "gauss: --family gauss requires --k",
+    ("Qtilde", "--n", "3", "--k", "1"): "Qtilde: --family Qtilde does not take --k",
+}
+
+
+def test_compute_refusals_come_from_the_family(capsys):
+    for (family, *argv), message in COMPUTE_REFUSALS.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "--family", family, *argv])
+        assert exc.value.code == 2, family
+        out, err = capsys.readouterr()
+        assert out == "", family
+        usage, line = err.splitlines()
+        assert usage.startswith("usage: ") and line == f"qcong: error: {message}"
+
+
+def test_compute_asks_each_family_for_its_largest_index_first(monkeypatch, capsys):
+    for families, name, first in ((SEQUENCE_FAMILIES, "euler", 0), (DIVISOR_FAMILIES, "P", 1)):
+        asked, family = [], families[name]
+
+        def spy(i, family=family, asked=asked):
+            asked.append(i)
+            return family(i)
+
+        monkeypatch.setitem(families, name, spy)
+        assert cli.main(["compute", "--family", name, "--n", "5"]) == 0
+        assert asked == [5, *range(first, 5)], name
+        assert capsys.readouterr().out.splitlines()[-1].startswith(f"{name} 5:")
 
 
 def test_compute_unknown_family_is_usage_error():
@@ -405,6 +444,21 @@ def test_huge_cyclotomic_index_is_refused_before_factoring():
     )
 
 
+def test_huge_binomial_products_are_refused_before_factoring():
+    # Qtilde_20000 and Ev_100000000 are products of binomials 1 + q^d of
+    # degree sum(d), about 2 * 10^8: scanning the divisors of every d takes
+    # about 10 s, but that degree alone is past the series limit
+    for family, n, degree in (("Qtilde", 20000, 200010000), ("Ev", 10**8, 199609375)):
+        start = time.perf_counter()
+        proc = run_capped("compute", "--family", family, "--n", str(n))
+        assert time.perf_counter() - start < 1, family
+        assert_usage_error(proc)
+        assert proc.stderr.strip().splitlines()[-1] == (
+            f"qcong: error: {family}: a series of degree at least {degree} "
+            "would take more than the 1024 MB series limit"
+        )
+
+
 STR_FORBIDDEN = """
 import sys
 from qcong import cli
@@ -604,8 +658,9 @@ def test_foreign_bound_flag_is_usage_error():
     assert proc.returncode == 0
 
 
-# sha256 of stdout and the exit code at default bounds, pinned so that the
-# output stays byte-identical across refactors
+# sha256 of stdout and the exit code at default bounds, and of compute for
+# six families, pinned so that the output stays byte-identical across
+# refactors
 DEFAULT_OUTPUTS = {
     ("verify", "--suite", "all", "--format", "json"):
         ("afb8a50b008104034de40017d17e4724c75ec071dfa20f5188e808ea7eaa89b2", 1),
@@ -615,6 +670,30 @@ DEFAULT_OUTPUTS = {
         ("5ea1cc50b1a0a5578731631d85fbdfb9443fbc7e5ce075e5583004f1895c79a1", 0),
     ("explore", "--conjecture", "conj61", "--format", "json"):
         ("c455b60911c44105c7df60cb74c3df9c9e1d55e08236f0dfd878adce569c81d6", 0),
+    ("compute", "--family", "euler", "--n", "12"):
+        ("bf44f58da282d783836bd6ed4a6a90651be0d88374c71db45523c0b3f9c9983b", 0),
+    ("compute", "--family", "euler", "--n", "12", "--format", "json"):
+        ("e0e8902f4ba8c0a1bdd9534fe6fb9b87ff490d1fb9a54ef83015caf43bb1da4b", 0),
+    ("compute", "--family", "gen-euler", "--k", "3", "--n", "8"):
+        ("64b2547a962d0dd91dd70aa76f0532c59a1107649d5b5863d1160b26d8c18eb8", 0),
+    ("compute", "--family", "gen-euler", "--k", "3", "--n", "8", "--format", "json"):
+        ("4fe275ae73e5076a565d2a36af4f418dce1f69eeec27ac2773ebda26e67bb7dc", 0),
+    ("compute", "--family", "P", "--n", "12"):
+        ("75b5bcc25bab7523c28aabd7077d8c9371bcc734f51ac49f5c2f27623d8b41c7", 0),
+    ("compute", "--family", "P", "--n", "12", "--format", "json"):
+        ("4599407b85532b88232f024db221167c5962c6ecbc3cc77e75fc9c173a53ead0", 0),
+    ("compute", "--family", "Qtilde", "--n", "10"):
+        ("b99c9782d72c61fd5d28ac105ec922189b4073c66a1fe9f4d0ca6feba4a6cb82", 0),
+    ("compute", "--family", "Qtilde", "--n", "10", "--format", "json"):
+        ("47aee58186328aea15a9cb162d68345e07010f946db4d47b23c41b23ad7803f4", 0),
+    ("compute", "--family", "cyclotomic", "--n", "105"):
+        ("c0572b762e3f1a96f7d9bdb4b79d978a542e708c6095a00109a33ce5317c41db", 0),
+    ("compute", "--family", "cyclotomic", "--n", "105", "--format", "json"):
+        ("9fd9962a779db2712c51beedfe505babbc1bb73698851de868d354a9d95c3825", 0),
+    ("compute", "--family", "gauss", "--n", "14", "--k", "5"):
+        ("b1664327091a871cebb90895f144610bebda2ee9089c06517a4d92e770859ff8", 0),
+    ("compute", "--family", "gauss", "--n", "14", "--k", "5", "--format", "json"):
+        ("ad53eacad9aa3756d0d9d68b67bd93c2aba5fab146bf78b6f79fb79b974cf1d1", 0),
 }
 
 

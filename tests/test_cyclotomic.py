@@ -25,7 +25,9 @@ from oracles import (
     a_exponent,
     binomial_power_series,
     chain_binomials,
+    factored_series_bytes,
     full_binomial_series,
+    gauss_series_bytes,
     naive_cyclotomic,
     naive_expand,
     naive_factored_divides,
@@ -155,6 +157,31 @@ def test_each_one_plus_q_power_is_one_pass():
     for p in (3, 5, 7, 11, 97):
         # Phi_2p = (1 + q^p) / (1 + q)
         assert FactoredPoly({2 * p: 1})._net()[0] == [(p, False, True), (1, True, True)]
+
+
+def test_series_guard_is_sized_as_its_callers_sized_it(monkeypatch):
+    # the guard takes the value at q = 1 over every step, the empty passes
+    # too, so each product is refused exactly where the estimate its callers
+    # once computed refuses.  Phi_105 Phi_2^e is of degree 48 + e < 105 for
+    # e < 57, and the empty pass 1 - q^105 puts 105 in its value: without
+    # it the mean coefficient falls under 256 from e = 14 on
+    cases = [
+        (gauss_series_bytes(m, n), lambda m=m, n=n: qbinom._gauss.__wrapped__(m, n))
+        for m in range(2, 31)
+        for n in range(1, m // 2 + 1)
+    ]
+    for p in (2, 3, 5, 7, 11, 13, 97, 101):
+        steps, degree = FactoredPoly({p: 1})._net()
+        cases.append((factored_series_bytes(steps, degree), lambda p=p: cyclotomic.__wrapped__(p)))
+    for e in range(10, 21):
+        product = FactoredPoly({2: e, 105: 1})
+        cases.append((factored_series_bytes(*product._net()), product.expand))
+    for estimate, build in cases:
+        monkeypatch.setattr(CYCLOTOMIC, "SERIES_BYTES_LIMIT", estimate)
+        build()
+        monkeypatch.setattr(CYCLOTOMIC, "SERIES_BYTES_LIMIT", estimate - 1)
+        with pytest.raises(SizeLimitExceeded):
+            build()
 
 
 def test_moebius_refuses_on_a_lower_bound_of_phi(monkeypatch):
