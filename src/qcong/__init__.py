@@ -6,14 +6,7 @@ cyclotomic factorizations, and quotient-ring arithmetic at roots of unity.
 """
 
 from .cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd
-from .divisors import (
-    big_d,
-    big_p,
-    ev,
-    q_bar,
-    q_hat,
-    q_tilde,
-)
+from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
 from .perms import SizeLimitExceeded, alternating_gf, salie_perm_gf
 from .poly import (
     IntPoly,

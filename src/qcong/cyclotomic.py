@@ -3,9 +3,7 @@
 Every polynomial expanded here, and the Gaussian binomials of ``qbinom``,
 is a product of binomials 1 - q^c and 1 + q^c and their inverses, built by
 one shift-and-add pass per binomial with no product and no long division;
-a 1 - q^(2c) over a 1 - q^c is the one pass 1 + q^c.  `_binomial_series`
-sizes its own guard from the binomials it is given, so no caller computes
-a value at q = 1.
+a 1 - q^(2c) over a 1 - q^c is the one pass 1 + q^c.
 ``FactoredPoly`` represents a product prod_d Phi_d^{e_d} without expanding
 it; since distinct cyclotomic polynomials are coprime, divisibility
 questions between such products reduce to exponent comparisons, and lcm is
@@ -24,6 +22,7 @@ it, what the remainder comes back from.  No product is expanded.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -176,17 +175,25 @@ def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:
 
 def factor_one_plus_qd(*exponents: int) -> "FactoredPoly":
     """Cyclotomic factorization of prod (1 + q^d) over d in `exponents`; a
-    repeated exponent raises the power.  1 + q^d is the product of the
-    Phi_2k with k | d and 2k not dividing d.  A product of degree sum(d)
-    past the series limit is refused before any divisor is scanned.
+    repeated exponent raises the power.  For d = 2^v t with t odd, 1 + q^d
+    is the product of the Phi_(2^(v+1) e) over the divisors e of t, found
+    in pairs e, t/e by trial division up to sqrt(t), once per distinct d.
+    A product of degree sum(d) past the series limit is refused first.
 
     >>> print(factor_one_plus_qd(3, 1, 1))
     Phi_2^3 * Phi_6
+    >>> print(factor_one_plus_qd(9))
+    Phi_2 * Phi_6 * Phi_18
     """
     if min(exponents, default=1) < 1:
         raise ValueError("exponent must be positive")
     _refuse_degree(sum(exponents))
-    pairs = ((2 * k, 1) for d in exponents for k in range(1, d + 1) if d % k == 0 and d % (2 * k))
+    pairs = []
+    for d, count in collections.Counter(exponents).items():
+        power2, t = 2 * (d & -d), d // (d & -d)
+        for e in range(1, math.isqrt(t) + 1, 2):
+            if t % e == 0:
+                pairs += [(power2 * k, count) for k in {e, t // e}]
     return FactoredPoly(pairs)
 
 

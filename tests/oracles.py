@@ -367,14 +367,29 @@ def chain_binomials(pairs) -> dict:
     return out
 
 
-def chain_ev(n: int) -> dict:
-    """Ev_n = (1 + q^r)(1 + q^2r)...(1 + q^n), r the odd part of n."""
-    pairs, d = [], n
+def _ev_chain(n: int) -> list[int]:
+    """r, 2r, ..., n: the exponents of Ev_n, r the odd part of n."""
+    chain, d = [], n
     while d % 2 == 0:
         d //= 2
     while d <= n:
-        pairs, d = pairs + [(d, 1)], 2 * d
-    return chain_binomials(pairs)
+        chain, d = chain + [d], 2 * d
+    return chain
+
+
+def chain_ev(n: int) -> dict:
+    """Ev_n = (1 + q^r)(1 + q^2r)...(1 + q^n), r the odd part of n."""
+    return chain_binomials((d, 1) for d in _ev_chain(n))
+
+
+def chain_big_p(n: int) -> dict:
+    """P_n = the first binomial 1 + q^r of each of Ev_1 ... Ev_n."""
+    return chain_binomials((_ev_chain(k)[0], 1) for k in range(1, n + 1))
+
+
+def chain_q_bar(n: int) -> dict:
+    """Qbar_n = every binomial of Ev_1 ... Ev_n past the first of each."""
+    return chain_binomials((d, 1) for k in range(1, n + 1) for d in _ev_chain(k)[1:])
 
 
 def chain_big_d(n: int) -> dict:
@@ -386,11 +401,21 @@ def chain_big_d(n: int) -> dict:
     return out
 
 
+def phi_big_p(n: int) -> dict:
+    """P_n in the paper's form, prod_{r>=0} Phi_{4r+2}^floor(n/(2r+1))."""
+    return {4 * r + 2: n // (2 * r + 1) for r in range((n + 1) // 2)}
+
+
+def phi_q_bar(n: int) -> dict:
+    """Qbar_n in the paper's form, prod_{r>=1} Phi_{4r}^floor(n/2r)."""
+    return {4 * r: n // (2 * r) for r in range(1, n // 2 + 1)}
+
+
 def chain_q_hat(n: int) -> dict:
-    """Qhat_n = Qbar_n, times 1 + q^2 for odd n."""
+    """Qhat_n = Qbar_n, in its Phi form, times 1 + q^2 for odd n."""
     out = chain_binomials([(2, n % 2)])
-    for r in range(1, n // 2 + 1):
-        out[4 * r] = out.get(4 * r, 0) + n // (2 * r)
+    for d, e in phi_q_bar(n).items():
+        out[d] = out.get(d, 0) + e
     return out
 
 

@@ -445,10 +445,16 @@ def test_huge_cyclotomic_index_is_refused_before_factoring():
 
 
 def test_huge_binomial_products_are_refused_before_factoring():
-    # Qtilde_20000 and Ev_100000000 are products of binomials 1 + q^d of
-    # degree sum(d), about 2 * 10^8: scanning the divisors of every d takes
-    # about 10 s, but that degree alone is past the series limit
-    for family, n, degree in (("Qtilde", 20000, 200010000), ("Ev", 10**8, 199609375)):
+    # each family is a product of binomials 1 + q^d of degree sum(d), which
+    # alone is past the series limit here, so no d is factored and no
+    # cyclotomic index is listed before the refusal
+    for family, n, degree in (
+        ("Qtilde", 20000, 200010000),
+        ("Ev", 10**8, 199609375),
+        ("P", 200000, 13333334736),
+        ("Qbar", 200000, 13333530528),
+        ("Qhat", 200000, 13333530528),
+    ):
         start = time.perf_counter()
         proc = run_capped("compute", "--family", family, "--n", str(n))
         assert time.perf_counter() - start < 1, family

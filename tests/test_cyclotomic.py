@@ -252,16 +252,19 @@ def test_factor_one_plus_qd_expands_correctly():
         assert factor_one_plus_qd(d).expand() == one_plus_q_power(d)
 
 
-@given(st.lists(st.integers(1, 40), max_size=6))
+@given(st.lists(st.integers(1, 5000), max_size=6))
 @example([3, 1, 1])
 @example([2, 2, 2])
+@example([9, 18, 225])
+@example([2**10 * 81, 3**8])
 def test_factor_one_plus_qd_of_a_multiset_is_the_binomial_chain(exponents):
-    # a repeated exponent raises the power of each of its factors
+    # a repeated exponent raises the power of each of its factors; odd
+    # squares and 2^s times odd squares have a divisor at the square root
     factored = factor_one_plus_qd(*exponents)
     assert factored.factors == chain_binomials((d, 1) for d in exponents)
     product = ONE
     for d in exponents:
-        product = product * one_plus_q_power(d)
+        product = product + product.shift(d)  # times 1 + q^d
     assert factored.expand() == product
 
 

@@ -170,12 +170,26 @@ def test_preconditions():
 
 
 def test_families_match_their_multiply_chains():
-    # each family is built by one FactoredPoly call on its summed pairs
+    # each family is one factor_one_plus_qd call on its binomials' exponents
     for n in range(1, 41):
         assert ev(n).factors == oracles.chain_ev(n), n
+        assert big_p(n).factors == oracles.chain_big_p(n), n
+        assert q_bar(n).factors == oracles.chain_q_bar(n), n
         assert big_d(n).factors == oracles.chain_big_d(n), n
         assert q_hat(n).factors == oracles.chain_q_hat(n), n
         assert q_tilde(n).factors == oracles.chain_binomials((j, 1) for j in range(1, n + 1)), n
+
+
+def test_families_match_the_papers_cyclotomic_forms():
+    # P_n and Qbar_n split the chains of D_n, and each is the paper's
+    # product of Phi_{4r+2} or Phi_{4r}
+    for n in range(1, 301):
+        p, q = big_p(n), q_bar(n)
+        assert p.factors == oracles.phi_big_p(n), n
+        assert q.factors == oracles.phi_q_bar(n), n
+        assert q_hat(n).factors == oracles.chain_q_hat(n), n
+        product = [*p.factors.items(), *q.factors.items(), (4, 1 - n % 2)]
+        assert big_d(n) == FactoredPoly(product), n
 
 
 def test_theorem2_power_divisor_matches_its_multiply_chain(monkeypatch):
