@@ -1,16 +1,17 @@
 """Command-line front end: compute families, verify theorem suites, explore
 conjectures.
 
-Exit codes: 0 success, 1 at least one theorem check failed, 2 usage error.
+Exit codes: 0 success, 1 at least one theorem check failed, 2 usage error,
+a failed write to stdout or --out among them.
 Coefficients are serialized as decimal strings (they outgrow 64-bit integers
 quickly); the json format emits one record per line followed, for verify and
 explore, by a summary object with counts.  compute asks each family for its
 largest index first, and the family refuses a bad or oversized one itself.
 
 Records are rendered one at a time and written in blocks of BLOCK_CHARS
-characters, once nothing can be refused.  `console_entry`, behind both
-`qcong` and `python -m qcong`, flushes the output after `main` returns and
-ends the process with `os._exit`, skipping the interpreter's teardown.
+characters, once nothing can be refused; `main` flushes stdout itself.
+`console_entry`, behind both `qcong` and `python -m qcong`, ends the process
+with `os._exit` once `main` returns, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -240,14 +241,21 @@ def main(argv=None) -> int:
         if args.command == "verify" and failed:
             exit_code = 1
 
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 _write_blocks(fh, lines)
-        except OSError as exc:
-            parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
-    else:
-        _write_blocks(sys.stdout, lines)
+        else:
+            _write_blocks(sys.stdout, lines)
+            sys.stdout.flush()
+    except OSError as exc:  # BrokenPipeError among them
+        if not args.out:
+            # what the failed write left buffered goes nowhere at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = f"--out {args.out}" if args.out else "stdout"
+        parser.error(f"cannot write {where}: {exc.strerror or exc}")
     return exit_code
 
 
@@ -265,10 +273,9 @@ def _write_blocks(fh, lines) -> None:
 
 
 def console_entry() -> None:
-    """Run `main` as a process: once its output is flushed, end without the
-    interpreter's teardown.  A usage error (SystemExit) or any exception
-    from `main` takes the normal exit."""
+    """Run `main` as a process and end without the interpreter's teardown.
+    A usage error (SystemExit) or any exception from `main` takes the
+    normal exit."""
     code = main()
-    sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)

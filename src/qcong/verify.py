@@ -6,8 +6,8 @@ directions of an if-and-only-if: a report passes when the observed congruence
 agrees with the predicted equivalence.  Conjecture explorers never assert;
 they report holds/fails per instance with a witness.  The identities share
 `_signed_gauss_sum` and `_identity`, and the claims at q = 1 `_gap_at_one`.
-`SUITES` maps each suite name of the command line to its sweep or explorer,
-and each of those lists its cases through `_largest_first`.
+`SUITES` maps each suite name of the command line to its sweep or explorer:
+its cases, its largest-value ask and its checks, run by the driver `_sweep`.
 """
 
 from __future__ import annotations
@@ -374,21 +374,17 @@ def check_stern(m: int, n: int) -> Report:
     return Report("conjecture", "stern", {"m": m, "n": n, "s": s}, actual == s, actual)
 
 
-# conjecture explorers -------------------------------------------------------------
+# conjecture instances ------------------------------------------------------------
 
 
-def explore_conjecture51(k_max: int = 3, m_max: int = 10) -> list[Report]:
+def _conjecture51(k: int, m: int, n: int) -> Report:
     """E^(2^k)_{2^k m}(1) = E^(2^k)_{2^k n}(1) + 2^s mod 2^(s+1),
-    s = v2(m-n) + 1; reported per instance, never asserted.  The witness
-    is the difference mod 2^(s+1), which the conjecture puts at 2^s."""
-    _require(k_max >= 1 and m_max >= 1, "bounds must be >= 1")
-    reports = []
-    for k, m, n in _k_mn_at_one(k_max, m_max):
-        s, diff = _gap_at_one(k, m, n)
-        witness = diff % (1 << (s + 1))
-        params = {"k": k, "m": m, "n": n, "s": s}
-        reports.append(Report("conjecture", "conj51", params, witness == 1 << s, witness))
-    return reports
+    s = v2(m-n) + 1; reported, never asserted.  The witness is the
+    difference mod 2^(s+1), which the conjecture puts at 2^s."""
+    s, diff = _gap_at_one(k, m, n)
+    witness = diff % (1 << (s + 1))
+    params = {"k": k, "m": m, "n": n, "s": s}
+    return Report("conjecture", "conj51", params, witness == 1 << s, witness)
 
 
 _VARIANTS = (
@@ -398,59 +394,59 @@ _VARIANTS = (
 )
 
 
-def explore_conjecture61(n_max: int = 12) -> list[Report]:
-    """Qbar_n | Sbar_{2n}, Qhat_n | Shat_{2n}, Qtilde_n | Stil_{2n};
-    reported per instance, never asserted."""
-    _require(n_max >= 1, "bound must be >= 1")
-    reports = []
-    cases = _largest_first(range(1, n_max + 1), lambda: [f(n_max) for _, _, f in _VARIANTS])
-    for n in cases:
-        for name, divisor_fn, value_fn in _VARIANTS:
-            ok, witness = divisor_fn(n).divides(value_fn(n))
-            params = {"variant": name, "n": n}
-            reports.append(Report("conjecture", "conj61", params, ok, witness))
-    return reports
+def _conjecture61(variant: str, divisor_fn, value_fn, n: int) -> Report:
+    """Qbar_n | Sbar_{2n}, Qhat_n | Shat_{2n} or Qtilde_n | Stil_{2n};
+    reported, never asserted."""
+    ok, witness = divisor_fn(n).divides(value_fn(n))
+    return Report("conjecture", "conj61", {"variant": variant, "n": n}, ok, witness)
 
 
-# sweeps ---------------------------------------------------------------------------
+# sweeps and explorers -------------------------------------------------------------
 
 
-def _mn(m_max: int):
-    return ((m, n) for m in range(1, m_max + 1) for n in range(m))
-
-
-def _iter_mnd(m_max: int, d_max: int | None):
-    for m, n in _mn(m_max):
-        top_d = m if d_max is None else min(m, d_max)
-        for d in range(1, top_d + 1):
-            yield m, n, d
-
-
-def _largest_first(cases, largest) -> list:
-    """The list of `cases`, built after calling `largest` for the largest
-    family value the sweep reads, when there is a case: a bound past a size
-    limit then fails before any case is listed or checked."""
+def _sweep(cases, largest, *checks) -> list[Report]:
+    """Every check on every case, in order, after calling `largest` (for the
+    largest family value the cases read) once the first case is drawn: a
+    bound past a size limit then fails before any check, and bounds that
+    leave no case call nothing and give [].  A case is a tuple of the
+    checks' arguments; `zip(range(...))` lists one-index cases."""
     cases = iter(cases)
     first = next(cases, None)
     if first is None:
         return []
     largest()
-    return [first, *cases]
+    return [check(*case) for case in (first, *cases) for check in checks]
+
+
+def _mn(m_max: int):
+    """Every (m, n) with 0 <= n < m <= m_max."""
+    return ((m, n) for m in range(1, m_max + 1) for n in range(m))
+
+
+def _mnd(m_max: int, d_max: int | None):
+    """Every (m, n) of `_mn` with each d <= m, and d <= d_max unless None."""
+    return (
+        (m, n, d)
+        for m, n in _mn(m_max)
+        for d in range(1, (m if d_max is None else min(m, d_max)) + 1)
+    )
+
+
+def _each_k(k_max: int, cases, *bounds):
+    """(k, *case) for each k <= k_max and each case of cases(*bounds)."""
+    return ((k, *case) for k in range(1, k_max + 1) for case in cases(*bounds))
 
 
 def sweep_theorem1(m_max: int = 12, d_max: int | None = None):
-    cases = _largest_first(_iter_mnd(m_max, d_max), lambda: gen_euler(2, m_max))
-    return [check_theorem1(m, n, d) for m, n, d in cases]
+    return _sweep(_mnd(m_max, d_max), lambda: gen_euler(2, m_max), check_theorem1)
 
 
 def sweep_lemma31(m_max: int = 12, d_max: int | None = None):
-    cases = _largest_first(_iter_mnd(m_max, d_max), lambda: gen_euler(2, m_max))
-    return [check_lemma31(m, n, d) for m, n, d in cases]
+    return _sweep(_mnd(m_max, d_max), lambda: gen_euler(2, m_max), check_lemma31)
 
 
 def sweep_corollary1(m_max: int = 10):
-    cases = _largest_first(_mn(m_max), lambda: euler(m_max))
-    return [check_corollary1(m, n) for m, n in cases]
+    return _sweep(_mn(m_max), lambda: euler(m_max), check_corollary1)
 
 
 def sweep_desarmenien(k_max: int = 4, n_max: int = 10):
@@ -461,90 +457,82 @@ def sweep_desarmenien(k_max: int = 4, n_max: int = 10):
         for m in range(n_max // k + 1)
         for n in range(n_max - k * m + 1)
     )
-    cases = _largest_first(cases, lambda: gen_euler(2, n_max))
-    return [check_desarmenien(k, m, n) for k, m, n in cases]
+    return _sweep(cases, lambda: gen_euler(2, n_max), check_desarmenien)
 
 
 def sweep_theorem2(n_max: int = 15):
-    reports = []
-    for n in _largest_first(range(1, n_max + 1), lambda: salie(n_max)):
-        reports.append(check_theorem2(n))
-        for r in range((n + 1) // 2):
-            reports.append(check_theorem2_power(n, r))
-    return reports
-
-
-def _k_mnd(k_max: int, m_max: int, d_max: int | None):
-    return ((k, m, n, d) for k in range(1, k_max + 1) for m, n, d in _iter_mnd(m_max, d_max))
+    """Per n, P_n | S_{2n} (r None), then the power check of each r."""
+    cases = ((n, r) for n in range(1, n_max + 1) for r in (None, *range((n + 1) // 2)))
+    return _sweep(
+        cases,
+        lambda: salie(n_max),
+        lambda n, r: check_theorem2(n) if r is None else check_theorem2_power(n, r),
+    )
 
 
 def sweep_theorem51(k_max: int = 3, m_max: int = 6, d_max: int | None = None):
     # row km of the block-k triangle has digits of about (km)! / k!^m,
     # which grows with k, so the largest k meets the row limit first
-    cases = _largest_first(_k_mnd(k_max, m_max, d_max), lambda: gen_euler(k_max, m_max))
-    return [check_theorem51(k, m, n, d) for k, m, n, d in cases]
+    cases = _each_k(k_max, _mnd, m_max, d_max)
+    return _sweep(cases, lambda: gen_euler(k_max, m_max), check_theorem51)
 
 
 def sweep_theorem52(k_max: int = 2, m_max: int = 8, d_max: int | None = None):
-    cases = _largest_first(
-        _k_mnd(k_max, m_max, d_max), lambda: gen_euler(1 << k_max, m_max)
-    )
-    return [check_theorem52(k, m, n, d) for k, m, n, d in cases]
-
-
-def _k_mn_at_one(k_max: int, m_max: int) -> list:
-    """Every (k, m, n), k <= k_max and n < m <= m_max, after the largest value."""
-    cases = ((k, m, n) for k in range(1, k_max + 1) for m, n in _mn(m_max))
-    return _largest_first(cases, lambda: gen_euler_at_one(1 << k_max, m_max))
+    cases = _each_k(k_max, _mnd, m_max, d_max)
+    return _sweep(cases, lambda: gen_euler(1 << k_max, m_max), check_theorem52)
 
 
 def sweep_corollary52(k_max: int = 2, m_max: int = 8):
-    return [check_corollary52_and_stern(k, m, n) for k, m, n in _k_mn_at_one(k_max, m_max)]
+    cases = _each_k(k_max, _mn, m_max)
+    return _sweep(cases, lambda: gen_euler_at_one(1 << k_max, m_max), check_corollary52_and_stern)
 
 
 def sweep_stern(m_max: int = 10):
-    cases = _largest_first(_mn(m_max), lambda: gen_euler_at_one(2, m_max))
-    return [check_stern(m, n) for m, n in cases]
+    return _sweep(_mn(m_max), lambda: gen_euler_at_one(2, m_max), check_stern)
 
 
 def sweep_lemma41(n_max: int = 15):
-    cases = _largest_first(range(1, n_max + 1), lambda: (salie(n_max), tangent(n_max - 1)))
-    return [check_lemma41(n) for n in cases]
+    cases = zip(range(1, n_max + 1))
+    return _sweep(cases, lambda: (salie(n_max), tangent(n_max - 1)), check_lemma41)
 
 
 def sweep_eq23(n_max: int = 15):
-    cases = _largest_first(range(n_max + 1), lambda: (salie_bar(n_max), euler(n_max)))
-    return [check_eq23(n) for n in cases]
+    return _sweep(zip(range(n_max + 1)), lambda: (salie_bar(n_max), euler(n_max)), check_eq23)
 
 
 def sweep_eq24(n_max: int = 15):
-    cases = _largest_first(range(2, n_max + 1), lambda: (salie_hat(n_max), tangent(n_max - 1)))
-    return [check_eq24(n) for n in cases]
+    cases = zip(range(2, n_max + 1))
+    return _sweep(cases, lambda: (salie_hat(n_max), tangent(n_max - 1)), check_eq24)
 
 
 def sweep_foata(n_max: int = 15):
-    reports = []
-    cases = _largest_first(range(1, n_max + 1), lambda: (tangent(n_max), salie(n_max)))
-    for n in cases:
-        reports.append(check_foata(n))
-        reports.append(check_salie_unit_power(n))
-    return reports
+    cases = zip(range(1, n_max + 1))
+    checks = (check_foata, check_salie_unit_power)
+    return _sweep(cases, lambda: (tangent(n_max), salie(n_max)), *checks)
 
 
 def sweep_perm_euler(n_max: int = 3):
-    cases = _largest_first(range(1, n_max + 1), lambda: alternating_gf(n_max))
-    return [check_perm_euler(n) for n in cases]
+    return _sweep(zip(range(1, n_max + 1)), lambda: alternating_gf(n_max), check_perm_euler)
 
 
 def sweep_perm_salie(n_max: int = 3):
-    cases = _largest_first(range(1, n_max + 1), lambda: salie_perm_gf(n_max))
-    return [check_perm_salie(n) for n in cases]
+    return _sweep(zip(range(1, n_max + 1)), lambda: salie_perm_gf(n_max), check_perm_salie)
+
+
+def explore_conjecture51(k_max: int = 3, m_max: int = 10) -> list[Report]:
+    cases = _each_k(k_max, _mn, m_max)
+    return _sweep(cases, lambda: gen_euler_at_one(1 << k_max, m_max), _conjecture51)
+
+
+def explore_conjecture61(n_max: int = 12) -> list[Report]:
+    cases = ((*variant, n) for n in range(1, n_max + 1) for variant in _VARIANTS)
+    return _sweep(cases, lambda: [f(n_max) for _, _, f in _VARIANTS], _conjecture61)
 
 
 # suite registry ---------------------------------------------------------------------
 #
-# CLI subcommand -> suite name -> its sweep or explorer.  Every parameter of
-# these functions is a bound with a default, and the CLI reads the bound
+# CLI subcommand -> suite name -> its sweep or explorer, a list from `_sweep`.
+# Every parameter is a bound with a default, and the CLI reads the bound
 # names and defaults from the signatures, so each default is declared once.
 SUITES = {
     "verify": {

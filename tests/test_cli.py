@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, and exact machine output."""
 
+import errno
 import hashlib
 import json
 import os
@@ -620,7 +621,37 @@ def test_unwritable_out_is_usage_error(tmp_path):
 
 
 def test_explorer_precondition_is_usage_error():
-    assert_usage_error(run("explore", "--conjecture", "conj61", "--n-max", "0"))
+    # an explorer with no instance is refused as an empty sweep is
+    for argv in (("conj61", "--n-max", "0"), ("conj51", "--k-max", "0")):
+        proc = run("explore", "--conjecture", *argv)
+        assert_usage_error(proc)
+        assert "explore: no instances within these bounds" in proc.stderr
+
+
+@pytest.mark.parametrize("target", ("closed-pipe", "dev-full"))
+def test_failed_stdout_write_is_usage_error(target):
+    # a reader that has gone and a full device exit 2 with the usage line
+    # and one error line, as an unwritable --out does; no traceback
+    if target == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        reason = os.strerror(errno.EPIPE)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        reason = os.strerror(errno.ENOSPC)
+    env = dict(os.environ)
+    env.pop(cli.ENV_CAP, None)
+    try:
+        proc = subprocess.run(CMD + ["verify", "--suite", "stern", "--m-max", "2"],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    usage, error = proc.stderr.splitlines()
+    assert usage.startswith("usage: qcong ")
+    assert error == f"qcong: error: cannot write stdout: {reason}"
 
 
 def test_empty_sweep_is_usage_error():

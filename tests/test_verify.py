@@ -2,6 +2,9 @@
 between independent code paths, and the pinned k=1 anomaly of the
 root-of-unity congruence family."""
 
+import inspect
+import sys
+
 import pytest
 
 import oracles
@@ -340,6 +343,29 @@ def test_explorer_reports_do_not_raise():
     r = v.explore_conjecture61(2)[0]
     assert isinstance(r.passed, bool)
     assert r.status == ("holds" if r.passed else "fails")
+
+
+def memo_tables():
+    """cache_info() of every memo table defined in a qcong module."""
+    return {
+        (mod_name, name): fn.cache_info()
+        for mod_name, mod in list(sys.modules.items())
+        if mod_name == "qcong" or mod_name.startswith("qcong.")
+        for name, fn in vars(mod).items()
+        if hasattr(fn, "cache_info") and fn.__module__ == mod_name
+    }
+
+
+def test_bounds_that_leave_no_case_give_no_reports_and_touch_no_memo():
+    # one bound at -1 and the others at their defaults leaves no case, so
+    # no largest value is asked for and no check runs
+    before = memo_tables()
+    assert len(before) >= 10
+    for suites in v.SUITES.values():
+        for name, fn in suites.items():
+            for bound in inspect.signature(fn).parameters:
+                assert fn(**{bound: -1}) == [], (name, bound)
+    assert memo_tables() == before
 
 
 # report plumbing ----------------------------------------------------------------
