@@ -5,8 +5,10 @@ Exit codes: 0 success, 1 at least one theorem check failed, 2 usage error,
 a failed write to stdout or --out among them.
 Coefficients are serialized as decimal strings (they outgrow 64-bit integers
 quickly); the json format emits one record per line followed, for verify and
-explore, by a summary object with counts.  compute asks each family for its
-largest index first, and the family refuses a bad or oversized one itself.
+explore, by a summary object with counts.  `report_record` renders a report's
+line from one template per kind, byte for byte the `json.dumps` of its
+record.  compute asks each family for its largest index first, and the
+family refuses a bad or oversized one itself.
 
 Records are rendered one at a time and written in blocks of BLOCK_CHARS
 characters, once nothing can be refused; `main` flushes stdout itself.
@@ -23,7 +25,7 @@ import os
 import sys
 
 from . import verify as v
-from .cyclotomic import FactoredPoly, cyclotomic
+from .cyclotomic import cyclotomic
 from .divisors import DIVISOR_FAMILIES
 from .perms import SizeLimitExceeded
 from .poly import IntPoly
@@ -51,33 +53,44 @@ BOUNDS = {
 }
 
 
-def _coeff_strings(p: IntPoly) -> list[str]:
-    return [str(c) for c in p.coeffs]
+# Coefficients and int witnesses are JSON strings; params hold ints and plain
+# identifiers, so their repr with double quotes is their JSON.
+_BOOL = ("false", "true")
 
 
-def _factored_records(f: FactoredPoly) -> list[dict]:
-    return [
-        {"cyclo_index": d, "exponent": e} for d, e in sorted(f.factors.items())
-    ]
+def _poly(p: IntPoly) -> str:
+    return '["' + '", "'.join(map(str, p.coeffs)) + '"]' if p.coeffs else "[]"
 
 
-def _witness_record(w):
-    if isinstance(w, IntPoly):
-        return _coeff_strings(w)
-    return str(w)
-
-
-# report field -> its JSON encoding; other fields are JSON already.
-_ENCODERS = {"divisor": _factored_records, "witness": _witness_record}
-
-
-def report_record(r) -> dict:
-    """JSON-ready dict for any verify/explore report."""
-    record = {}
-    for key in v.RECORD_KEYS[r.kind]:
-        value = getattr(r, key)
-        record[key] = _ENCODERS[key](value) if key in _ENCODERS else value
-    return record
+def report_record(r) -> str:
+    """The JSON line of any verify/explore report."""
+    params = str(r.params).replace("'", '"')
+    w = r.witness
+    witness = _poly(w) if isinstance(w, IntPoly) else f'"{w}"'
+    if r.kind == "congruence":
+        return (
+            f'{{"check": "{r.check}", "params": {params}, '
+            f'"expected_equivalence": {_BOOL[r.expected_equivalence]}, '
+            f'"observed_congruence": {_BOOL[r.observed_congruence]}, '
+            f'"passed": {_BOOL[r.passed]}, "witness": {witness}}}'
+        )
+    if r.kind == "divisibility":
+        factors = sorted(r.divisor.factors.items())
+        divisor = ", ".join([f'{{"cyclo_index": {d}, "exponent": {e}}}' for d, e in factors])
+        return (
+            f'{{"check": "{r.check}", "family": "{r.family}", "index": {r.index}, '
+            f'"params": {params}, "divisor": [{divisor}], '
+            f'"passed": {_BOOL[r.passed]}, "witness": {witness}}}'
+        )
+    if r.kind == "identity":
+        return (
+            f'{{"check": "{r.check}", "params": {params}, '
+            f'"passed": {_BOOL[r.passed]}, "witness": {witness}}}'
+        )
+    return (
+        f'{{"conjecture": "{r.check}", "params": {params}, '
+        f'"status": "{r.status}", "witness": {witness}}}'
+    )
 
 
 def _env_cap(parser: argparse.ArgumentParser) -> int | None:
@@ -168,7 +181,8 @@ def _compute_records(args) -> list[tuple[dict, str]]:
         rec = {"family": fam, "index": i}
         if fam in DIVISOR_FAMILIES:
             f = DIVISOR_FAMILIES[fam](i)
-            rec.update(coeffs=f.expand(), factored=_factored_records(f))
+            factored = [{"cyclo_index": d, "exponent": e} for d, e in sorted(f.factors.items())]
+            rec.update(coeffs=f.expand(), factored=factored)
             return rec, f"{fam} {i}: {f} ="
         rec["coeffs"] = SEQUENCE_FAMILIES[fam](k, i) if takes_k else SEQUENCE_FAMILIES[fam](i)
         if takes_k:
@@ -205,7 +219,7 @@ def main(argv=None) -> int:
             parser.error(f"{args.family}: {exc}")
         if args.format == "json":
             lines = (
-                json.dumps({**rec, "coeffs": _coeff_strings(rec["coeffs"])})
+                json.dumps({**rec, "coeffs": [str(c) for c in rec["coeffs"].coeffs]})
                 for rec, _ in records
             )
         else:
@@ -231,7 +245,7 @@ def main(argv=None) -> int:
             parser.error(f"{args.command}: no instances within these bounds")
         summary.update(checked=checked, passed=passed, failed=failed)
         if args.format == "json":
-            lines = (json.dumps(report_record(r)) for r in reports)
+            lines = (report_record(r) for r in reports)
             last = json.dumps(summary)
         else:
             lines = (r.describe() for r in reports)

@@ -234,34 +234,6 @@ class IntPoly:
         step = 2 * d
         return IntPoly([sum(cs[r::step]) - sum(cs[r + d :: step]) for r in range(d)])
 
-    def rotate(self, j: int, d: int) -> "IntPoly":
-        """q^j * self modulo 1 + q^d, for a residue self of degree below d.
-
-        Since q^d = -1 in the quotient, q^j = (-1)^(j // d) q^(j % d), and
-        multiplying by q^s with s < d rotates the d coefficients s places
-        up and negates the s that wrap past q^(d-1).  This equals
-        self.shift(j).rem_binomial(d, -1), with no shift to full length
-        and no fold.
-
-        >>> print(IntPoly((1, 2, 3)).rotate(2, 3))
-        -2 - 3q + q^2
-        """
-        if d < 1:
-            raise ValueError("binomial modulus needs d >= 1")
-        if j < 0:
-            raise ValueError("rotation must be nonnegative")
-        cs = self.coeffs
-        if len(cs) > d:
-            raise ValueError(f"rotate needs a residue of degree below {d}")
-        turns, s = divmod(j, d)
-        if not cs or (s == 0 and turns % 2 == 0):
-            return self
-        cs = cs + (0,) * (d - len(cs))
-        head, tail = cs[: d - s], cs[d - s :]
-        if turns % 2:
-            return IntPoly([*tail, *(-x for x in head)])
-        return IntPoly([*(-x for x in tail), *head])
-
     # specializations ----------------------------------------------------------
 
     def shift(self, j: int) -> "IntPoly":

@@ -79,7 +79,7 @@ def _unpack(packed: int, width: int) -> IntPoly:
     """The polynomial whose `width`-byte coefficients are the digits of `packed`."""
     size = -(-packed.bit_length() // (8 * width)) * width
     data = packed.to_bytes(size, "little")
-    return IntPoly(int.from_bytes(data[i : i + width], "little") for i in range(0, size, width))
+    return IntPoly([int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)])
 
 
 class _Triangle:

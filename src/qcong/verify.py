@@ -51,29 +51,6 @@ def _v2(x: int) -> int:
 
 # reports ---------------------------------------------------------------------
 
-# kind -> keys of the report's JSON record, in order.
-RECORD_KEYS = {
-    "congruence": (
-        "check",
-        "params",
-        "expected_equivalence",
-        "observed_congruence",
-        "passed",
-        "witness",
-    ),
-    "divisibility": (
-        "check",
-        "family",
-        "index",
-        "params",
-        "divisor",
-        "passed",
-        "witness",
-    ),
-    "identity": ("check", "params", "passed", "witness"),
-    "conjecture": ("conjecture", "params", "status", "witness"),
-}
-
 # kind -> describe() verdict when the report passes, and the label of the
 # witness when it fails.
 _VERDICTS = {
@@ -123,8 +100,10 @@ class Report:
     @classmethod
     def congruence(cls, check, params, expected, observed, witness) -> Report:
         """A congruence report passes when observed agrees with expected."""
-        fields = {"expected_equivalence": expected, "observed_congruence": observed}
-        return cls("congruence", check, params, expected == observed, witness, **fields)
+        r = cls("congruence", check, params, expected == observed, witness)
+        r.expected_equivalence = expected
+        r.observed_congruence = observed
+        return r
 
     @property
     def conjecture(self) -> str:
@@ -170,9 +149,10 @@ def summarize(reports) -> tuple[int, int, int]:
 # Reduction modulo 1 + q^e is a ring map, and 1 + q^e is a multiple of
 # Phi_2k for every k with e/k odd.  So each check folds each family value
 # modulo 1 + q^e once per (index, e), caches the residue, and forms
-# E^(c)_{cm} - q^s E^(c)_{cn} from two cached residues and one rotation:
+# E^(c)_{cm} - q^s E^(c)_{cn} from two cached residues in one pass:
 # in Z[q]/(1 + q^e), q^s r turns the e coefficients of r s places and
-# negates those that wrap, so no difference is built past degree e.
+# negates those that wrap, so -q^s r is a window of e coefficients of
+# (r, -r, r), and no difference is built past degree e.
 # theorem51 likewise reduces each E^(k)_{kn}(q^2), and each power of q, to
 # its residue modulo Phi_2kd once per ring, and reduces one product per check.
 # Remainders modulo a monic polynomial are unique, so every witness is the
@@ -180,14 +160,18 @@ def summarize(reports) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _gen_euler_mod(c: int, n: int, d: int) -> IntPoly:
-    """gen_euler(c, n) modulo 1 + q^d."""
-    return gen_euler(c, n).rem_binomial(d, -1)
+def _turns(c: int, n: int, d: int) -> tuple[int, ...]:
+    """r, -r, r for the d coefficients r of gen_euler(c, n) modulo 1 + q^d:
+    as q^(2d) = 1 there, the d from j = (d - s) mod 2d on are those of -q^s r."""
+    r = gen_euler(c, n).rem_binomial(d, -1).coeffs
+    r += (0,) * (d - len(r))
+    return r + tuple([-x for x in r]) + r
 
 
 def _residue(c: int, m: int, n: int, s: int, e: int) -> IntPoly:
     """E^(c)_{cm} - q^s E^(c)_{cn} modulo 1 + q^e."""
-    return _gen_euler_mod(c, m, e) - _gen_euler_mod(c, n, e).rotate(s, e)
+    j = (e - s) % (2 * e)
+    return IntPoly([a + b for a, b in zip(_turns(c, m, e), _turns(c, n, e)[j : j + e])])
 
 
 def _iff_report(check: str, params: dict, remainder: IntPoly) -> Report:

@@ -552,3 +552,36 @@ def at_one_conj51(k_max, m_max, at_one):
                 params = {"k": k, "m": m, "n": n, "s": s}
                 out.append((params, holds, diff % (1 << (s + 1))))
     return out
+
+
+# report records ------------------------------------------------------------------
+#
+# The reference for `qcong.cli.report_record`: each report's JSON record as a
+# dict, in key order, for json.dumps to render.
+
+RECORD_KEYS = {
+    "congruence": (
+        "check",
+        "params",
+        "expected_equivalence",
+        "observed_congruence",
+        "passed",
+        "witness",
+    ),
+    "divisibility": ("check", "family", "index", "params", "divisor", "passed", "witness"),
+    "identity": ("check", "params", "passed", "witness"),
+    "conjecture": ("conjecture", "params", "status", "witness"),
+}
+
+
+def _record_value(key: str, value):
+    if key == "divisor":
+        return [{"cyclo_index": d, "exponent": e} for d, e in sorted(value.factors.items())]
+    if key == "witness":
+        return [str(c) for c in value.coeffs] if isinstance(value, IntPoly) else str(value)
+    return value
+
+
+def report_dict(r) -> dict:
+    """JSON-ready dict of any verify/explore report."""
+    return {key: _record_value(key, getattr(r, key)) for key in RECORD_KEYS[r.kind]}

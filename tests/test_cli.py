@@ -9,10 +9,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from qcong import cli
 from qcong import verify as v
 from qcong.cli import report_record
+from qcong.cyclotomic import FactoredPoly
 from qcong.divisors import DIVISOR_FAMILIES, big_p
 from qcong.perms import ENUMERATION_CAP
 from qcong.poly import IntPoly
@@ -770,7 +773,56 @@ def test_record_shapes():
     }
     for kind, (report, keys) in shapes.items():
         assert report.kind == kind
-        assert list(report_record(report)) == keys
+        assert list(json.loads(report_record(report))) == keys
+
+
+# report fields as the checks make them: 200-bit coefficients of either sign,
+# zero witnesses, int witnesses (stern's -1), divisor exponents above 1
+coeff = st.integers(-(1 << 200), 1 << 200)
+polys = st.lists(coeff, max_size=6).map(IntPoly)
+int_params = st.dictionaries(st.sampled_from("kmndsr"), st.integers(-1, 10**6), max_size=4)
+checks = st.sampled_from(["theorem1", "theorem2-power", "salie-unit-power", "perm-euler"])
+divisors = st.dictionaries(st.integers(1, 5000), st.integers(0, 40), max_size=5)
+
+
+@st.composite
+def reports(draw):
+    passed, witness = draw(st.booleans()), draw(polys)
+    kind = draw(st.sampled_from(["congruence", "divisibility", "identity", "conjecture"]))
+    if kind == "congruence":
+        expected, observed = draw(st.booleans()), draw(st.booleans())
+        return v.Report.congruence(draw(checks), draw(int_params), expected, observed, witness)
+    if kind == "divisibility":
+        fields = {
+            "family": draw(st.sampled_from(sorted(SEQUENCE_FAMILIES))),
+            "index": draw(st.integers(0, 10**6)),
+            "divisor": FactoredPoly(draw(divisors)),
+        }
+        return v.Report(kind, draw(checks), draw(int_params), passed, witness, **fields)
+    if kind == "identity":
+        return v.Report(kind, draw(checks), draw(int_params), passed, witness)
+    if draw(st.booleans()):
+        params = {"variant": draw(st.sampled_from(["bar", "hat", "tilde"])), "n": 1}
+        return v.Report(kind, "conj61", params, passed, witness)
+    name = draw(st.sampled_from(["stern", "corollary52", "conj51"]))
+    return v.Report(kind, name, draw(int_params), passed, draw(st.one_of(coeff, polys)))
+
+
+@given(reports())
+def test_report_line_is_the_json_of_its_record(report):
+    assert report_record(report) == json.dumps(oracles.report_dict(report))
+
+
+def test_every_default_output_line_is_canonical_json():
+    for argv in (
+        ("verify", "--suite", "all"),
+        ("explore", "--conjecture", "conj51"),
+        ("explore", "--conjecture", "conj61"),
+    ):
+        proc = run(*argv, "--format", "json")
+        assert proc.returncode == (1 if argv[0] == "verify" else 0), argv
+        for line in proc.stdout.splitlines():
+            assert json.dumps(json.loads(line)) == line, line[:200]
 
 
 def test_import_loads_no_dataclasses_or_inspect():

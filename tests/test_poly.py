@@ -295,27 +295,6 @@ def test_shift_matches_monomial_product(a, j):
     assert IntPoly(a).shift(j) == q_power(j) * IntPoly(a)
 
 
-# (d, j, residue) with 0 <= j < 4d and at most d signed multi-word coefficients
-rotations = st.integers(1, 40).flatmap(
-    lambda d: st.tuples(
-        st.just(d), st.integers(0, 4 * d - 1), st.lists(big_coeff, max_size=d)
-    )
-)
-
-
-@given(rotations)
-def test_rotate_matches_shift_then_fold(case):
-    d, j, a = case
-    r = IntPoly(a)
-    assert r.rotate(j, d) == r.shift(j).rem_binomial(d, -1)
-
-
-def test_rotate_rejects_bad_arguments():
-    for j, d in ((0, 0), (-1, 3), (1, 2)):
-        with pytest.raises(ValueError):
-            poly(1, 2, 3).rotate(j, d)
-
-
 def test_shift_rejects_negative():
     with pytest.raises(ValueError):
         poly(1, 1).shift(-1)

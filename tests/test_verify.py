@@ -471,3 +471,16 @@ def test_residue_checks_match_full_difference_route():
         assert report.witness == remainder, report.describe()
         assert report.observed_congruence == remainder.is_zero()
     assert seen == {"theorem1", "lemma31", "theorem52", "desarmenien", "theorem51"}
+
+
+def test_residue_is_the_folded_full_difference():
+    # s below e, equal to e, and odd and even multiples of e plus a remainder
+    for c in (2, 3, 4, 8):
+        for m in range(13):
+            top = gen_euler(c, m)
+            for n in {0, m // 2}:
+                for e in range(1, 2 * m + 1):
+                    r = (m + n) % e
+                    for s in {r, e - 1, e, e + r, 2 * e + r, 3 * e + r}:
+                        want = (top - gen_euler(c, n).shift(s)).rem_binomial(e, -1)
+                        assert v._residue(c, m, n, s, e) == want, (c, m, n, s, e)
