@@ -7,12 +7,12 @@ cyclotomic factorizations, and quotient-ring arithmetic at roots of unity.
 
 from .cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd
 from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
-from .perms import SizeLimitExceeded, alternating_gf, salie_perm_gf
 from .poly import (
     IntPoly,
     NonMonicModulus,
     ONE,
     Q,
+    SizeLimitExceeded,
     ZERO,
     one_plus_q_power,
     q_power,
@@ -41,7 +41,6 @@ __all__ = [
     "SEQUENCE_FAMILIES",
     "SizeLimitExceeded",
     "ZERO",
-    "alternating_gf",
     "big_d",
     "big_p",
     "cyclotomic",
@@ -62,7 +61,6 @@ __all__ = [
     "salie",
     "salie_bar",
     "salie_hat",
-    "salie_perm_gf",
     "salie_tilde",
     "tangent",
     "__version__",

@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 at least one theorem check failed, 2 usage error,
 a failed write to stdout or --out among them.
 Coefficients are serialized as decimal strings (they outgrow 64-bit integers
 quickly); the json format emits one record per line followed, for verify and
-explore, by a summary object with counts.  `report_record` renders a report's
-line from one template per kind, byte for byte the `json.dumps` of its
-record.  compute asks each family for its largest index first, and the
-family refuses a bad or oversized one itself.
+explore, by a summary object with counts.  Every JSON line, report, compute
+record and summary, is rendered from an f-string template, byte for byte the
+`json.dumps` of its record, so no process imports `json`.  compute asks each
+family for its largest index first, and the family refuses a bad or
+oversized one itself.
 
 Records are rendered one at a time and written in blocks of BLOCK_CHARS
 characters, once nothing can be refused; `main` flushes stdout itself.
@@ -20,15 +21,13 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 
 from . import verify as v
 from .cyclotomic import cyclotomic
 from .divisors import DIVISOR_FAMILIES
-from .perms import SizeLimitExceeded
-from .poly import IntPoly
+from .poly import IntPoly, SizeLimitExceeded
 from .qbinom import gauss
 from .sequences import SEQUENCE_FAMILIES
 
@@ -62,6 +61,12 @@ def _poly(p: IntPoly) -> str:
     return '["' + '", "'.join(map(str, p.coeffs)) + '"]' if p.coeffs else "[]"
 
 
+def _factors(f) -> str:
+    """The JSON list of a FactoredPoly's cyclotomic indices and exponents."""
+    pairs = f.factors.items()  # in ascending index order
+    return "[" + ", ".join([f'{{"cyclo_index": {d}, "exponent": {e}}}' for d, e in pairs]) + "]"
+
+
 def report_record(r) -> str:
     """The JSON line of any verify/explore report."""
     params = str(r.params).replace("'", '"')
@@ -75,11 +80,9 @@ def report_record(r) -> str:
             f'"passed": {_BOOL[r.passed]}, "witness": {witness}}}'
         )
     if r.kind == "divisibility":
-        factors = sorted(r.divisor.factors.items())
-        divisor = ", ".join([f'{{"cyclo_index": {d}, "exponent": {e}}}' for d, e in factors])
         return (
             f'{{"check": "{r.check}", "family": "{r.family}", "index": {r.index}, '
-            f'"params": {params}, "divisor": [{divisor}], '
+            f'"params": {params}, "divisor": {_factors(r.divisor)}, '
             f'"passed": {_BOOL[r.passed]}, "witness": {witness}}}'
         )
     if r.kind == "identity":
@@ -165,29 +168,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _compute_records(args) -> list[tuple[dict, str]]:
-    """(json record, text head) pairs for the compute subcommand; "coeffs"
-    holds the IntPoly until main renders it in the printed format only."""
+def _compute_records(args) -> list[tuple[IntPoly, str, str, str]]:
+    """(polynomial, text head, JSON head, JSON tail) of each compute line;
+    main renders the polynomial in the printed format only."""
     fam, n, k = args.family, args.n, args.k
     takes_k = fam in ("gen-euler", "gauss")
     if takes_k != (k is not None):
         raise ValueError(f"--family {fam} {'requires' if takes_k else 'does not take'} --k")
     if fam == "cyclotomic":
-        return [({"family": fam, "index": n, "coeffs": cyclotomic(n)}, f"cyclotomic {n}:")]
+        return [(cyclotomic(n), f"cyclotomic {n}:", f'{{"family": "{fam}", "index": {n}, ', "}")]
     if fam == "gauss":
-        return [({"family": fam, "index": n, "k": k, "coeffs": gauss(n, k)}, f"gauss {n} {k}:")]
+        head = f'{{"family": "{fam}", "index": {n}, "k": {k}, '
+        return [(gauss(n, k), f"gauss {n} {k}:", head, "}")]
 
     def record(i):
-        rec = {"family": fam, "index": i}
+        head = f'{{"family": "{fam}", "index": {i}, '
         if fam in DIVISOR_FAMILIES:
             f = DIVISOR_FAMILIES[fam](i)
-            factored = [{"cyclo_index": d, "exponent": e} for d, e in sorted(f.factors.items())]
-            rec.update(coeffs=f.expand(), factored=factored)
-            return rec, f"{fam} {i}: {f} ="
-        rec["coeffs"] = SEQUENCE_FAMILIES[fam](k, i) if takes_k else SEQUENCE_FAMILIES[fam](i)
+            return f.expand(), f"{fam} {i}: {f} =", head, f', "factored": {_factors(f)}}}'
         if takes_k:
-            rec["k"] = k
-        return rec, f"{fam} {i}:"
+            return SEQUENCE_FAMILIES[fam](k, i), f"{fam} {i}:", head, f', "k": {k}}}'
+        return SEQUENCE_FAMILIES[fam](i), f"{fam} {i}:", head, "}"
 
     last = record(n)
     return [record(i) for i in range(fam in DIVISOR_FAMILIES, n)] + [last]
@@ -218,16 +219,12 @@ def main(argv=None) -> int:
         except ValueError as exc:  # SizeLimitExceeded among them
             parser.error(f"{args.family}: {exc}")
         if args.format == "json":
-            lines = (
-                json.dumps({**rec, "coeffs": [str(c) for c in rec["coeffs"].coeffs]})
-                for rec, _ in records
-            )
+            lines = (f'{head}"coeffs": {_poly(p)}{tail}' for p, _, head, tail in records)
         else:
-            lines = (f"{head} {rec['coeffs']}" for rec, head in records)
+            lines = (f"{head} {p}" for p, head, _, _ in records)
     else:
         option = "suite" if args.command == "verify" else "conjecture"
         chosen = getattr(args, option)
-        summary = {option: chosen}
         words = ("passed", "failed") if args.command == "verify" else ("holds", "fails")
         bounds = BOUNDS[args.command]
         names = tuple(bounds) if chosen == "all" else (chosen,)
@@ -243,10 +240,12 @@ def main(argv=None) -> int:
         checked, passed, failed = v.summarize(reports)
         if checked == 0:
             parser.error(f"{args.command}: no instances within these bounds")
-        summary.update(checked=checked, passed=passed, failed=failed)
         if args.format == "json":
             lines = (report_record(r) for r in reports)
-            last = json.dumps(summary)
+            last = (
+                f'{{"{option}": "{chosen}", "checked": {checked}, '
+                f'"passed": {passed}, "failed": {failed}}}'
+            )
         else:
             lines = (r.describe() for r in reports)
             last = f"checked={checked} {words[0]}={passed} {words[1]}={failed}"

@@ -27,8 +27,7 @@ import functools
 import math
 import operator
 
-from .perms import SizeLimitExceeded
-from .poly import IntPoly
+from .poly import IntPoly, SizeLimitExceeded
 
 # What one binomial product may take, as passes x coefficients x bytes: the
 # nonempty passes, degree + 1, and 16 bytes for the list and tuple slots of
@@ -200,8 +199,9 @@ def factor_one_plus_qd(*exponents: int) -> "FactoredPoly":
 class FactoredPoly:
     """A product of cyclotomic polynomials, kept in factored form.
 
-    The factors are a map from cyclotomic index to a strictly positive
-    exponent; the empty product is the constant 1.  Instances are immutable.
+    The factors are a map, in ascending index order, from cyclotomic index
+    to a strictly positive exponent; the empty product is the constant 1.
+    Instances are immutable.
     """
 
     __slots__ = ("_factors",)

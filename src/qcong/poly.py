@@ -23,11 +23,15 @@ therefore never overlap and the result is the exact schoolbook product.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class NonMonicModulus(ValueError):
     """Polynomial division requested by a divisor that is not monic."""
+
+
+class SizeLimitExceeded(ValueError):
+    """A request beyond a size guard: enumeration, a triangle row or a binomial series."""
 
 
 def _as_poly(value) -> "IntPoly | None":

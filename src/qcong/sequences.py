@@ -51,8 +51,7 @@ import functools
 import threading
 from math import comb, factorial
 
-from .perms import SizeLimitExceeded
-from .poly import IntPoly
+from .poly import IntPoly, SizeLimitExceeded
 
 # The largest triangle row, in estimated bytes, that a request may build:
 # row L holds L entries of about L^2/2 digits.  euler(115) is the largest

@@ -17,7 +17,6 @@ import math
 
 from .cyclotomic import factor_one_plus_qd, rem_cyclotomic
 from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
-from .perms import alternating_gf, salie_perm_gf
 from .poly import IntPoly, q_power
 from .qbinom import gauss
 from .residues import inject
@@ -322,12 +321,14 @@ def check_eq24(n: int) -> Report:
 
 def check_perm_euler(n: int) -> Report:
     """The alternating-permutation inversion gf equals (-1)^n E_{2n}."""
+    from .perms import alternating_gf  # the oracles load only for their suites
     gf = alternating_gf(n)
     return _identity("perm-euler", n, gf + euler(n) if n % 2 else gf - euler(n))
 
 
 def check_perm_salie(n: int) -> Report:
     """Twice the Salie-permutation inversion gf equals Sbar_{2n}."""
+    from .perms import salie_perm_gf
     return _identity("perm-salie", n, 2 * salie_perm_gf(n) - salie_bar(n))
 
 
@@ -496,10 +497,12 @@ def sweep_foata(n_max: int = 15):
 
 
 def sweep_perm_euler(n_max: int = 3):
+    from .perms import alternating_gf
     return _sweep(zip(range(1, n_max + 1)), lambda: alternating_gf(n_max), check_perm_euler)
 
 
 def sweep_perm_salie(n_max: int = 3):
+    from .perms import salie_perm_gf
     return _sweep(zip(range(1, n_max + 1)), lambda: salie_perm_gf(n_max), check_perm_salie)
 
 

@@ -554,10 +554,10 @@ def at_one_conj51(k_max, m_max, at_one):
     return out
 
 
-# report records ------------------------------------------------------------------
+# report and compute records -------------------------------------------------------
 #
-# The reference for `qcong.cli.report_record`: each report's JSON record as a
-# dict, in key order, for json.dumps to render.
+# The reference for `qcong.cli.report_record` and the lines of `compute`:
+# each JSON record as a dict, in key order, for json.dumps to render.
 
 RECORD_KEYS = {
     "congruence": (
@@ -585,3 +585,17 @@ def _record_value(key: str, value):
 def report_dict(r) -> dict:
     """JSON-ready dict of any verify/explore report."""
     return {key: _record_value(key, getattr(r, key)) for key in RECORD_KEYS[r.kind]}
+
+
+def compute_dict(family: str, index: int, poly, k=None, divisor=None) -> dict:
+    """JSON-ready dict of one `compute` line: gauss puts its k before the
+    coefficients, gen-euler after them, and a divisor family adds its factors."""
+    rec = {"family": family, "index": index}
+    if family == "gauss":
+        rec["k"] = k
+    rec["coeffs"] = [str(c) for c in poly.coeffs]
+    if divisor is not None:
+        rec["factored"] = _record_value("divisor", divisor)
+    if k is not None and family != "gauss":
+        rec["k"] = k
+    return rec

@@ -15,10 +15,11 @@ import oracles
 from qcong import cli
 from qcong import verify as v
 from qcong.cli import report_record
-from qcong.cyclotomic import FactoredPoly
+from qcong.cyclotomic import FactoredPoly, cyclotomic
 from qcong.divisors import DIVISOR_FAMILIES, big_p
 from qcong.perms import ENUMERATION_CAP
 from qcong.poly import IntPoly
+from qcong.qbinom import gauss
 from qcong.sequences import SEQUENCE_FAMILIES, euler, gen_euler, gen_euler_at_one
 
 CMD = [sys.executable, "-m", "qcong"]
@@ -813,6 +814,50 @@ def test_report_line_is_the_json_of_its_record(report):
     assert report_record(report) == json.dumps(oracles.report_dict(report))
 
 
+def assert_compute_json(capsys, records, *argv):
+    """compute's JSON lines for argv are json.dumps of the oracle's records."""
+    assert cli.main(["compute", *argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out.splitlines() == [json.dumps(r) for r in records]
+
+
+def test_compute_line_is_the_json_of_its_record(capsys):
+    for fam, build in DIVISOR_FAMILIES.items():
+        records = [oracles.compute_dict(fam, i, build(i).expand(), divisor=build(i))
+                   for i in range(1, 9)]
+        assert_compute_json(capsys, records, "--family", fam, "--n", "8")
+    for fam, build in SEQUENCE_FAMILIES.items():
+        if fam != "gen-euler":
+            records = [oracles.compute_dict(fam, i, build(i)) for i in range(9)]
+            assert_compute_json(capsys, records, "--family", fam, "--n", "8")
+    for k in range(1, 5):
+        records = [oracles.compute_dict("gen-euler", i, gen_euler(k, i), k=k) for i in range(9)]
+        assert_compute_json(capsys, records, "--family", "gen-euler", "--k", str(k), "--n", "8")
+    for n in range(9):
+        if n:
+            records = [oracles.compute_dict("cyclotomic", n, cyclotomic(n))]
+            assert_compute_json(capsys, records, "--family", "cyclotomic", "--n", str(n))
+        for k in range(n + 2):
+            records = [oracles.compute_dict("gauss", n, gauss(n, k), k=k)]
+            assert_compute_json(capsys, records, "--family", "gauss", "--n", str(n), "--k", str(k))
+
+
+def test_summary_line_is_the_json_of_its_counts(monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_CAP, "3")
+    runs = [("verify", "suite", name) for name in (*v.SUITES["verify"], "all")]
+    runs += [("explore", "conjecture", name) for name in v.SUITES["explore"]]
+    for command, option, name in runs:
+        reports = []
+        for each in v.SUITES[command] if name == "all" else (name,):
+            bounds = cli.BOUNDS[command][each]
+            capped = {b: None if d is None else min(d, 3) for b, d in bounds.items()}
+            reports += v.SUITES[command][each](**capped)
+        checked, passed, failed = v.summarize(reports)
+        code = cli.main([command, f"--{option}", name, "--format", "json"])
+        assert code == (1 if command == "verify" and failed else 0), name
+        want = {option: name, "checked": checked, "passed": passed, "failed": failed}
+        assert capsys.readouterr().out.splitlines()[-1] == json.dumps(want)
+
+
 def test_every_default_output_line_is_canonical_json():
     for argv in (
         ("verify", "--suite", "all"),
@@ -833,3 +878,32 @@ def test_import_loads_no_dataclasses_or_inspect():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the modules bench/tracer.py indexes when it wraps each layer
+TRACED_MODULES = {f"qcong.{m}" for m in
+                  ("poly", "qbinom", "sequences", "cyclotomic", "residues", "verify", "cli")}
+STARTUP = """
+import sys
+from qcong import cli
+for argv in sys.argv[1:]:
+    assert cli.main(argv.split()) == 0, argv
+sys.stderr.write(" ".join(sys.modules))
+"""
+
+
+def test_startup_imports_only_what_a_decision_uses():
+    # without site hooks, every module qcong imports is one the process pays for
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+
+    def loaded(*argvs):
+        proc = subprocess.run([sys.executable, "-S", "-c", STARTUP, *argvs],
+                              capture_output=True, text=True, env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stderr.split())
+
+    modules = loaded("verify --suite stern --m-max 4 --format json",
+                     "compute --family P --n 3 --format json")
+    assert not {"json", "typing", "qcong.perms"} & modules
+    assert TRACED_MODULES <= modules
+    assert "qcong.perms" in loaded("verify --suite perm-euler --format json")
