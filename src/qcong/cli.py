@@ -9,7 +9,8 @@ explore, by a summary object with counts.  Every JSON line, report, compute
 record and summary, is rendered from an f-string template, byte for byte the
 `json.dumps` of its record, so no process imports `json`.  compute asks each
 family for its largest index first, and the family refuses a bad or
-oversized one itself.
+oversized one itself; compute sizes its output from that record with
+`poly.refuse`, and makes every other record as it renders it.
 
 Records are rendered one at a time and written in blocks of BLOCK_CHARS
 characters, once nothing can be refused; `main` flushes stdout itself.
@@ -27,7 +28,7 @@ import sys
 from . import verify as v
 from .cyclotomic import cyclotomic
 from .divisors import DIVISOR_FAMILIES
-from .poly import IntPoly, SizeLimitExceeded
+from .poly import IntPoly, SizeLimitExceeded, refuse
 from .qbinom import gauss
 from .sequences import SEQUENCE_FAMILIES
 
@@ -168,21 +169,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _compute_records(args) -> list[tuple[IntPoly, str, str, str]]:
-    """(polynomial, text head, JSON head, JSON tail) of each compute line;
-    main renders the polynomial in the printed format only."""
+def _compute_records(args):
+    """(polynomial, text head, JSON head, JSON tail) of each compute line,
+    made as main renders it in the printed format only.  The last, of the
+    largest index, is made first, its family refusing it if oversized; the
+    others are no longer in all, so the output is sized from it first."""
     fam, n, k = args.family, args.n, args.k
     takes_k = fam in ("gen-euler", "gauss")
     if takes_k != (k is not None):
         raise ValueError(f"--family {fam} {'requires' if takes_k else 'does not take'} --k")
-    if fam == "cyclotomic":
-        return [(cyclotomic(n), f"cyclotomic {n}:", f'{{"family": "{fam}", "index": {n}, ', "}")]
-    if fam == "gauss":
-        head = f'{{"family": "{fam}", "index": {n}, "k": {k}, '
-        return [(gauss(n, k), f"gauss {n} {k}:", head, "}")]
+    first = n if fam in ("cyclotomic", "gauss") else int(fam in DIVISOR_FAMILIES)
 
     def record(i):
         head = f'{{"family": "{fam}", "index": {i}, '
+        if fam == "cyclotomic":
+            return cyclotomic(i), f"{fam} {i}:", head, "}"
+        if fam == "gauss":
+            return gauss(i, k), f"{fam} {i} {k}:", f'{head}"k": {k}, ', "}"
         if fam in DIVISOR_FAMILIES:
             f = DIVISOR_FAMILIES[fam](i)
             return f.expand(), f"{fam} {i}: {f} =", head, f', "factored": {_factors(f)}}}'
@@ -191,7 +194,10 @@ def _compute_records(args) -> list[tuple[IntPoly, str, str, str]]:
         return SEQUENCE_FAMILIES[fam](i), f"{fam} {i}:", head, "}"
 
     last = record(n)
-    return [record(i) for i in range(fam in DIVISOR_FAMILIES, n)] + [last]
+    size, bits = len(last[0].coeffs), max(map(abs, last[0].coeffs), default=0).bit_length()
+    what = f"rendering {n + 1 - first} record(s) of up to {size} coefficients"
+    refuse(what, size * (136 + 2 * bits), (n + 1 - first) * size * (1 + bits // 64))
+    return itertools.chain(map(record, range(first, n)), [last])
 
 
 def _reject_foreign_bounds(args, parser, command: str, name: str) -> None:

@@ -16,6 +16,10 @@ monic product is the product of the same binomials, so the reversed
 dividend over it, in power series, holds the reversed quotient and, past
 it, what the remainder comes back from.  No product is expanded.
 
+Every series states its size to `poly.refuse`, the one size guard, before
+it allocates anything: a product of binomials 1 + q^d from its exponents
+before any is factored, Phi_n from a lower bound on phi(n) before n is.
+
 >>> print(cyclotomic(6))
 1 - q + q^2
 """
@@ -27,23 +31,18 @@ import functools
 import math
 import operator
 
-from .poly import IntPoly, SizeLimitExceeded
-
-# What one binomial product may take, as passes x coefficients x bytes: the
-# nonempty passes, degree + 1, and 16 bytes for the list and tuple slots of
-# a small int, more for a mean coefficient (value at q = 1) / (degree + 1)
-# past 256.  At the limit gauss(1184, 100) and gauss(6882961, 2) take
-# 2.5-4.5 s and under 650 MB; gauss(20000000, 1) peaks at 319 MB.
-SERIES_BYTES_LIMIT = 1 << 30
+from .poly import IntPoly, refuse
 
 
-def _refuse_degree(low: int) -> None:
-    """Refuse a series of degree at least `low` even at 16 bytes a coefficient."""
-    if (low + 1) * 16 > SERIES_BYTES_LIMIT:
-        raise SizeLimitExceeded(
-            f"a series of degree at least {low} would take more than the "
-            f"{SERIES_BYTES_LIMIT >> 20} MB series limit"
-        )
+def _refuse_series(passes: int, degree: int, at_one: int) -> None:
+    """The size guard of `passes` passes cut off above `degree` whose sum is
+    about `at_one`.  A pass holds the list, a copy and two slices, four slots
+    a coefficient, and, past the small ints CPython shares, each coefficient
+    old and new; it takes a step a machine word of each coefficient."""
+    bits = (at_one // (degree + 1)).bit_length()
+    ints = 0 if bits < 9 else 64 + bits // 30 * 8
+    what = f"a degree-{degree} series in {passes} binomial pass(es)"
+    refuse(what, (degree + 1) * (32 + ints), passes * (degree + 1) * (1 + bits // 64))
 
 
 def _binomial_series(steps, degree: int, start=(1,)) -> list[int]:
@@ -62,25 +61,20 @@ def _binomial_series(steps, degree: int, start=(1,)) -> list[int]:
     pass stops at top + c, and a divide pass at top when its last c entries
     are zero (the quotient is then a polynomial of degree top - c).
 
-    The guard sizes coefficients by the product at q = 1, over every step
-    (Phi_p(1) = p needs the empty pass 1 - q^p): c^(+-1) for 1 - q^c, read
-    as (1 - q^c) / (1 - q), and 2^(+-1) for 1 + q^c; only once the passes
-    would fit the limit at 16 bytes a coefficient.
+    The guard sizes coefficients by the product of every step at q = 1,
+    empty passes too (Phi_p(1) = p needs the pass 1 - q^p): c^(+-1) for
+    1 - q^c, read as (1 - q^c) / (1 - q), and 2^(+-1) for 1 + q^c; a first
+    few steps with k > 0 more divisions than multiplications by 1 - q^c
+    have a pole of order k at q = 1 and count (degree + 1)^k times theirs.
     """
     passes = [step for step in steps if step[0] <= degree]
-    count, size = len(passes) * (degree + 1), 16
-    if count * size <= SERIES_BYTES_LIMIT:
-        value = [1, 1]  # of the multiply steps and of the divide steps
-        for c, divide, plus in steps:
-            value[divide] *= 2 if plus else c
-        mean = value[0] // value[1] // (degree + 1)
-        if mean > 256:
-            size = 39 + mean.bit_length() // 30 * 4
-    if count * size > SERIES_BYTES_LIMIT:
-        raise SizeLimitExceeded(
-            f"a degree-{degree} series in {len(passes)} binomial pass(es) would "
-            f"take more than the {SERIES_BYTES_LIMIT >> 20} MB series limit"
-        )
+    value, pole, largest = [1, 1], 0, 0  # of the multiply and of the divide steps
+    for c, divide, plus in steps:
+        value[divide] *= 2 if plus else c
+        pole += 0 if plus else 1 if divide else -1
+        if pole > 0:
+            largest = max(largest, value[0] * (degree + 1) ** pole // value[1])
+    _refuse_series(len(passes), degree, max(largest, value[0] // value[1]))
     s, top = [*start] + [0] * (degree + 1 - len(start)), len(start) - 1
     for c, divide, plus in passes:
         op = operator.add if plus != divide else operator.sub
@@ -107,7 +101,7 @@ def _moebius(n: int) -> tuple[int, tuple[tuple[int, bool], ...]]:
 
     n has no more prime factors than there are first primes with product at
     most n, so n prod (p - 1)/p over those is at most phi(n): a series of
-    degree phi(n) past the limit is refused on it before n is factored.
+    degree phi(n) past a limit is refused on it before n is factored.
     Every prime below p divides `den`, so p is prime when coprime to it.
     The bound is checked on every call, against the limit of the moment;
     only the factorization is memoized.
@@ -117,7 +111,8 @@ def _moebius(n: int) -> tuple[int, tuple[tuple[int, bool], ...]]:
         if math.gcd(den, p) == 1:
             num, den = num * (p - 1), den * p
         p += 1
-    _refuse_degree(n * num // den)
+    low = n * num // den
+    refuse(f"a series of degree at least {low}", (low + 1) * 32, low + 1)
     return _factor(n)
 
 
@@ -177,7 +172,7 @@ def factor_one_plus_qd(*exponents: int) -> "FactoredPoly":
     repeated exponent raises the power.  For d = 2^v t with t odd, 1 + q^d
     is the product of the Phi_(2^(v+1) e) over the divisors e of t, found
     in pairs e, t/e by trial division up to sqrt(t), once per distinct d.
-    A product of degree sum(d) past the series limit is refused first.
+    A product past a limit, a pass a binomial, is refused first.
 
     >>> print(factor_one_plus_qd(3, 1, 1))
     Phi_2^3 * Phi_6
@@ -186,7 +181,7 @@ def factor_one_plus_qd(*exponents: int) -> "FactoredPoly":
     """
     if min(exponents, default=1) < 1:
         raise ValueError("exponent must be positive")
-    _refuse_degree(sum(exponents))
+    _refuse_series(len(exponents), sum(exponents), 2 ** len(exponents))
     pairs = []
     for d, count in collections.Counter(exponents).items():
         power2, t = 2 * (d & -d), d // (d & -d)

@@ -9,29 +9,16 @@ A permutation x_1 ... x_{2n} is *alternating* when
 x_1 < x_2 > x_3 < ... < x_{2n}.  It is a *Salie permutation* when there is
 an even index 2k (k >= 1) such that x_1 ... x_{2k} is alternating and
 x_{2k} < x_{2k+1} < ... < x_{2n}; k = n (empty increasing tail) is allowed,
-k = 0 is not.
+k = 0 is not.  Each enumeration states (2n)! prefixes of 2n letters as its
+steps to `poly.refuse`, the one size guard, so n = 6 is refused at once.
 """
 
 from __future__ import annotations
 
 import functools
+from math import factorial
 
-from .poly import IntPoly, SizeLimitExceeded
-
-# The largest half-size n that the verify suites enumerate.  On a 2.0 GHz
-# Xeon, n = 5 takes 0.3 s (alternating) and 0.6 s (Salie); n = 6 takes 19 s
-# and 29 s, since (2n)! grows by a factor of 132.
-ENUMERATION_CAP = 5
-
-
-def _guard(n: int) -> None:
-    if n < 1:
-        raise ValueError("half-size must be positive")
-    if n > ENUMERATION_CAP:
-        raise SizeLimitExceeded(
-            f"half-size {n} exceeds the enumeration cap {ENUMERATION_CAP}; "
-            f"(2n)! grows too fast to enumerate casually"
-        )
+from .poly import IntPoly, refuse
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,8 +43,12 @@ def _inversion_gf(n: int, tails: bool) -> IntPoly:
     """Sum of q^inv(x) over the permutations of [2n] that are alternating
     or, when `tails`, Salie; a prefix grows only while it can still become
     one of them."""
-    _guard(n)
+    if n < 1:
+        raise ValueError("half-size must be positive")
     size = 2 * n
+    # (2n)! prefixes of 2n letters at most; 40! is past the limit, a huge factorial slow
+    steps = factorial(min(size, 40)) * size
+    refuse(f"enumerating the permutations of [{size}]", size * size * 32, steps)
     counts = [0] * (size * (size - 1) // 2 + 1)
     used = [False] * (size + 1)
 

@@ -31,7 +31,21 @@ class NonMonicModulus(ValueError):
 
 
 class SizeLimitExceeded(ValueError):
-    """A request beyond a size guard: enumeration, a triangle row or a binomial series."""
+    """A request past the memory or the work limit, refused before it is built."""
+
+
+# What one request may take: its estimated peak bytes, and its steps, each a
+# machine-word operation or a permutation prefix.
+MEMORY_LIMIT = 1 << 30
+WORK_LIMIT = 10**9
+
+
+def refuse(what: str, peak_bytes: int, steps: int) -> None:
+    """The one size guard: each builder calls it with its own two estimates
+    before it allocates anything, and `what` is refused past either limit."""
+    if peak_bytes > MEMORY_LIMIT or steps > WORK_LIMIT:
+        limit = f"{MEMORY_LIMIT >> 20} MB" if peak_bytes > MEMORY_LIMIT else f"{WORK_LIMIT:,} steps"
+        raise SizeLimitExceeded(f"{what} would take more than the limit of {limit}")
 
 
 def _as_poly(value) -> "IntPoly | None":

@@ -41,8 +41,10 @@ left shift and the triangle is additions, with no product and no Gaussian
 binomial.
 
 gen_euler_at_one runs the generalized Euler recurrence over the integers.
-All functions are memoized.  The argument n is the recurrence index; the
-polynomial subscript is 2n, 2n+1 for tangent, and k*n for gen_euler.
+Before it builds, a triangle and gen_euler_at_one each state their peak bytes
+and steps to `poly.refuse`, the one size guard.  All functions are memoized.
+The argument n is the recurrence index; the polynomial subscript is 2n,
+2n+1 for tangent, and k*n for gen_euler.
 """
 
 from __future__ import annotations
@@ -51,17 +53,7 @@ import functools
 import threading
 from math import comb, factorial
 
-from .poly import IntPoly, SizeLimitExceeded
-
-# The largest triangle row, in estimated bytes, that a request may build:
-# row L holds L entries of about L^2/2 digits.  euler(115) is the largest
-# euler value under it; euler(200) needs a 10 GB row.
-ROW_BYTES_LIMIT = 1 << 30
-
-# The largest subscript k*n that gen_euler_at_one may take: its binomials
-# C(kn, kj) grow with it.  On 2 vCPUs gen_euler_at_one(1 << 15, 3) takes
-# 0.25 s, (1 << 16, 3) 0.9 s and (1 << 20, 3) more than a minute.
-AT_ONE_INDEX_LIMIT = 1 << 16
+from .poly import IntPoly, refuse
 
 
 def _widen(packed: int, old: int, new: int) -> int:
@@ -109,23 +101,28 @@ class _Triangle:
         return _unpack(packed, width)
 
     def _digit_bytes(self, length: int) -> int:
-        """Bytes per coefficient that hold every entry of row `length`."""
+        """Bytes per coefficient that hold every entry of row `length`; past
+        row 4096, far past the size limits, by L! < L^L, as a huge factorial
+        is slow."""
         blocks, top = divmod(length, self._k)
+        if length > 4096:
+            return (length * length.bit_length() + blocks.bit_length() + 7) // 8
         bound = factorial(length) // (factorial(self._k) ** blocks * factorial(top))
         return ((bound * (blocks + 1)).bit_length() + 7) // 8
 
     def _advance(self, stop: int) -> None:
         """Step from the current row to row `stop`, keeping each row's value."""
-        digits = stop**3 // 2  # checked first: a huge row's factorial is slow
-        if digits > ROW_BYTES_LIMIT or digits * self._digit_bytes(stop) > ROW_BYTES_LIMIT:
-            raise SizeLimitExceeded(
-                f"row {stop} of the q-Seidel triangle would take more than "
-                f"the {ROW_BYTES_LIMIT >> 20} MB row limit"
-            )
-        start = len(self._values)
-        if self._width < self._digit_bytes(stop):
+        start, width = len(self._values), self._width
+        if width < self._digit_bytes(stop):
             # widen for a row half again as long, so widening is rare
             width = max(self._digit_bytes(stop), self._digit_bytes(start + start // 2))
+        # row `stop` is stop entries of about stop^2/2 digits, held twice while
+        # it is widened; the packed values of the rows before it and an IntPoly
+        # of each, at 36 bytes more a coefficient, are a third of a row each.
+        # Row L takes L^3/2 digit additions, one step a machine word.
+        what = f"row {stop} of the q-Seidel triangle"
+        refuse(what, stop**3 * (4 * width + 18) // 3, stop**4 * width // 64)
+        if width > self._width:
             self._row = [_widen(x, self._width, width) for x in self._row]
             self._width = width
         # each row overwrites the last in place, entry by entry, so only
@@ -175,15 +172,16 @@ def gen_euler_at_one(k: int, n: int) -> int:
 
     q -> 1 sends [a over b]_q to C(a, b), so this is the recurrence of
     gen_euler over the integers.  Ascending j keeps the call depth constant.
+    C(kn, kj) has at most kn bits and each value at most kj log2(kn), so the
+    values take about k n^2 log2(kn) / 16 bytes and their products, a step a
+    pair of machine words, about k^2 n^4 log2(kn) / 2^15 steps.
     """
     if k < 1:
         raise ValueError("family parameter must be positive")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if k * n > AT_ONE_INDEX_LIMIT:
-        raise SizeLimitExceeded(
-            f"E^({k})_{k * n}(1): subscript {k * n} is past the q = 1 limit of {AT_ONE_INDEX_LIMIT}"
-        )
+    bits = (k * n).bit_length()
+    refuse(f"E^({k})_{k * n}(1)", k * n * n * bits // 16, k * k * n**4 * bits >> 15)
     return -sum(comb(k * n, k * j) * gen_euler_at_one(k, j) for j in range(n)) if n else 1
 
 

@@ -105,10 +105,6 @@ class Report:
         return r
 
     @property
-    def conjecture(self) -> str:
-        return self.check
-
-    @property
     def status(self) -> str:
         return "holds" if self.passed else "fails"
 
@@ -457,7 +453,7 @@ def sweep_theorem2(n_max: int = 15):
 
 def sweep_theorem51(k_max: int = 3, m_max: int = 6, d_max: int | None = None):
     # row km of the block-k triangle has digits of about (km)! / k!^m,
-    # which grows with k, so the largest k meets the row limit first
+    # which grows with k, so the largest k meets the size guard first
     cases = _each_k(k_max, _mnd, m_max, d_max)
     return _sweep(cases, lambda: gen_euler(k_max, m_max), check_theorem51)
 

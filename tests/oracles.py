@@ -5,6 +5,10 @@ imports from the package's arithmetic paths) so a bug in the library cannot
 hide behind the same bug in its test.
 """
 
+import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -435,31 +439,37 @@ def full_binomial_series(steps, degree: int) -> list:
     return s
 
 
-def series_bytes(steps, degree: int, at_one: int) -> int:
-    """The binomial series guard's estimate, passes x coefficients x bytes,
-    with `at_one` the value at q = 1 that its callers once handed it: the
-    passes are the steps with c <= degree, and a coefficient takes 16 bytes,
-    or 39 + 4 per 30 bits of a mean (value at q = 1) / (degree + 1) past 256."""
+def series_estimate(steps, degree: int) -> tuple[int, int]:
+    """The binomial series guard's (peak bytes, steps), written out apart from
+    `cyclotomic._refuse_series`.  Coefficients are sized by the value at
+    q = 1 of the product of every step, the empty passes too:
+    2^(+-1) for 1 + q^c and c^(+-1) for 1 - q^c, or, if larger, of a product
+    of the first steps with a pole of order k > 0 at q = 1, times
+    (degree + 1)^k.  A coefficient takes four slots and, past 8 bits of the
+    mean, two ints; a nonempty pass takes a step per machine word of each
+    coefficient."""
     passes = sum(1 for c, _, _ in steps if c <= degree)
-    mean = at_one // (degree + 1)
-    size = 39 + mean.bit_length() // 30 * 4 if mean > 256 else 16
-    return passes * (degree + 1) * size
-
-
-def gauss_series_bytes(m: int, n: int) -> int:
-    """The estimate for [m over n], 0 < n <= m - n, sized by C(m, n)."""
-    steps = [(c, False, False) for j in range(1, n + 1) for c in (m - n + j, j)]
-    return series_bytes(steps, n * (m - n), comb(m, n))
-
-
-def factored_series_bytes(steps, degree: int) -> int:
-    """The estimate for the passes (c, divide, plus) of a cyclotomic product
-    of that degree, sized by the product over every pass of 2^(+-1) for
-    1 + q^c and c^(+-1) for 1 - q^c."""
-    value = [1, 1]
+    num, den, pole, largest = 1, 1, 0, 0
     for c, divide, plus in steps:
-        value[divide] *= 2 if plus else c
-    return series_bytes(steps, degree, value[0] // value[1])
+        if divide:
+            den *= 2 if plus else c
+        else:
+            num *= 2 if plus else c
+        if not plus:
+            pole += 1 if divide else -1
+        if pole > 0:
+            largest = max(largest, num * (degree + 1) ** pole // den)
+    largest = max(largest, num // den)
+    bits = (largest // (degree + 1)).bit_length()
+    size = 32 if bits < 9 else 96 + bits // 30 * 8
+    return (degree + 1) * size, passes * (degree + 1) * (1 + bits // 64)
+
+
+def gauss_series_estimate(m: int, n: int) -> tuple[int, int]:
+    """The estimate for [m over n], 0 < n <= m - n: each step j multiplies by
+    1 - q^(m-n+j) and divides by 1 - q^j."""
+    steps = [s for j in range(1, n + 1) for s in ((m - n + j, False, False), (j, True, False))]
+    return series_estimate(steps, n * (m - n))
 
 
 def binomial_power_series(c: int, divide: bool, plus: bool, degree: int) -> list:
@@ -583,8 +593,10 @@ def _record_value(key: str, value):
 
 
 def report_dict(r) -> dict:
-    """JSON-ready dict of any verify/explore report."""
-    return {key: _record_value(key, getattr(r, key)) for key in RECORD_KEYS[r.kind]}
+    """JSON-ready dict of any verify/explore report; a conjecture report's
+    "conjecture" is its check."""
+    attrs = {"conjecture": "check"}
+    return {key: _record_value(key, getattr(r, attrs.get(key, key))) for key in RECORD_KEYS[r.kind]}
 
 
 def compute_dict(family: str, index: int, poly, k=None, divisor=None) -> dict:
@@ -599,3 +611,43 @@ def compute_dict(family: str, index: int, poly, k=None, divisor=None) -> dict:
     if k is not None and family != "gauss":
         rec["k"] = k
     return rec
+
+
+# a process's own peak --------------------------------------------------------------
+#
+# Runs `cli.main` on argv with every call of `poly.refuse` recorded, output to
+# os.devnull, and prints the process's peak resident size, VmHWM, read from
+# its own /proc/self/status, with the peak-byte estimate of each call.
+_PEAK_CHILD = """
+import importlib, json, os, sys
+from qcong import cli, poly
+estimates, refuse = [], poly.refuse
+
+def recording(what, peak_bytes, steps):
+    estimates.append(peak_bytes)
+    refuse(what, peak_bytes, steps)
+
+for name in ("cli", "cyclotomic", "perms", "sequences"):
+    importlib.import_module("qcong." + name).refuse = recording
+sys.stdout = open(os.devnull, "w")
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = int(fh.read().split("VmHWM:")[1].split()[0]) << 10
+print(json.dumps({"code": code, "peak": peak, "estimates": estimates}), file=sys.stderr)
+"""
+
+
+def child_peak(*argv) -> tuple[int, list[int]]:
+    """The peak resident bytes of a fresh process that runs qcong on `argv`,
+    read from that process's own /proc/self/status, and the peak-byte
+    estimates its builders gave `poly.refuse`.  A forked child's ru_maxrss
+    starts at the size of its parent, so it cannot show the child's peak."""
+    env = dict(os.environ)
+    env.pop("QCONG_MAX_N", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    result = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert result["code"] == 0, (argv, proc.stderr)
+    return result["peak"], result["estimates"]

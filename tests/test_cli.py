@@ -17,7 +17,6 @@ from qcong import verify as v
 from qcong.cli import report_record
 from qcong.cyclotomic import FactoredPoly, cyclotomic
 from qcong.divisors import DIVISOR_FAMILIES, big_p
-from qcong.perms import ENUMERATION_CAP
 from qcong.poly import IntPoly
 from qcong.qbinom import gauss
 from qcong.sequences import SEQUENCE_FAMILIES, euler, gen_euler, gen_euler_at_one
@@ -296,11 +295,15 @@ def assert_usage_error(proc):
 
 
 def test_enumeration_cap_is_usage_error():
-    # one cap for both permutation suites
+    # both permutation suites state (2n)! prefixes of 2n letters as their
+    # work, so n = 6 (12! * 12 steps) is refused and n = 5 admitted
     for suite in ("perm-euler", "perm-salie"):
-        proc = run("verify", "--suite", suite, "--n-max", str(ENUMERATION_CAP + 1))
+        proc = run("verify", "--suite", suite, "--n-max", "6")
         assert_usage_error(proc)
-        assert f"enumeration cap {ENUMERATION_CAP}" in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            f"qcong: error: {suite}: enumerating the permutations of [12] would "
+            "take more than the limit of 1,000,000,000 steps"
+        )
 
 
 # suite or conjecture -> bounds past its guard
@@ -320,8 +323,8 @@ PAST_THE_GUARD = {
     "corollary52": ("--k-max", "40", "--m-max", "3"),
     "conj51": ("--k-max", "40", "--m-max", "3"),
     "stern": ("--m-max", "40000"),
-    "perm-euler": ("--n-max", str(ENUMERATION_CAP + 1)),
-    "perm-salie": ("--n-max", str(ENUMERATION_CAP + 1)),
+    "perm-euler": ("--n-max", "6"),
+    "perm-salie": ("--n-max", "6"),
 }
 
 
@@ -350,19 +353,22 @@ def test_every_suite_is_refused_before_its_first_report(monkeypatch, capsys):
 
 
 def test_triangle_row_limit_is_usage_error():
-    # both read row 400 of a q-Seidel triangle, about 10 GB and 3 GB; the
-    # largest index is asked first, so the guard answers before any work
+    # both read row 400 of a q-Seidel triangle, a row of about 10 GB and 3 GB;
+    # the largest index is asked first, so the guard answers before any work
     for argv in (("--family", "euler", "--n", "200"),
                  ("--family", "gen-euler", "--k", "100", "--n", "4")):
         proc = run("compute", *argv)
         assert_usage_error(proc)
-        assert "MB row limit" in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            f"qcong: error: {argv[1]}: row 401 of the q-Seidel triangle would "
+            "take more than the limit of 1024 MB"
+        )
 
 
 LOWERED_ROW_LIMIT = """
 import json, sys
-from qcong import cli, sequences
-sequences.ROW_BYTES_LIMIT = 1 << 20
+from qcong import cli, poly, sequences
+poly.MEMORY_LIMIT = 1 << 20
 try:
     cli.main(sys.argv[1:])
 except SystemExit as exc:
@@ -375,9 +381,9 @@ print(json.dumps({"code": code, "cached": sizes}), file=sys.stderr)
 
 
 LOWERED_SERIES_LIMIT = """
-import importlib, json, sys
-from qcong import cli, qbinom
-importlib.import_module("qcong.cyclotomic").SERIES_BYTES_LIMIT = 1 << 20
+import json, sys
+from qcong import cli, poly, qbinom
+poly.MEMORY_LIMIT = 1 << 20
 try:
     cli.main(sys.argv[1:])
 except SystemExit as exc:
@@ -389,7 +395,7 @@ print(json.dumps({"code": code, "cached": qbinom._gauss.cache_info().currsize}),
 
 
 # Runs the CLI with its address space capped near 600 MB, so a request that
-# slipped past the series limit fails with a MemoryError traceback instead of
+# slipped past the memory limit fails with a MemoryError traceback instead of
 # exhausting the machine.
 ADDRESS_SPACE_CAP = """
 import resource, sys
@@ -409,8 +415,9 @@ def run_capped(*argv):
 
 
 def test_series_limit_is_usage_error():
-    # [2000 over 10] is 20 binomial passes over 19,901 coefficients of about
-    # 47 bytes: past a 1 MB series limit it is refused before any pass
+    # [2000 over 10] is 20 binomial passes over 19,901 coefficients of 74
+    # bits, 112 bytes a coefficient: past a 1 MB limit it is refused before
+    # any pass
     proc = subprocess.run(
         [sys.executable, "-c", LOWERED_SERIES_LIMIT,
          "compute", "--family", "gauss", "--n", "2000", "--k", "10"],
@@ -420,11 +427,11 @@ def test_series_limit_is_usage_error():
     *_, message, result = proc.stderr.strip().splitlines()
     assert message == (
         "qcong: error: gauss: a degree-19900 series in 20 binomial pass(es) "
-        "would take more than the 1 MB series limit"
+        "would take more than the limit of 1 MB"
     )
     assert json.loads(result) == {"code": 2, "cached": 0}
-    # at the default 1 GB limit: 2,000 passes over 10^6 coefficients, and
-    # one pass over 10^9
+    # at the default limits: 2,000 passes over 10^6 coefficients, past the
+    # work limit, and one pass over 10^9, past the memory limit
     for n, k in (("2000", "1000"), ("1000000000", "1")):
         assert_usage_error(run_capped("compute", "--family", "gauss", "--n", n, "--k", k))
 
@@ -438,35 +445,35 @@ def test_huge_cyclotomic_is_usage_error():
 
 def test_huge_cyclotomic_index_is_refused_before_factoring():
     # 2^61 - 1 is prime: trial division would take minutes, but a lower
-    # bound on phi(n) is past the series limit already
+    # bound on phi(n) is past the memory limit already
     start = time.perf_counter()
     proc = run_capped("compute", "--family", "cyclotomic", "--n", str(2**61 - 1))
     assert time.perf_counter() - start < 1
     assert_usage_error(proc)
     assert proc.stderr.strip().splitlines()[-1] == (
         "qcong: error: cyclotomic: a series of degree at least 319829862353704159 "
-        "would take more than the 1024 MB series limit"
+        "would take more than the limit of 1024 MB"
     )
 
 
 def test_huge_binomial_products_are_refused_before_factoring():
-    # each family is a product of binomials 1 + q^d of degree sum(d), which
-    # alone is past the series limit here, so no d is factored and no
-    # cyclotomic index is listed before the refusal
-    for family, n, degree in (
-        ("Qtilde", 20000, 200010000),
-        ("Ev", 10**8, 199609375),
-        ("P", 200000, 13333334736),
-        ("Qbar", 200000, 13333530528),
-        ("Qhat", 200000, 13333530528),
+    # each family is a product of binomials 1 + q^d of degree sum(d), whose
+    # expansion, one pass per binomial, is past the memory limit here, so no
+    # d is factored and no cyclotomic index is listed before the refusal
+    for family, n, degree, count in (
+        ("Qtilde", 20000, 200010000, 20000),
+        ("Ev", 10**8, 199609375, 9),
+        ("P", 200000, 13333334736, 200000),
+        ("Qbar", 200000, 13333530528, 199994),
+        ("Qhat", 200000, 13333530528, 199994),
     ):
         start = time.perf_counter()
         proc = run_capped("compute", "--family", family, "--n", str(n))
         assert time.perf_counter() - start < 1, family
         assert_usage_error(proc)
         assert proc.stderr.strip().splitlines()[-1] == (
-            f"qcong: error: {family}: a series of degree at least {degree} "
-            "would take more than the 1024 MB series limit"
+            f"qcong: error: {family}: a degree-{degree} series in {count} binomial "
+            "pass(es) would take more than the limit of 1024 MB"
         )
 
 
@@ -501,21 +508,60 @@ def test_json_compute_renders_no_text():
 
 
 def test_divisor_family_asks_for_its_largest_index_first():
-    # P_400 is 400 binomial passes over 53,345 coefficients, about 1.86 GB,
-    # past the 1 GB series limit; asked for first, it is refused before
-    # P_1 .. P_399 are built
-    assert_usage_error(run_capped("compute", "--family", "P", "--n", "400"))
+    # P_700 is 700 binomial passes over 163,447 coefficients of 683 bits,
+    # 1.26 * 10^9 word steps, past the work limit; asked for first, it is
+    # refused before P_1 .. P_699 are built
+    proc = run_capped("compute", "--family", "P", "--n", "700")
+    assert_usage_error(proc)
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "qcong: error: P: a degree-163446 series in 700 binomial pass(es) would "
+        "take more than the limit of 1,000,000,000 steps"
+    )
+
+
+# compute points of the q-Seidel triangle, then of the binomial series;
+# compute sizes the rendering of its output too.  gen_euler_at_one and the
+# enumerations hold about a megabyte or less at every input they admit,
+# too little to measure against a process's own size.
+CALIBRATION_POINTS = (
+    ("euler", "--n", "45"),
+    ("gen-euler", "--k", "16", "--n", "7"),
+    ("salie", "--n", "40"),
+    ("gauss", "--n", "150000", "--k", "2"),
+    ("gauss", "--n", "700", "--k", "100"),
+    ("cyclotomic", "--n", "500009"),
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+@pytest.mark.parametrize("argv", CALIBRATION_POINTS, ids=" ".join)
+def test_size_estimates_bound_each_builders_peak(argv):
+    # the largest peak estimate a run states is at least what the run adds
+    # to a bare process's peak, and at most 4 times it
+    bare, _ = oracles.child_peak("compute", "--family", "cyclotomic", "--n", "1")
+    peak, estimates = oracles.child_peak("compute", "--family", *argv)
+    own = peak - bare
+    assert own < 200 << 20
+    assert own <= max(estimates) <= 4 * own, (own, estimates)
+
+
+def test_compute_admits_a_divisor_family_that_fits():
+    # P_400 takes 0.4 s and about 10 MB; the other 399 records are made as
+    # they are rendered, so compute sizes them from P_400 and holds two
+    args = cli.build_parser().parse_args(["compute", "--family", "P", "--n", "400"])
+    records = cli._compute_records(args)
+    assert next(records)[1] == "P 1: Phi_2 ="
 
 
 def assert_refused_before_any_check(*argv):
-    # with a 1 MB row limit the run's largest value is refused; it is asked
-    # for first, so no family value is built or cached before exit 2
+    # with a 1 MB memory limit the run's largest value is refused; it is
+    # asked for first, so no family value is built or cached before exit 2
     proc = subprocess.run(
         [sys.executable, "-c", LOWERED_ROW_LIMIT, *argv],
         capture_output=True, text=True,
     )
     assert proc.stdout == "", argv
-    assert "1 MB row limit" in proc.stderr, argv
+    assert "q-Seidel triangle would take more than the limit of 1 MB" in proc.stderr, argv
     result = json.loads(proc.stderr.strip().splitlines()[-1])
     assert result == {"code": 2, "cached": [0] * 7}, argv
 
@@ -545,25 +591,27 @@ def test_congruence_sweeps_ask_for_their_largest_value_before_listing_cases():
         assert_usage_error(proc)
         assert proc.stderr.strip().splitlines()[-1] == (
             f"qcong: error: {argv[0]}: row {row} of the q-Seidel triangle would "
-            "take more than the 1024 MB row limit"
+            "take more than the limit of 1024 MB"
         )
 
 
 def test_q_at_one_sweeps_meet_the_subscript_limit_at_once():
-    # C(2^40 * 3, 2^40 * j) would run for hours, and stern at m_max = 40000
-    # would check about 5 * 10^8 cases before it reached the limit at m = 32769
-    for argv, k, subscript in (
-        (("verify", "--suite", "corollary52", "--k-max", "40", "--m-max", "3"), 1 << 40, 3 << 40),
-        (("explore", "--conjecture", "conj51", "--k-max", "40", "--m-max", "3"), 1 << 40, 3 << 40),
-        (("verify", "--suite", "stern", "--m-max", "40000"), 2, 80000),
+    # C(2^40 * 3, 2^40 * j) would run for hours; the values of stern at
+    # m_max = 40000 would take gigabytes, and its products at m_max = 2000
+    # about 2 * 10^10 word steps, minutes
+    huge, memory, work = "E^(1099511627776)_3298534883328(1)", "1024 MB", "1,000,000,000 steps"
+    for argv, value, limit in (
+        (("verify", "--suite", "corollary52", "--k-max", "40", "--m-max", "3"), huge, memory),
+        (("explore", "--conjecture", "conj51", "--k-max", "40", "--m-max", "3"), huge, memory),
+        (("verify", "--suite", "stern", "--m-max", "40000"), "E^(2)_80000(1)", memory),
+        (("verify", "--suite", "stern", "--m-max", "2000"), "E^(2)_4000(1)", work),
     ):
         start = time.perf_counter()
         proc = run_capped(*argv)
         assert time.perf_counter() - start < 1
         assert_usage_error(proc)
         assert proc.stderr.strip().splitlines()[-1] == (
-            f"qcong: error: {argv[2]}: E^({k})_{subscript}(1): "
-            f"subscript {subscript} is past the q = 1 limit of 65536"
+            f"qcong: error: {argv[2]}: {value} would take more than the limit of {limit}"
         )
 
 
@@ -607,7 +655,7 @@ def test_q_at_one_witnesses_past_the_int_string_limit_are_exact():
 
 
 def test_theorem52_at_k_max_4_runs_under_the_row_limit():
-    # the 2^4 family reads row 128 of the k = 16 triangle (about 48 MB);
+    # the 2^4 family reads row 128 of the k = 16 triangle (about 100 MB);
     # the digest is the output of the Gaussian-binomial route it replaced
     proc = run("verify", "--suite", "theorem52", "--k-max", "4", "--format", "json")
     assert proc.returncode == 0, proc.stderr

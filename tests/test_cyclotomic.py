@@ -16,26 +16,26 @@ from qcong.cyclotomic import (
     factor_one_plus_qd,
     rem_cyclotomic,
 )
-from qcong.perms import SizeLimitExceeded
 from qcong.divisors import DIVISOR_FAMILIES, big_d, big_p, q_bar, q_hat, q_tilde
-from qcong.poly import IntPoly, ONE, one_plus_q_power, q_power
+from qcong.poly import IntPoly, ONE, SizeLimitExceeded, one_plus_q_power, q_power
 from qcong.qbinom import gauss, gauss_factored
 from qcong.sequences import salie, salie_bar, salie_hat, salie_tilde, tangent
 from oracles import (
     a_exponent,
     binomial_power_series,
     chain_binomials,
-    factored_series_bytes,
     full_binomial_series,
-    gauss_series_bytes,
+    gauss_series_estimate,
     naive_cyclotomic,
     naive_expand,
     naive_factored_divides,
     naive_mul,
+    series_estimate,
 )
 
 # the package namespace binds `qcong.cyclotomic` to the function
 CYCLOTOMIC = importlib.import_module("qcong.cyclotomic")
+POLY = importlib.import_module("qcong.poly")
 
 
 def poly(*coeffs):
@@ -161,37 +161,41 @@ def test_each_one_plus_q_power_is_one_pass():
 
 def test_series_guard_is_sized_as_its_callers_sized_it(monkeypatch):
     # the guard takes the value at q = 1 over every step, the empty passes
-    # too, so each product is refused exactly where the estimate its callers
-    # once computed refuses.  Phi_105 Phi_2^e is of degree 48 + e < 105 for
-    # e < 57, and the empty pass 1 - q^105 puts 105 in its value: without
-    # it the mean coefficient falls under 256 from e = 14 on
+    # too, so each product is refused exactly where the estimate written out
+    # in the oracle passes the memory or the work limit.  Phi_105 Phi_2^e is
+    # of degree 48 + e < 105 for e < 57, and the empty pass 1 - q^105 puts
+    # 105 in its value
     cases = [
-        (gauss_series_bytes(m, n), lambda m=m, n=n: qbinom._gauss.__wrapped__(m, n))
+        (gauss_series_estimate(m, n), lambda m=m, n=n: qbinom._gauss.__wrapped__(m, n))
         for m in range(2, 31)
         for n in range(1, m // 2 + 1)
     ]
     for p in (2, 3, 5, 7, 11, 13, 97, 101):
         steps, degree = FactoredPoly({p: 1})._net()
-        cases.append((factored_series_bytes(steps, degree), lambda p=p: cyclotomic.__wrapped__(p)))
+        cases.append((series_estimate(steps, degree), lambda p=p: cyclotomic.__wrapped__(p)))
     for e in range(10, 21):
         product = FactoredPoly({2: e, 105: 1})
-        cases.append((factored_series_bytes(*product._net()), product.expand))
-    for estimate, build in cases:
-        monkeypatch.setattr(CYCLOTOMIC, "SERIES_BYTES_LIMIT", estimate)
-        build()
-        monkeypatch.setattr(CYCLOTOMIC, "SERIES_BYTES_LIMIT", estimate - 1)
-        with pytest.raises(SizeLimitExceeded):
-            build()
+        cases.append((series_estimate(*product._net()), product.expand))
+    for (peak, steps), build in cases:
+        for memory, work in ((peak, steps), (peak - 1, steps), (peak, steps - 1)):
+            monkeypatch.setattr(POLY, "MEMORY_LIMIT", memory)
+            monkeypatch.setattr(POLY, "WORK_LIMIT", work)
+            if (memory, work) == (peak, steps):
+                build()
+            else:
+                with pytest.raises(SizeLimitExceeded):
+                    build()
 
 
 def test_moebius_refuses_on_a_lower_bound_of_phi(monkeypatch):
-    # with room for exactly phi(n) + 1 coefficients, the bound never refuses
+    # with room for exactly phi(n) + 1 coefficients of 32 bytes, the bound
+    # never refuses
     for n in range(1, 1001):
         phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-        monkeypatch.setattr(CYCLOTOMIC, "SERIES_BYTES_LIMIT", (phi + 1) * 16)
+        monkeypatch.setattr(POLY, "MEMORY_LIMIT", (phi + 1) * 32)
         assert _moebius(n)[0] == phi, n
     # and it is met at a primorial: phi(2 * 3 * 5 * 7 * 11 * 13) = 5760
-    monkeypatch.setattr(CYCLOTOMIC, "SERIES_BYTES_LIMIT", 5761 * 16 - 1)
+    monkeypatch.setattr(POLY, "MEMORY_LIMIT", 5761 * 32 - 1)
     with pytest.raises(SizeLimitExceeded, match="degree at least 5760 "):
         _moebius(30030)
 
@@ -206,7 +210,7 @@ def test_factorizations_are_memoized_but_the_bound_is_not(monkeypatch):
         divisor.expand()
     assert CYCLOTOMIC._factor.cache_info().misses == len(divisor.factors)
     assert _moebius(12) == (4, ((1, False), (2, True), (3, True), (6, False)))
-    monkeypatch.setattr(CYCLOTOMIC, "SERIES_BYTES_LIMIT", 4 * 16)
+    monkeypatch.setattr(POLY, "MEMORY_LIMIT", 4 * 32)
     with pytest.raises(SizeLimitExceeded, match="degree at least 4 "):
         _moebius(12)
 
@@ -217,6 +221,15 @@ def test_huge_cyclotomic_index_is_refused_before_factoring():
         cyclotomic(2**61 - 1)
     with pytest.raises(SizeLimitExceeded):
         FactoredPoly({2**61 - 1: 1}).expand()
+
+
+def test_huge_binomial_product_is_refused_before_any_index_is_factored():
+    # Q~_11000 is 11,000 passes over 60,505,501 coefficients: refused from its
+    # exponents, before _net factors any of its 18,000 cyclotomic indices
+    CYCLOTOMIC._factor.cache_clear()
+    with pytest.raises(SizeLimitExceeded, match="degree-60505500 series in 11000 "):
+        q_tilde(11000).expand()
+    assert CYCLOTOMIC._factor.cache_info().misses == 0
 
 
 def test_expand_matches_the_multiply_out_oracle():

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcong import sequences
-from qcong.perms import SizeLimitExceeded
-from qcong.poly import IntPoly, ONE, Q, q_power
+from qcong.poly import IntPoly, ONE, Q, SizeLimitExceeded, q_power
 from qcong.qbinom import gauss
 from qcong.sequences import (
     SEQUENCE_FAMILIES,
@@ -119,10 +118,12 @@ def test_gen_euler_at_one_matches_integer_recurrence():
 
 
 def test_gen_euler_at_one_refuses_a_subscript_past_its_limit():
-    limit = sequences.AT_ONE_INDEX_LIMIT
-    assert gen_euler_at_one(limit, 1) == -1
-    for k, n in ((limit + 1, 1), (1 << 20, 3), (1 << 40, 3)):
-        with pytest.raises(SizeLimitExceeded, match=f"subscript {k * n} "):
+    # the guard counts the binomial products and their words, not the
+    # subscript: n = 1 is one product however large k is, while (2, 2000)
+    # is about 2 * 10^10 word steps and (2^40, 3) takes gigabytes
+    assert gen_euler_at_one(1 << 17, 1) == -1
+    for k, n in ((2, 2000), (1 << 20, 3), (1 << 40, 3)):
+        with pytest.raises(SizeLimitExceeded, match=rf"E\^\({k}\)_{k * n}\(1\) would take more"):
             gen_euler_at_one(k, n)
 
 
