@@ -9,8 +9,9 @@ explore, by a summary object with counts.  Every JSON line, report, compute
 record and summary, is rendered from an f-string template, byte for byte the
 `json.dumps` of its record, so no process imports `json`.  compute asks each
 family for its largest index first, and the family refuses a bad or
-oversized one itself; compute sizes its output from that record with
-`poly.refuse`, and makes every other record as it renders it.
+oversized one itself (a divisor family on the work of all the records);
+compute sizes its output from that record with `poly.refuse`, and makes
+every other record as it renders it.
 
 Records are rendered one at a time and written in blocks of BLOCK_CHARS
 characters, once nothing can be refused; `main` flushes stdout itself.
@@ -187,8 +188,11 @@ def _compute_records(args):
         if fam == "gauss":
             return gauss(i, k), f"{fam} {i} {k}:", f'{head}"k": {k}, ', "}"
         if fam in DIVISOR_FAMILIES:
+            # the last, made first, states the series work of all n records:
+            # each is a product of its own, and they take 1/4 to 2/3 of that
             f = DIVISOR_FAMILIES[fam](i)
-            return f.expand(), f"{fam} {i}: {f} =", head, f', "factored": {_factors(f)}}}'
+            p = f.expand(n + 1 - first if i == n else 1)
+            return p, f"{fam} {i}: {f} =", head, f', "factored": {_factors(f)}}}'
         if takes_k:
             return SEQUENCE_FAMILIES[fam](k, i), f"{fam} {i}:", head, f', "k": {k}}}'
         return SEQUENCE_FAMILIES[fam](i), f"{fam} {i}:", head, "}"

@@ -34,18 +34,19 @@ import operator
 from .poly import IntPoly, refuse
 
 
-def _refuse_series(passes: int, degree: int, at_one: int) -> None:
-    """The size guard of `passes` passes cut off above `degree` whose sum is
-    about `at_one`.  A pass holds the list, a copy and two slices, four slots
-    a coefficient, and, past the small ints CPython shares, each coefficient
-    old and new; it takes a step a machine word of each coefficient."""
+def _refuse_series(passes: int, degree: int, at_one: int, count: int = 1) -> None:
+    """The size guard of `count` series of `passes` passes cut off above
+    `degree` whose sum is about `at_one`.  A pass holds the list, a copy and
+    two slices, four slots a coefficient, and, past the small ints CPython
+    shares, each coefficient old and new; a step is a word of a coefficient."""
     bits = (at_one // (degree + 1)).bit_length()
     ints = 0 if bits < 9 else 64 + bits // 30 * 8
     what = f"a degree-{degree} series in {passes} binomial pass(es)"
-    refuse(what, (degree + 1) * (32 + ints), passes * (degree + 1) * (1 + bits // 64))
+    what = what if count == 1 else f"{count} expansions, each about {what},"
+    refuse(what, (degree + 1) * (32 + ints), count * passes * (degree + 1) * (1 + bits // 64))
 
 
-def _binomial_series(steps, degree: int, start=(1,)) -> list[int]:
+def _binomial_series(steps, degree: int, start=(1,), count: int = 1) -> list[int]:
     """`start` times prod (1 + q^c)^(-1 if divide else 1) over (c, divide,
     True) and prod (1 - q^c)^(-1 if divide else 1) over (c, divide, False)
     in the list `steps`, in power series cut off above `degree`; `start`
@@ -74,7 +75,7 @@ def _binomial_series(steps, degree: int, start=(1,)) -> list[int]:
         pole += 0 if plus else 1 if divide else -1
         if pole > 0:
             largest = max(largest, value[0] * (degree + 1) ** pole // value[1])
-    _refuse_series(len(passes), degree, max(largest, value[0] // value[1]))
+    _refuse_series(len(passes), degree, max(largest, value[0] // value[1]), count)
     s, top = [*start] + [0] * (degree + 1 - len(start)), len(start) - 1
     for c, divide, plus in passes:
         op = operator.add if plus != divide else operator.sub
@@ -267,19 +268,19 @@ class FactoredPoly:
             steps += [(c // 2, k < 0, True)] * abs(k) + [(c, x < 0, False)] * abs(x)
         return steps, degree
 
-    def expand(self) -> IntPoly:
+    def expand(self, count: int = 1) -> IntPoly:
         """Multiply the product out; always monic.
 
-        The passes of `_net` are taken as one series cut off above the
-        degree, with the sign (-1)^e_1.  At q = 1 each Phi_d with d > 1 is
-        prod_k (d/k)^mu(k), so the value at q = 1 that sizes the series
-        guard, read off the passes, is the product's own value there.
+        The passes of `_net`, one series cut off above the degree, with the
+        sign (-1)^e_1; the guard is told the work of `count` such series.  At
+        q = 1 each Phi_d with d > 1 is prod_k (d/k)^mu(k), so the value at
+        q = 1 that sizes the guard, read off the passes, is the product's own.
 
         >>> print(FactoredPoly({1: 1, 2: 1}).expand())
         -1 + q^2
         """
         steps, degree = self._net()
-        s = _binomial_series(steps, degree)
+        s = _binomial_series(steps, degree, count=count)
         return IntPoly([-c for c in s] if self.exponent(1) % 2 else s)
 
     def divides(self, p: IntPoly) -> tuple[bool, IntPoly]:

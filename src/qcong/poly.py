@@ -6,13 +6,13 @@ coefficient is nonzero, and the zero polynomial is the empty tuple.  Values
 are immutable and hashable, hence safe to share across threads; every
 operation returns a new polynomial.
 
-Products are computed by Kronecker substitution: both factors are evaluated
-at q = 2^(8w), the two integers are multiplied once (CPython does the
-convolution in C, by Karatsuba for large operands), and the coefficients are
-read back from the bytes of the result, w bytes each.  No product
-coefficient exceeds max|a| * max|b| * min(len a, len b) in absolute value,
-and w is chosen so that this bound plus a sign bit fits in a slot; slots
-therefore never overlap and the result is the exact schoolbook product.
+Products are computed by Kronecker substitution: both factors are packed at
+q = 2^(8w), coefficient i the i-th little-endian w-byte digit, the integers
+are multiplied once (by CPython, in C, by Karatsuba for large operands), and
+`_digits`, the one reader of this format, the triangles' too, reads them
+back.  No product coefficient exceeds max|a| * max|b| * min(len a, len b) in
+absolute value, and w is chosen so that this bound plus a sign bit fits in a
+slot: slots never overlap and the result is the exact schoolbook product.
 
 >>> p = IntPoly((1, 1))
 >>> print(p * p)
@@ -72,23 +72,34 @@ def _pack(coeffs: tuple[int, ...], width: int) -> int:
     return int.from_bytes(digits, "little") - _bias(width, len(coeffs))
 
 
+def _widen(packed: int, old: int, new: int) -> int:
+    """`packed` with its `old`-byte digits moved into `new`-byte slots."""
+    count = -(-packed.bit_length() // (8 * old))
+    data = packed.to_bytes(count * old, "little")
+    out = bytearray(count * new)
+    for b in range(old):
+        out[b::new] = data[b::old]
+    return int.from_bytes(out, "little")
+
+
+def _digits(packed: int, width: int, count: int, half: int = 0) -> list[int]:
+    """The first `count` `width`-byte digits of `packed`, each less `half`."""
+    raw = packed.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
+
+
 def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Coefficients of the product of two nonzero coefficient tuples.
 
     The slot width is the fewest bytes w with the coefficient bound below
     2^(8w-1); adding 2^(8w-1) to every slot then makes each one a digit in
-    (0, 2^(8w)), read back from the bytes of the biased product.
+    (0, 2^(8w)), read back from the biased product.
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1
     n = len(a) + len(b) - 1
     product = _pack(a, width) * _pack(b, width) + _bias(width, n)
-    digits = product.to_bytes(n * width, "little")
-    half = 1 << (8 * width - 1)
-    return [
-        int.from_bytes(digits[i : i + width], "little") - half
-        for i in range(0, n * width, width)
-    ]
+    return _digits(product, width, n, 1 << (8 * width - 1))
 
 
 class IntPoly:
@@ -143,16 +154,7 @@ class IntPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) >= len(b):
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] -= c
-        else:
-            out = [-c for c in b]
-            for i, c in enumerate(a):
-                out[i] += c
-        return IntPoly(out)
+        return self + -other
 
     def __rsub__(self, other) -> "IntPoly":
         other = _as_poly(other)

@@ -36,9 +36,9 @@ the odd rows read the down-up permutations of [2n+1], tangent(n).  Every
 coefficient counts (permutation of [L], tail) pairs; for L = bk + a the
 permutation rises within a top block of a letters, the blocks of k and the
 tail, so each of the b + 1 tails has at most L! / (a! k!^b).  A row is a
-list of Python ints with nonnegative digits wide enough for that, q^t is a
-left shift and the triangle is additions, with no product and no Gaussian
-binomial.
+list of Python ints with nonnegative digits wide enough for that, in the
+packed format of `poly`, read by its `_digits`; q^t is a left shift and the
+triangle is additions, with no product and no Gaussian binomial.
 
 gen_euler_at_one runs the generalized Euler recurrence over the integers.
 Before it builds, a triangle and gen_euler_at_one each state their peak bytes
@@ -53,24 +53,7 @@ import functools
 import threading
 from math import comb, factorial
 
-from .poly import IntPoly, refuse
-
-
-def _widen(packed: int, old: int, new: int) -> int:
-    """`packed` with its `old`-byte digits moved into `new`-byte slots."""
-    count = -(-packed.bit_length() // (8 * old))
-    data = packed.to_bytes(count * old, "little")
-    out = bytearray(count * new)
-    for b in range(old):
-        out[b::new] = data[b::old]
-    return int.from_bytes(out, "little")
-
-
-def _unpack(packed: int, width: int) -> IntPoly:
-    """The polynomial whose `width`-byte coefficients are the digits of `packed`."""
-    size = -(-packed.bit_length() // (8 * width)) * width
-    data = packed.to_bytes(size, "little")
-    return IntPoly([int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)])
+from .poly import IntPoly, _digits, _widen, refuse
 
 
 class _Triangle:
@@ -98,13 +81,15 @@ class _Triangle:
             if length >= len(self._values):
                 self._advance(length + 1)
             packed, width = self._values[length]
-        return _unpack(packed, width)
+        return IntPoly(_digits(packed, width, -(-packed.bit_length() // (8 * width))))
 
     def _digit_bytes(self, length: int) -> int:
-        """Bytes per coefficient that hold every entry of row `length`; past
-        row 4096, far past the size limits, by L! < L^L, as a huge factorial
-        is slow."""
+        """Bytes per coefficient that hold every entry of row `length`: one
+        below a block, with no k! taken; past row 4096, far past the size
+        limits, by L! < L^L, as a huge factorial is slow."""
         blocks, top = divmod(length, self._k)
+        if not blocks:
+            return 1
         if length > 4096:
             return (length * length.bit_length() + blocks.bit_length() + 7) // 8
         bound = factorial(length) // (factorial(self._k) ** blocks * factorial(top))

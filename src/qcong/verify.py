@@ -387,8 +387,8 @@ def _conjecture61(variant: str, divisor_fn, value_fn, n: int) -> Report:
 
 def _sweep(cases, largest, *checks) -> list[Report]:
     """Every check on every case, in order, after calling `largest` (for the
-    largest family value the cases read) once the first case is drawn: a
-    bound past a size limit then fails before any check, and bounds that
+    last value the cases read of each family) once the first case is drawn:
+    a bound past a size limit then fails before any check, and bounds that
     leave no case call nothing and give [].  A case is a tuple of the
     checks' arguments; `zip(range(...))` lists one-index cases."""
     cases = iter(cases)
@@ -452,15 +452,15 @@ def sweep_theorem2(n_max: int = 15):
 
 
 def sweep_theorem51(k_max: int = 3, m_max: int = 6, d_max: int | None = None):
-    # row km of the block-k triangle has digits of about (km)! / k!^m,
-    # which grows with k, so the largest k meets the size guard first
     cases = _each_k(k_max, _mnd, m_max, d_max)
-    return _sweep(cases, lambda: gen_euler(k_max, m_max), check_theorem51)
+    blocks = range(k_max, 0, -1)  # the largest first, so it meets the size guard first
+    return _sweep(cases, lambda: [gen_euler(k, m_max) for k in blocks], check_theorem51)
 
 
 def sweep_theorem52(k_max: int = 2, m_max: int = 8, d_max: int | None = None):
     cases = _each_k(k_max, _mnd, m_max, d_max)
-    return _sweep(cases, lambda: gen_euler(1 << k_max, m_max), check_theorem52)
+    blocks = range(k_max, 0, -1)
+    return _sweep(cases, lambda: [gen_euler(1 << k, m_max) for k in blocks], check_theorem52)
 
 
 def sweep_corollary52(k_max: int = 2, m_max: int = 8):
@@ -494,12 +494,14 @@ def sweep_foata(n_max: int = 15):
 
 def sweep_perm_euler(n_max: int = 3):
     from .perms import alternating_gf
-    return _sweep(zip(range(1, n_max + 1)), lambda: alternating_gf(n_max), check_perm_euler)
+    cases = zip(range(1, n_max + 1))
+    return _sweep(cases, lambda: (alternating_gf(n_max), euler(n_max)), check_perm_euler)
 
 
 def sweep_perm_salie(n_max: int = 3):
     from .perms import salie_perm_gf
-    return _sweep(zip(range(1, n_max + 1)), lambda: salie_perm_gf(n_max), check_perm_salie)
+    cases = zip(range(1, n_max + 1))
+    return _sweep(cases, lambda: (salie_perm_gf(n_max), salie_bar(n_max)), check_perm_salie)
 
 
 def explore_conjecture51(k_max: int = 3, m_max: int = 10) -> list[Report]:

@@ -353,16 +353,30 @@ def test_every_suite_is_refused_before_its_first_report(monkeypatch, capsys):
 
 
 def test_triangle_row_limit_is_usage_error():
-    # both read row 400 of a q-Seidel triangle, a row of about 10 GB and 3 GB;
-    # the largest index is asked first, so the guard answers before any work
-    for argv in (("--family", "euler", "--n", "200"),
-                 ("--family", "gen-euler", "--k", "100", "--n", "4")):
-        proc = run("compute", *argv)
+    # the first two read row 400 of a q-Seidel triangle, a row of about 10 GB
+    # and 3 GB; the largest index is asked first, so the guard answers before
+    # any work.  A row shorter than one block has one-byte digits, so blocks
+    # of 2^20 letters and more are refused, or row 0 read, without taking k!
+    for argv, row in (
+        (("compute", "--family", "euler", "--n", "200"), 401),
+        (("compute", "--family", "gen-euler", "--k", "100", "--n", "4"), 401),
+        (("compute", "--family", "gen-euler", "--k", "1048576", "--n", "1"), 2**20 + 1),
+        (("verify", "--suite", "theorem52", "--k-max", "20", "--m-max", "1"), 2**20 + 1),
+        (("verify", "--suite", "theorem52", "--k-max", "24", "--m-max", "1"), 2**24 + 1),
+        (("verify", "--suite", "theorem52", "--k-max", "30", "--m-max", "2"), 2**31 + 1),
+    ):
+        start = time.perf_counter()
+        proc = run_capped(*argv)
+        assert time.perf_counter() - start < 1, argv
         assert_usage_error(proc)
         assert proc.stderr.splitlines()[-1] == (
-            f"qcong: error: {argv[1]}: row 401 of the q-Seidel triangle would "
+            f"qcong: error: {argv[2]}: row {row} of the q-Seidel triangle would "
             "take more than the limit of 1024 MB"
         )
+    start = time.perf_counter()
+    proc = run_capped("compute", "--family", "gen-euler", "--k", "4194304", "--n", "0")
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "gen-euler 0: 1\n", "")
 
 
 LOWERED_ROW_LIMIT = """
@@ -517,6 +531,18 @@ def test_divisor_family_asks_for_its_largest_index_first():
         "qcong: error: P: a degree-163446 series in 700 binomial pass(es) would "
         "take more than the limit of 1,000,000,000 steps"
     )
+    # P_600 and Qtilde_400 are each under the limit, but the last record
+    # states the work of all n, n times its own, before any is expanded
+    for family, n, degree, passes in (("P", 600, 120042, 600), ("Qtilde", 400, 80200, 300)):
+        start = time.perf_counter()
+        proc = run_capped("compute", "--family", family, "--n", str(n))
+        assert time.perf_counter() - start < 1, family
+        assert_usage_error(proc)
+        assert proc.stderr.strip().splitlines()[-1] == (
+            f"qcong: error: {family}: {n} expansions, each about a degree-{degree} "
+            f"series in {passes} binomial pass(es), would take more than the limit "
+            "of 1,000,000,000 steps"
+        )
 
 
 # compute points of the q-Seidel triangle, then of the binomial series;
@@ -546,9 +572,10 @@ def test_size_estimates_bound_each_builders_peak(argv):
 
 
 def test_compute_admits_a_divisor_family_that_fits():
-    # P_400 takes 0.4 s and about 10 MB; the other 399 records are made as
-    # they are rendered, so compute sizes them from P_400 and holds two
-    args = cli.build_parser().parse_args(["compute", "--family", "P", "--n", "400"])
+    # the records of P_1 .. P_175 state 175 times the 5.4 * 10^6 word steps
+    # of P_175, under the work limit (P_180 is past it); the other 174
+    # records are made as they are rendered, so compute holds two
+    args = cli.build_parser().parse_args(["compute", "--family", "P", "--n", "175"])
     records = cli._compute_records(args)
     assert next(records)[1] == "P 1: Phi_2 ="
 
@@ -652,6 +679,44 @@ def test_q_at_one_witnesses_past_the_int_string_limit_are_exact():
         sys.set_int_max_str_digits(limit)
     assert [r["witness"] for r in records] == expected
     assert max(map(len, expected)) > limit
+
+
+# Runs every suite at its default bounds, each in a child forked before any
+# value is built, and prints how many times each triangle advanced.
+ADVANCES_PER_SUITE = """
+import collections, os, sys
+from qcong import sequences, verify
+advance = sequences._Triangle._advance
+advances = collections.Counter()
+
+def counting(self, stop):
+    advances[id(self)] += 1
+    advance(self, stop)
+
+sequences._Triangle._advance = counting
+for suites in verify.SUITES.values():
+    for name, sweep in suites.items():
+        if os.fork() == 0:
+            sweep()
+            print(name, *sorted(advances.values()), flush=True)
+            os._exit(0)
+        os.wait()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks a child per suite")
+def test_each_default_suite_advances_each_triangle_once():
+    # every suite asks first for the last row of each triangle it reads, so
+    # no triangle steps again, or re-slots its row for a wider digit
+    proc = subprocess.run(
+        [sys.executable, "-c", ADVANCES_PER_SUITE], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    advances = {name: counts for name, *counts in map(str.split, proc.stdout.splitlines())}
+    assert set(advances) == {name for suites in v.SUITES.values() for name in suites}
+    for name, counts in advances.items():
+        assert counts == ["1"] * len(counts), name
+    assert advances["theorem51"] == ["1"] * 3 and advances["theorem52"] == ["1"] * 2
 
 
 def test_theorem52_at_k_max_4_runs_under_the_row_limit():
