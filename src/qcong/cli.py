@@ -19,8 +19,6 @@ characters, once nothing can be refused; `main` flushes stdout itself.
 with `os._exit` once `main` returns, skipping the interpreter's teardown.
 """
 
-from __future__ import annotations
-
 import argparse
 import itertools
 import os
@@ -111,16 +109,10 @@ def _env_cap(parser: argparse.ArgumentParser) -> int | None:
 def _resolve_bounds(args, defaults: dict, cap: int | None) -> dict:
     """Each bound is the explicit flag, else the default capped by
     QCONG_MAX_N; an unbounded default (None) is never capped."""
-    resolved = {}
-    for name, default in defaults.items():
-        flag = getattr(args, name)
-        if flag is not None:
-            resolved[name] = flag
-        elif cap is not None and default is not None:
-            resolved[name] = min(default, cap)
-        else:
-            resolved[name] = default
-    return resolved
+    return {
+        name: getattr(args, name, default if cap is None or default is None else min(default, cap))
+        for name, default in defaults.items()
+    }
 
 
 def _bound_names(command: str) -> dict:
@@ -139,7 +131,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_bounds(parser: argparse.ArgumentParser, command: str) -> None:
     for name in _bound_names(command):
-        parser.add_argument(_flag(name), dest=name, type=int)
+        parser.add_argument(_flag(name), dest=name, type=int, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +192,9 @@ def _compute_records(args):
     last = record(n)
     size, bits = len(last[0].coeffs), max(map(abs, last[0].coeffs), default=0).bit_length()
     what = f"rendering {n + 1 - first} record(s) of up to {size} coefficients"
-    refuse(what, size * (136 + 2 * bits), (n + 1 - first) * size * (1 + bits // 64))
+    # a coefficient, however small, costs about 80 ns to build and render,
+    # 16 steps of the work limit's 5 ns, before its words count
+    refuse(what, size * (136 + 2 * bits), (n + 1 - first) * size * (16 + bits // 64))
     return itertools.chain(map(record, range(first, n)), [last])
 
 
@@ -208,7 +202,7 @@ def _reject_foreign_bounds(args, parser, command: str, name: str) -> None:
     """Usage error for a bound flag that suite `name` does not take."""
     taken = BOUNDS[command][name]
     for other in _bound_names(command):
-        if other not in taken and getattr(args, other) is not None:
+        if other not in taken and hasattr(args, other):
             allowed = ", ".join(_flag(n) for n in taken)
             parser.error(f"{name} does not take {_flag(other)} (its bounds: {allowed})")
 

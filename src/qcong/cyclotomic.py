@@ -24,8 +24,6 @@ before any is factored, Phi_n from a lower bound on phi(n) before n is.
 1 - q + q^2
 """
 
-from __future__ import annotations
-
 import collections
 import functools
 import math

@@ -8,8 +8,6 @@ the chain (1 + q^r)(1 + q^2r)...(1 + q^k): P_n takes the first binomial
 D_n = P_n Qbar_n (1 + q^2)^[n even] and Qhat_n = Qbar_n (1 + q^2)^[n odd].
 """
 
-from __future__ import annotations
-
 from .cyclotomic import FactoredPoly, factor_one_plus_qd
 
 

@@ -13,8 +13,6 @@ k = 0 is not.  Each enumeration states (2n)! prefixes of 2n letters as its
 steps to `poly.refuse`, the one size guard, so n = 6 is refused at once.
 """
 
-from __future__ import annotations
-
 import functools
 from math import factorial
 

@@ -21,8 +21,6 @@ slot: slots never overlap and the result is the exact schoolbook product.
 0
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 
 

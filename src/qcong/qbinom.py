@@ -10,8 +10,6 @@ Phi_d.  The tests check gauss against the q-Pascal recurrence, against
 expansion of gauss_factored.
 """
 
-from __future__ import annotations
-
 import functools
 from math import comb
 

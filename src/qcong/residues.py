@@ -6,8 +6,6 @@ IntPoly from `rem_cyclotomic`: two polynomials agree at every primitive m-th
 root of unity exactly when their residues are equal.  No floating point.
 """
 
-from __future__ import annotations
-
 from .cyclotomic import rem_cyclotomic
 from .poly import IntPoly
 

@@ -47,8 +47,6 @@ The argument n is the recurrence index; the polynomial subscript is 2n,
 2n+1 for tangent, and k*n for gen_euler.
 """
 
-from __future__ import annotations
-
 import functools
 import threading
 from math import comb, factorial

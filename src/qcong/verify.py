@@ -10,8 +10,6 @@ they report holds/fails per instance with a witness.  The identities share
 its cases, its largest-value ask and its checks, run by the driver `_sweep`.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 
@@ -97,7 +95,7 @@ class Report:
             setattr(self, name, value)
 
     @classmethod
-    def congruence(cls, check, params, expected, observed, witness) -> Report:
+    def congruence(cls, check, params, expected, observed, witness) -> "Report":
         """A congruence report passes when observed agrees with expected."""
         r = cls("congruence", check, params, expected == observed, witness)
         r.expected_equivalence = expected

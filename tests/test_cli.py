@@ -580,6 +580,35 @@ def test_compute_admits_a_divisor_family_that_fits():
     assert next(records)[1] == "P 1: Phi_2 ="
 
 
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_compute_weighs_each_coefficient_it_renders(fmt):
+    # Ev's coefficients fit one word, but each costs about 80 ns to build
+    # and render: Ev 16384, 16384 records of up to 32768 coefficients, would
+    # run for minutes and write gigabytes of JSON (the timeout ends it)
+    start = time.perf_counter()
+    proc = subprocess.run(CMD + ["compute", "--family", "Ev", "--n", "16384", "--format", fmt],
+                          capture_output=True, text=True, timeout=2)
+    assert time.perf_counter() - start < 1
+    assert_usage_error(proc)
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "qcong: error: Ev: rendering 16384 record(s) of up to 32768 coefficients "
+        "would take more than the limit of 1,000,000,000 steps"
+    )
+
+
+@pytest.mark.parametrize("argv", (
+    ("Ev", "--n", "4000"),
+    ("Qtilde", "--n", "150"),
+    ("euler", "--n", "60"),
+    ("gen-euler", "--k", "4", "--n", "20"),
+), ids=" ".join)
+def test_compute_admits_a_rendering_that_fits(argv):
+    # each takes 0.2-3 s in all, as P 175 above; its last record is made
+    # and sized at once
+    args = cli.build_parser().parse_args(["compute", "--family", *argv])
+    assert next(cli._compute_records(args))
+
+
 def assert_refused_before_any_check(*argv):
     # with a 1 MB memory limit the run's largest value is refused; it is
     # asked for first, so no family value is built or cached before exit 2
@@ -799,6 +828,13 @@ def test_foreign_bound_flag_is_usage_error():
     proc = run("verify", "--suite", "stern", "--n-max", "3", "--format", "json")
     assert_usage_error(proc)
     assert "stern does not take --n-max (its bounds: --m-max)" in proc.stderr
+    # of two foreign flags, the one named is the first the suites take,
+    # whatever their order on the command line
+    proc = run("verify", "--suite", "stern", "--n-max", "3", "--k-max", "2")
+    assert_usage_error(proc)
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "qcong: error: stern does not take --k-max (its bounds: --m-max)"
+    )
     assert_usage_error(run("explore", "--conjecture", "conj61", "--m-max", "3"))
     assert_usage_error(run("explore", "--conjecture", "conj51", "--d-max", "3"))
     # desarmenien's bound on k*m + n is --n-max
@@ -1017,6 +1053,6 @@ def test_startup_imports_only_what_a_decision_uses():
 
     modules = loaded("verify --suite stern --m-max 4 --format json",
                      "compute --family P --n 3 --format json")
-    assert not {"json", "typing", "qcong.perms"} & modules
+    assert not {"json", "typing", "__future__", "qcong.perms"} & modules
     assert TRACED_MODULES <= modules
     assert "qcong.perms" in loaded("verify --suite perm-euler --format json")
