@@ -13,16 +13,20 @@ oversized one itself (a divisor family on the work of all the records);
 compute sizes its output from that record with `poly.refuse`, and makes
 every other record as it renders it.
 
+A well-formed argv (a command, then distinct exact flags each with a value)
+is read from the flag table `COMMANDS` without argparse; argparse, built from
+the same table, parses every other argv and prints every usage error.
+
 Records are rendered one at a time and written in blocks of BLOCK_CHARS
 characters, once nothing can be refused; `main` flushes stdout itself.
 `console_entry`, behind both `qcong` and `python -m qcong`, ends the process
 with `os._exit` once `main` returns, skipping the interpreter's teardown.
 """
 
-import argparse
 import itertools
 import os
 import sys
+from types import SimpleNamespace
 
 from . import verify as v
 from .cyclotomic import cyclotomic
@@ -96,14 +100,19 @@ def report_record(r) -> str:
     )
 
 
-def _env_cap(parser: argparse.ArgumentParser) -> int | None:
+def _fail(message: str):
+    """Exit 2 with argparse's usage line and `qcong: error: message`."""
+    build_parser().error(message)
+
+
+def _env_cap() -> int | None:
     raw = os.environ.get(ENV_CAP)
     if raw is None or raw == "":
         return None
     try:
         return int(raw)
     except ValueError:
-        parser.error(f"{ENV_CAP} must be an integer, got {raw!r}")
+        _fail(f"{ENV_CAP} must be an integer, got {raw!r}")
 
 
 def _resolve_bounds(args, defaults: dict, cap: int | None) -> dict:
@@ -115,51 +124,81 @@ def _resolve_bounds(args, defaults: dict, cap: int | None) -> dict:
     }
 
 
-def _bound_names(command: str) -> dict:
-    """Every bound that some suite of `command` takes, in first-seen order."""
-    return {name: None for bounds in BOUNDS[command].values() for name in bounds}
-
-
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+# Defaults that are not values: a required flag has none, and an absent bound
+# sets no attribute (argparse.SUPPRESS), so the suite's capped default applies.
+_REQUIRED, _ABSENT = object(), object()
 
 
-def _add_bounds(parser: argparse.ArgumentParser, command: str) -> None:
-    for name in _bound_names(command):
-        parser.add_argument(_flag(name), dest=name, type=int, default=argparse.SUPPRESS)
+def _bound_flags(command: str) -> dict:
+    """Every bound that some suite of `command` takes, in first-seen order."""
+    return {_flag(name): (name, int, _ABSENT, {})
+            for bounds in BOUNDS[command].values() for name in bounds}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qcong",
-        description="Exact q-Euler/q-Salie polynomial families and their "
-        "congruence and divisibility checks.",
-    )
+_COMMON = {
+    "--format": ("format", ("text", "json"), "text", {}),
+    "--out": ("out", str, None, {"metavar": "FILE",
+                                 "help": "write output to FILE instead of stdout"}),
+}
+# command -> (its help, flag -> (dest, kind, default, help keywords) of each
+# of its options, in --help order); kind is int, str or the tuple of choices.
+COMMANDS = {
+    "compute": ("print one family up to an index", {
+        "--family": ("family", COMPUTE_FAMILIES, _REQUIRED, {}),
+        "--n": ("n", int, _REQUIRED, {}),
+        "--k": ("k", int, None, {"help": "gen-euler parameter, or lower index for gauss"}),
+        **_COMMON,
+    }),
+    "verify": ("run a theorem-check suite", {
+        "--suite": ("suite", (*v.SUITES["verify"], "all"), _REQUIRED, {}),
+        **_bound_flags("verify"), **_COMMON,
+    }),
+    "explore": ("explore a conjecture numerically", {
+        "--conjecture": ("conjecture", tuple(v.SUITES["explore"]), _REQUIRED, {}),
+        **_bound_flags("explore"), **_COMMON,
+    }),
+}
+
+
+def build_parser():
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="qcong", description="Exact q-Euler/q-Salie polynomial "
+                                     "families and their congruence and divisibility checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("compute", help="print one family up to an index")
-    pc.add_argument("--family", required=True, choices=COMPUTE_FAMILIES)
-    pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--k", type=int, help="gen-euler parameter, or lower index for gauss")
-    _add_common(pc)
-
-    pv = sub.add_parser("verify", help="run a theorem-check suite")
-    suites = tuple(v.SUITES["verify"]) + ("all",)
-    pv.add_argument("--suite", required=True, choices=suites)
-    _add_bounds(pv, "verify")
-    _add_common(pv)
-
-    pe = sub.add_parser("explore", help="explore a conjecture numerically")
-    pe.add_argument("--conjecture", required=True, choices=tuple(v.SUITES["explore"]))
-    _add_bounds(pe, "explore")
-    _add_common(pe)
-
+    defaults = {_REQUIRED: None, _ABSENT: argparse.SUPPRESS}
+    for command, (summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, (dest, kind, default, keywords) in options.items():
+            p.add_argument(flag, dest=dest, type=int if kind is int else None,
+                           choices=kind if isinstance(kind, tuple) else None,
+                           required=default is _REQUIRED, default=defaults.get(default, default),
+                           **keywords)
     return parser
+
+
+def _read_args(argv) -> SimpleNamespace | None:
+    """`build_parser().parse_args(argv)`, read from COMMANDS without argparse
+    if argv is a command, then distinct exact flags of it (the required ones
+    among them) each with a value not starting with "-"; else None."""
+    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
+        return None
+    options, values = COMMANDS[argv[0]][1], {"command": argv[0]}
+    try:
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            dest, kind, _, _ = options[flag]
+            if (dest in values or value.startswith("-")
+                    or isinstance(kind, tuple) and value not in kind):
+                return None
+            values[dest] = int(value) if kind is int else value
+    except (KeyError, ValueError):  # an unknown flag, a value int() refuses
+        return None
+    args = {dest: d for dest, _, d, _ in options.values() if d is not _ABSENT} | values
+    return None if _REQUIRED in args.values() else SimpleNamespace(**args)
 
 
 def _compute_records(args):
@@ -198,19 +237,19 @@ def _compute_records(args):
     return itertools.chain(map(record, range(first, n)), [last])
 
 
-def _reject_foreign_bounds(args, parser, command: str, name: str) -> None:
+def _reject_foreign_bounds(args, command: str, name: str) -> None:
     """Usage error for a bound flag that suite `name` does not take."""
     taken = BOUNDS[command][name]
-    for other in _bound_names(command):
-        if other not in taken and hasattr(args, other):
+    for other, _, default, _ in COMMANDS[command][1].values():
+        if default is _ABSENT and other not in taken and hasattr(args, other):
             allowed = ", ".join(_flag(n) for n in taken)
-            parser.error(f"{name} does not take {_flag(other)} (its bounds: {allowed})")
+            _fail(f"{name} does not take {_flag(other)} (its bounds: {allowed})")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cap = _env_cap(parser)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_args(argv) or build_parser().parse_args(argv)
+    cap = _env_cap()
     # witnesses are written as exact decimal strings, however many digits
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
@@ -221,7 +260,7 @@ def main(argv=None) -> int:
         try:
             records = _compute_records(args)
         except ValueError as exc:  # SizeLimitExceeded among them
-            parser.error(f"{args.family}: {exc}")
+            _fail(f"{args.family}: {exc}")
         if args.format == "json":
             lines = (f'{head}"coeffs": {_poly(p)}{tail}' for p, _, head, tail in records)
         else:
@@ -233,17 +272,17 @@ def main(argv=None) -> int:
         bounds = BOUNDS[args.command]
         names = tuple(bounds) if chosen == "all" else (chosen,)
         if chosen != "all":
-            _reject_foreign_bounds(args, parser, args.command, chosen)
+            _reject_foreign_bounds(args, args.command, chosen)
         reports = []
         for name in names:
             sweep = v.SUITES[args.command][name]
             try:
                 reports.extend(sweep(**_resolve_bounds(args, bounds[name], cap)))
             except (v.PreconditionViolation, SizeLimitExceeded) as exc:
-                parser.error(f"{name}: {exc}")
+                _fail(f"{name}: {exc}")
         checked, passed, failed = v.summarize(reports)
         if checked == 0:
-            parser.error(f"{args.command}: no instances within these bounds")
+            _fail(f"{args.command}: no instances within these bounds")
         if args.format == "json":
             lines = (report_record(r) for r in reports)
             last = (
@@ -272,7 +311,7 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         where = f"--out {args.out}" if args.out else "stdout"
-        parser.error(f"cannot write {where}: {exc.strerror or exc}")
+        _fail(f"cannot write {where}: {exc.strerror or exc}")
     return exit_code
 
 

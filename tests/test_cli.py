@@ -1,7 +1,10 @@
 """CLI contract: subcommands, exit codes, and exact machine output."""
 
+import contextlib
 import errno
 import hashlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +12,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from qcong import cli
@@ -848,6 +851,106 @@ def test_foreign_bound_flag_is_usage_error():
     assert proc.returncode == 0
 
 
+def test_usage_errors_are_the_same_on_both_argv_routes(monkeypatch, capsys, tmp_path):
+    # an argv read without argparse builds the parser only to refuse, and
+    # prints what the argparse route prints, byte for byte
+    def refusal(argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    for argv, cap in (
+        (("verify", "--suite", "stern", "--n-max", "3", "--k-max", "2"), None),
+        (("verify", "--suite", "lemma41"), "x"),
+        (("verify", "--suite", "theorem2", "--n-max", "0"), None),
+        (("compute", "--family", "euler", "--n", "3", "--k", "2"), None),
+        (("compute", "--family", "Ev", "--n", "16384", "--format", "json"), None),
+        (("verify", "--suite", "stern", "--m-max", "2", "--out", str(tmp_path)), None),
+    ):
+        if cap is None:
+            monkeypatch.delenv(cli.ENV_CAP, raising=False)
+        else:
+            monkeypatch.setenv(cli.ENV_CAP, cap)
+        assert cli._read_args(list(argv)) is not None, argv
+        fast = refusal(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_args", lambda argv: None)
+            assert refusal(argv) == fast, argv
+        code, out, err = fast
+        usage, error = err.splitlines()
+        assert (code, out) == (2, ""), argv
+        assert usage == "usage: qcong [-h] {compute,verify,explore} ...", argv
+        assert error.startswith("qcong: error: "), argv
+
+
+# Tokens of the argv grammar the flag reader is checked on against argparse:
+# spellings argparse reads or refuses its own way, and values that int()
+# reads but that are not plain digits.
+ODD_FLAGS = ("--m-m", "--fam", "--m-max=3", "--m_max", "--bogus", "--", "-h", "--help")
+ODD_VALUES = ("-3", "-h", "--", "1_0", "３", " 7", "", "x")
+EVERY_FLAG = tuple({flag: None for _, options in cli.COMMANDS.values() for flag in options})
+
+
+def _usual_values(kind):
+    return ("0", "3", "12") if kind is int else kind if isinstance(kind, tuple) else ("out.txt",)
+
+
+@st.composite
+def argvs(draw):
+    """(argv, whether it is well formed): a command, its required flags or
+    not, then flag and value pairs; each token drawn from the usual ones
+    three times in four, else from the odd ones."""
+    usual = True
+
+    def token(common, odd):
+        nonlocal usual
+        if draw(st.integers(0, 3)):
+            return draw(st.sampled_from(common))
+        usual = False
+        return draw(st.sampled_from(odd))
+
+    command = token(tuple(cli.COMMANDS), ("comp", "-h", "--help", "--"))
+    options = cli.COMMANDS[command][1] if command in cli.COMMANDS else {}
+    with_required = draw(st.booleans())
+    pairs = [(flag, draw(st.sampled_from(_usual_values(kind))))
+             for flag, (_, kind, default, _) in options.items()
+             if with_required and default is cli._REQUIRED]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = token(tuple(options) or EVERY_FLAG, EVERY_FLAG + ODD_FLAGS)
+        pairs.append((flag, token(_usual_values(options[flag][1] if flag in options else int),
+                                  ODD_VALUES)))
+    usual = usual and with_required and len({flag for flag, _ in pairs}) == len(pairs)
+    argv = [command, *itertools.chain.from_iterable(draw(st.permutations(pairs)))]
+    if draw(st.integers(0, 3)) == 0:  # an extra token, or a flag with no value
+        usual = False
+        where = draw(st.just(len(argv)) | st.integers(1, len(argv)))
+        argv.insert(where, draw(st.sampled_from(ODD_FLAGS + ODD_VALUES)))
+    return argv, usual
+
+
+@given(argvs())
+@example((["verify", "--suite", "stern", "--m_max", "3"], False))
+@example((["verify", "--suite", "stern", "--m-max", "3", "--m-max", "4"], False))
+@example((["verify", "--suite", "stern", "--m-max"], False))
+@example((["compute", "--family", "euler", "--n", "3", "--out", "-h"], False))
+@settings(max_examples=300, deadline=None)
+def test_flag_reader_agrees_with_argparse(drawn):
+    # whenever the reader returns a namespace, argparse parses argv to the
+    # same attributes; whenever argparse exits, the reader returns None; and
+    # every well-formed argv is read
+    argv, well_formed = drawn
+    fast = cli._read_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        parsed = None
+    if fast is not None:
+        assert vars(fast) == parsed, argv
+    assert fast is not None or not well_formed, argv
+
+
 # sha256 of stdout and the exit code at default bounds, and of compute for
 # six families, pinned so that the output stays byte-identical across
 # refactors
@@ -1052,7 +1155,20 @@ def test_startup_imports_only_what_a_decision_uses():
         return set(proc.stderr.split())
 
     modules = loaded("verify --suite stern --m-max 4 --format json",
+                     "explore --conjecture conj61 --n-max 3 --format json",
                      "compute --family P --n 3 --format json")
-    assert not {"json", "typing", "__future__", "qcong.perms"} & modules
+    # a well-formed argv is read without argparse, and so without gettext
+    # and the locale module its first message lookup imports
+    assert not {"json", "typing", "__future__", "qcong.perms",
+                "argparse", "gettext", "locale"} & modules
     assert TRACED_MODULES <= modules
     assert "qcong.perms" in loaded("verify --suite perm-euler --format json")
+    # argparse still reads every other argv and prints its own text
+    proc = run("verify", "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: qcong verify [-h] --suite")
+    assert "write output to FILE instead of stdout" in proc.stdout
+    proc = run("verify", "--suite", "stern", "--m_max", "3")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("usage: qcong [-h] {compute,verify,explore} ...\n"
+                           "qcong: error: unrecognized arguments: --m_max 3\n")
