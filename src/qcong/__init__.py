@@ -7,17 +7,8 @@ cyclotomic factorizations, and quotient-ring arithmetic at roots of unity.
 
 from .cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd
 from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
-from .poly import (
-    IntPoly,
-    NonMonicModulus,
-    ONE,
-    Q,
-    SizeLimitExceeded,
-    ZERO,
-    one_plus_q_power,
-    q_power,
-)
-from .qbinom import gauss, gauss_factored, q_lucas_holds, q_lucas_sides
+from .poly import IntPoly, NonMonicModulus, SizeLimitExceeded, ZERO, q_power
+from .qbinom import gauss
 from .residues import inject
 from .sequences import (
     SEQUENCE_FAMILIES,
@@ -36,8 +27,6 @@ __all__ = [
     "FactoredPoly",
     "IntPoly",
     "NonMonicModulus",
-    "ONE",
-    "Q",
     "SEQUENCE_FAMILIES",
     "SizeLimitExceeded",
     "ZERO",
@@ -48,14 +37,10 @@ __all__ = [
     "ev",
     "factor_one_plus_qd",
     "gauss",
-    "gauss_factored",
     "gen_euler",
     "inject",
-    "one_plus_q_power",
     "q_bar",
     "q_hat",
-    "q_lucas_holds",
-    "q_lucas_sides",
     "q_power",
     "q_tilde",
     "salie",

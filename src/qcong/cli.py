@@ -100,19 +100,20 @@ def report_record(r) -> str:
     )
 
 
-def _fail(message: str):
-    """Exit 2 with argparse's usage line and `qcong: error: message`."""
-    build_parser().error(message)
+def _fail(command: str, message: str):
+    """Exit 2 with the usage line of `command` and `qcong command: error:
+    message`, as argparse reports a usage error inside the command."""
+    build_parser(command).error(message)
 
 
-def _env_cap() -> int | None:
+def _env_cap(command: str) -> int | None:
     raw = os.environ.get(ENV_CAP)
     if raw is None or raw == "":
         return None
     try:
         return int(raw)
     except ValueError:
-        _fail(f"{ENV_CAP} must be an integer, got {raw!r}")
+        _fail(command, f"{ENV_CAP} must be an integer, got {raw!r}")
 
 
 def _resolve_bounds(args, defaults: dict, cap: int | None) -> dict:
@@ -164,20 +165,23 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(command: str | None = None):
+    """The argparse parser of qcong or, given a command, of that command."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="qcong", description="Exact q-Euler/q-Salie polynomial "
                                      "families and their congruence and divisibility checks.")
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = {_REQUIRED: None, _ABSENT: argparse.SUPPRESS}
-    for command, (summary, options) in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+    for name, (summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         for flag, (dest, kind, default, keywords) in options.items():
             p.add_argument(flag, dest=dest, type=int if kind is int else None,
                            choices=kind if isinstance(kind, tuple) else None,
                            required=default is _REQUIRED, default=defaults.get(default, default),
                            **keywords)
+        if name == command:
+            return p
     return parser
 
 
@@ -243,13 +247,13 @@ def _reject_foreign_bounds(args, command: str, name: str) -> None:
     for other, _, default, _ in COMMANDS[command][1].values():
         if default is _ABSENT and other not in taken and hasattr(args, other):
             allowed = ", ".join(_flag(n) for n in taken)
-            _fail(f"{name} does not take {_flag(other)} (its bounds: {allowed})")
+            _fail(command, f"{name} does not take {_flag(other)} (its bounds: {allowed})")
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_args(argv) or build_parser().parse_args(argv)
-    cap = _env_cap()
+    cap = _env_cap(args.command)
     # witnesses are written as exact decimal strings, however many digits
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
@@ -260,7 +264,7 @@ def main(argv=None) -> int:
         try:
             records = _compute_records(args)
         except ValueError as exc:  # SizeLimitExceeded among them
-            _fail(f"{args.family}: {exc}")
+            _fail(args.command, f"{args.family}: {exc}")
         if args.format == "json":
             lines = (f'{head}"coeffs": {_poly(p)}{tail}' for p, _, head, tail in records)
         else:
@@ -279,10 +283,10 @@ def main(argv=None) -> int:
             try:
                 reports.extend(sweep(**_resolve_bounds(args, bounds[name], cap)))
             except (v.PreconditionViolation, SizeLimitExceeded) as exc:
-                _fail(f"{name}: {exc}")
+                _fail(args.command, f"{name}: {exc}")
         checked, passed, failed = v.summarize(reports)
         if checked == 0:
-            _fail(f"{args.command}: no instances within these bounds")
+            _fail(args.command, "no instances within these bounds")
         if args.format == "json":
             lines = (report_record(r) for r in reports)
             last = (
@@ -311,7 +315,7 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         where = f"--out {args.out}" if args.out else "stdout"
-        _fail(f"cannot write {where}: {exc.strerror or exc}")
+        _fail(args.command, f"cannot write {where}: {exc.strerror or exc}")
     return exit_code
 
 

@@ -5,11 +5,9 @@ is a product of binomials 1 - q^c and 1 + q^c and their inverses, built by
 one shift-and-add pass per binomial with no product and no long division;
 a 1 - q^(2c) over a 1 - q^c is the one pass 1 + q^c.
 ``FactoredPoly`` represents a product prod_d Phi_d^{e_d} without expanding
-it; since distinct cyclotomic polynomials are coprime, divisibility
-questions between such products reduce to exponent comparisons, and lcm is
-an exponent-wise max.  ``cyclotomic(n)`` is the one-factor product Phi_n,
-expanded by ``FactoredPoly.expand``, and ``factor_one_plus_qd`` is the one
-place that factors products of binomials 1 + q^d.
+it.  ``cyclotomic(n)`` is the one-factor product Phi_n, expanded by
+``FactoredPoly.expand``, and ``factor_one_plus_qd`` is the one place that
+factors products of binomials 1 + q^d.
 
 ``FactoredPoly.divides`` divides on the same passes: the reversal of a
 monic product is the product of the same binomials, so the reversed
@@ -219,16 +217,6 @@ class FactoredPoly:
 
     def exponent(self, d: int) -> int:
         return self._factors.get(d, 0)
-
-    def is_one(self) -> bool:
-        return not self._factors
-
-    def lcm(self, other: "FactoredPoly") -> "FactoredPoly":
-        """Least common multiple: exponent-wise max (cyclotomics are coprime)."""
-        merged = dict(self._factors)
-        for d, e in other._factors.items():
-            merged[d] = max(merged.get(d, 0), e)
-        return FactoredPoly(merged)
 
     def _net(self) -> tuple[list[tuple[int, bool, bool]], int]:
         """The product as the passes (c, divide, plus) of `_binomial_series`,

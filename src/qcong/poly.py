@@ -125,10 +125,6 @@ class IntPoly:
     def leading_coefficient(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def coefficient(self, i: int) -> int:
-        """Coefficient of q^i; zero beyond the stored length."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     # ring operations -------------------------------------------------------
 
     def __add__(self, other) -> "IntPoly":
@@ -154,12 +150,6 @@ class IntPoly:
             return NotImplemented
         return self + -other
 
-    def __rsub__(self, other) -> "IntPoly":
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other) -> "IntPoly":
         other = _as_poly(other)
         if other is None:
@@ -169,18 +159,6 @@ class IntPoly:
         return IntPoly(_kronecker_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "IntPoly":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result, base = ONE, self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
 
     # division ---------------------------------------------------------------
 
@@ -281,13 +259,6 @@ class IntPoly:
             out[i * k] = c
         return IntPoly(out)
 
-    def eval_int(self, x: int) -> int:
-        """Exact Horner evaluation at the integer x."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     # comparisons and rendering -------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -329,8 +300,6 @@ class IntPoly:
 
 
 ZERO = IntPoly()
-ONE = IntPoly((1,))
-Q = IntPoly((0, 1))
 
 
 def q_power(n: int) -> IntPoly:
@@ -338,10 +307,3 @@ def q_power(n: int) -> IntPoly:
     if n < 0:
         raise ValueError("monomial degree must be nonnegative")
     return IntPoly((0,) * n + (1,))
-
-
-def one_plus_q_power(d: int) -> IntPoly:
-    """The binomial 1 + q^d, the modulus family of the main congruences."""
-    if d < 1:
-        raise ValueError("exponent must be positive")
-    return IntPoly((1,) + (0,) * (d - 1) + (1,))

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from qcong.poly import IntPoly  # only as the container of a residue's rep
+from qcong.poly import IntPoly  # only as a container of coefficients
 
 
 def naive_mul(a: list, b: list) -> list:
@@ -171,6 +171,43 @@ def naive_factored_divides(factors: dict, a: list) -> tuple[bool, list]:
     return (False, rem) if rem else (True, quot)
 
 
+def factors_lcm(a: dict, b: dict) -> dict:
+    """lcm of prod Phi_d^a_d and prod Phi_d^b_d: cyclotomic polynomials are
+    coprime, so each exponent is the larger of the two."""
+    return {d: max(a.get(d, 0), b.get(d, 0)) for d in a.keys() | b.keys()}
+
+
+# polynomials the tests write values with ---------------------------------------
+
+ONE = IntPoly((1,))
+Q = IntPoly((0, 1))
+
+
+def one_plus_q_power(d: int) -> IntPoly:
+    """The binomial 1 + q^d."""
+    if d < 1:
+        raise ValueError("exponent must be positive")
+    return IntPoly([1] + [0] * (d - 1) + [1])
+
+
+def poly_pow(p, e: int) -> IntPoly:
+    """p^e by e schoolbook products."""
+    if e < 0:
+        raise ValueError("negative power of a polynomial")
+    product = [1]
+    for _ in range(e):
+        product = naive_mul(product, list(p.coeffs))
+    return IntPoly(product)
+
+
+def eval_int(p, x: int) -> int:
+    """The value of a polynomial at the integer x, by Horner's rule."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def zigzag_numbers(count: int) -> list[int]:
     """1, 1, 1, 2, 5, 16, 61, 272, 1385, ... by the Seidel triangle.
 
@@ -274,6 +311,33 @@ def naive_gauss(m: int, n: int) -> tuple:
         return (1,)
     shifted = [0] * n + list(naive_gauss(m - 1, n))
     return tuple(_combine([(1, naive_gauss(m - 1, n - 1)), (1, shifted)]))
+
+
+def gauss_factored(m: int, n: int) -> dict:
+    """The cyclotomic factorization of [m over n]_q, {d: 1} for each Phi_d
+    it has: those with floor(n/d) + floor((m-n)/d) < floor(m/d)."""
+    if not 0 <= n <= m:
+        raise ValueError("need 0 <= n <= m")
+    return {d: 1 for d in range(2, m + 1) if n // d + (m - n) // d < m // d}
+
+
+def q_lucas_sides(m: int, k: int, d: int, gauss) -> tuple[list, list]:
+    """Both sides of the q-Lucas reduction of gauss(m, k) at a primitive d-th
+    root of unity, as remainders modulo Phi_d: with m = a*d + b and
+    k = r*d + s, 0 <= b, s < d, that of gauss(m, k) and C(a, r) times that
+    of gauss(b, s)."""
+    a, b = divmod(m, d)
+    r, s = divmod(k, d)
+    phi = list(naive_cyclotomic(d))
+    _, lhs = naive_divmod(list(gauss(m, k).coeffs), phi)
+    _, rhs = naive_divmod(list(gauss(b, s).coeffs), phi)
+    return lhs, _combine([(comb(a, r), rhs)])
+
+
+def q_lucas_holds(m: int, k: int, d: int, gauss) -> bool:
+    """Whether the q-Lucas reduction of gauss(m, k) modulo Phi_d is an equality."""
+    lhs, rhs = q_lucas_sides(m, k, d, gauss)
+    return lhs == rhs
 
 
 def _combine(terms) -> list:

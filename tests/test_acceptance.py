@@ -16,8 +16,8 @@ from qcong import verify as v
 from qcong.cyclotomic import FactoredPoly, factor_one_plus_qd
 from qcong.divisors import big_p, q_bar
 from qcong.perms import alternating_gf, salie_perm_gf
-from qcong.poly import IntPoly, ONE, Q, q_power
-from qcong.qbinom import gauss, gauss_factored, q_lucas_holds
+from qcong.poly import IntPoly, q_power
+from qcong.qbinom import gauss
 from qcong.sequences import (
     euler,
     salie,
@@ -26,7 +26,17 @@ from qcong.sequences import (
     salie_tilde,
     tangent,
 )
-from oracles import euler_at_one, zigzag_numbers
+from oracles import (
+    ONE,
+    Q,
+    euler_at_one,
+    eval_int,
+    gauss_factored,
+    naive_expand,
+    poly_pow,
+    q_lucas_holds,
+    zigzag_numbers,
+)
 
 
 def poly(*coeffs):
@@ -71,7 +81,7 @@ def test_criterion_01_first_values():
         salie_hat(1) == poly(1, 0, 1),
         salie_hat(2) == Q * poly(1, 0, 1) * poly(1, 3, 1, 1),
         salie_hat(3)
-        == q_power(2) * poly(1, 0, 1) ** 2 * poly(1, 4, 7, 6, 6, 6, 5, 2, 1),
+        == q_power(2) * poly_pow(poly(1, 0, 1), 2) * poly(1, 4, 7, 6, 6, 6, 5, 2, 1),
         salie_tilde(0) == ONE,
         salie_tilde(1) == poly(1, 1),
         salie_tilde(2) == Q * poly(1, 1) * poly(1, 0, 1) * poly(2, 1),
@@ -194,11 +204,11 @@ def test_criterion_10_gaussian_routes():
     ok = True
     for m in range(31):
         for n in range(m + 1):
-            ok = ok and gauss_factored(m, n).expand() == gauss(m, n)
+            ok = ok and IntPoly(naive_expand(gauss_factored(m, n))) == gauss(m, n)
     for d in range(1, 9):
         for m in range(25):
             for k in range(m + 1):
-                ok = ok and q_lucas_holds(m, k, d)
+                ok = ok and q_lucas_holds(m, k, d, gauss)
     _criterion(10, "factorization = q-Pascal for M <= 30; q-Lucas d <= 8, m <= 24", ok)
 
 
@@ -221,12 +231,12 @@ def test_criterion_13_classical_specializations():
     _start()
     signed_secant = euler_at_one(7)
     zz = zigzag_numbers(16)
-    ok = all(euler(n).eval_int(1) == signed_secant[n] for n in range(7))
+    ok = all(eval_int(euler(n), 1) == signed_secant[n] for n in range(7))
     ok = ok and signed_secant[:5] == [1, -1, 5, -61, 1385]
-    ok = ok and [tangent(n).eval_int(1) for n in range(4)] == [1, 2, 16, 272]
-    ok = ok and all(tangent(n).eval_int(1) == zz[2 * n + 1] for n in range(8))
-    ok = ok and all(salie(n).eval_int(1) % 2**n == 0 for n in range(1, 16))
-    ok = ok and all(big_p(n).expand().eval_int(1) == 2**n for n in range(1, 21))
+    ok = ok and [eval_int(tangent(n), 1) for n in range(4)] == [1, 2, 16, 272]
+    ok = ok and all(eval_int(tangent(n), 1) == zz[2 * n + 1] for n in range(8))
+    ok = ok and all(eval_int(salie(n), 1) % 2**n == 0 for n in range(1, 16))
+    ok = ok and all(eval_int(big_p(n).expand(), 1) == 2**n for n in range(1, 21))
     _criterion(13, "q=1 values: secant, tangent, Carlitz 2^n, P_n(1) = 2^n", ok)
 
 

@@ -127,8 +127,9 @@ def test_compute_refusals_come_from_the_family(capsys):
         assert exc.value.code == 2, family
         out, err = capsys.readouterr()
         assert out == "", family
-        usage, line = err.splitlines()
-        assert usage.startswith("usage: ") and line == f"qcong: error: {message}"
+        usage, *_, line = err.splitlines()
+        assert usage.startswith("usage: qcong compute ")
+        assert line == f"qcong compute: error: {message}"
 
 
 def test_compute_asks_each_family_for_its_largest_index_first(monkeypatch, capsys):
@@ -291,9 +292,12 @@ def test_missing_subcommand_usage_error():
 
 
 def assert_usage_error(proc):
+    # argv is the interpreter, "-m qcong" or "-c" and a program, then the
+    # command, whose own parser reports the error
+    command = proc.args[3]
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.strip().splitlines()[-1].startswith("qcong: error: ")
+    assert proc.stderr.strip().splitlines()[-1].startswith(f"qcong {command}: error: ")
     assert proc.stdout == ""
 
 
@@ -304,7 +308,7 @@ def test_enumeration_cap_is_usage_error():
         proc = run("verify", "--suite", suite, "--n-max", "6")
         assert_usage_error(proc)
         assert proc.stderr.splitlines()[-1] == (
-            f"qcong: error: {suite}: enumerating the permutations of [12] would "
+            f"qcong verify: error: {suite}: enumerating the permutations of [12] would "
             "take more than the limit of 1,000,000,000 steps"
         )
 
@@ -352,7 +356,8 @@ def test_every_suite_is_refused_before_its_first_report(monkeypatch, capsys):
             assert exc.value.code == 2, name
             assert built == [], name
             out, err = capsys.readouterr()
-            assert out == "" and err.splitlines()[-1].startswith(f"qcong: error: {name}: "), name
+            assert out == "", name
+            assert err.splitlines()[-1].startswith(f"qcong {command}: error: {name}: "), name
 
 
 def test_triangle_row_limit_is_usage_error():
@@ -373,7 +378,7 @@ def test_triangle_row_limit_is_usage_error():
         assert time.perf_counter() - start < 1, argv
         assert_usage_error(proc)
         assert proc.stderr.splitlines()[-1] == (
-            f"qcong: error: {argv[2]}: row {row} of the q-Seidel triangle would "
+            f"qcong {argv[0]}: error: {argv[2]}: row {row} of the q-Seidel triangle would "
             "take more than the limit of 1024 MB"
         )
     start = time.perf_counter()
@@ -443,7 +448,7 @@ def test_series_limit_is_usage_error():
     assert proc.stdout == ""
     *_, message, result = proc.stderr.strip().splitlines()
     assert message == (
-        "qcong: error: gauss: a degree-19900 series in 20 binomial pass(es) "
+        "qcong compute: error: gauss: a degree-19900 series in 20 binomial pass(es) "
         "would take more than the limit of 1 MB"
     )
     assert json.loads(result) == {"code": 2, "cached": 0}
@@ -457,7 +462,7 @@ def test_huge_cyclotomic_is_usage_error():
     # Phi_p of the prime p = 10^9 + 7 has 10^9 + 7 coefficients
     proc = run_capped("compute", "--family", "cyclotomic", "--n", "1000000007")
     assert_usage_error(proc)
-    assert proc.stderr.strip().splitlines()[-1].startswith("qcong: error: cyclotomic: ")
+    assert proc.stderr.strip().splitlines()[-1].startswith("qcong compute: error: cyclotomic: ")
 
 
 def test_huge_cyclotomic_index_is_refused_before_factoring():
@@ -468,7 +473,7 @@ def test_huge_cyclotomic_index_is_refused_before_factoring():
     assert time.perf_counter() - start < 1
     assert_usage_error(proc)
     assert proc.stderr.strip().splitlines()[-1] == (
-        "qcong: error: cyclotomic: a series of degree at least 319829862353704159 "
+        "qcong compute: error: cyclotomic: a series of degree at least 319829862353704159 "
         "would take more than the limit of 1024 MB"
     )
 
@@ -489,7 +494,7 @@ def test_huge_binomial_products_are_refused_before_factoring():
         assert time.perf_counter() - start < 1, family
         assert_usage_error(proc)
         assert proc.stderr.strip().splitlines()[-1] == (
-            f"qcong: error: {family}: a degree-{degree} series in {count} binomial "
+            f"qcong compute: error: {family}: a degree-{degree} series in {count} binomial "
             "pass(es) would take more than the limit of 1024 MB"
         )
 
@@ -531,7 +536,7 @@ def test_divisor_family_asks_for_its_largest_index_first():
     proc = run_capped("compute", "--family", "P", "--n", "700")
     assert_usage_error(proc)
     assert proc.stderr.strip().splitlines()[-1] == (
-        "qcong: error: P: a degree-163446 series in 700 binomial pass(es) would "
+        "qcong compute: error: P: a degree-163446 series in 700 binomial pass(es) would "
         "take more than the limit of 1,000,000,000 steps"
     )
     # P_600 and Qtilde_400 are each under the limit, but the last record
@@ -542,7 +547,7 @@ def test_divisor_family_asks_for_its_largest_index_first():
         assert time.perf_counter() - start < 1, family
         assert_usage_error(proc)
         assert proc.stderr.strip().splitlines()[-1] == (
-            f"qcong: error: {family}: {n} expansions, each about a degree-{degree} "
+            f"qcong compute: error: {family}: {n} expansions, each about a degree-{degree} "
             f"series in {passes} binomial pass(es), would take more than the limit "
             "of 1,000,000,000 steps"
         )
@@ -594,7 +599,7 @@ def test_compute_weighs_each_coefficient_it_renders(fmt):
     assert time.perf_counter() - start < 1
     assert_usage_error(proc)
     assert proc.stderr.strip().splitlines()[-1] == (
-        "qcong: error: Ev: rendering 16384 record(s) of up to 32768 coefficients "
+        "qcong compute: error: Ev: rendering 16384 record(s) of up to 32768 coefficients "
         "would take more than the limit of 1,000,000,000 steps"
     )
 
@@ -649,7 +654,7 @@ def test_congruence_sweeps_ask_for_their_largest_value_before_listing_cases():
         proc = run_capped("verify", "--suite", *argv)
         assert_usage_error(proc)
         assert proc.stderr.strip().splitlines()[-1] == (
-            f"qcong: error: {argv[0]}: row {row} of the q-Seidel triangle would "
+            f"qcong verify: error: {argv[0]}: row {row} of the q-Seidel triangle would "
             "take more than the limit of 1024 MB"
         )
 
@@ -670,7 +675,7 @@ def test_q_at_one_sweeps_meet_the_subscript_limit_at_once():
         assert time.perf_counter() - start < 1
         assert_usage_error(proc)
         assert proc.stderr.strip().splitlines()[-1] == (
-            f"qcong: error: {argv[2]}: {value} would take more than the limit of {limit}"
+            f"qcong {argv[0]}: error: {argv[2]}: {value} would take more than the limit of {limit}"
         )
 
 
@@ -774,7 +779,7 @@ def test_explorer_precondition_is_usage_error():
     for argv in (("conj61", "--n-max", "0"), ("conj51", "--k-max", "0")):
         proc = run("explore", "--conjecture", *argv)
         assert_usage_error(proc)
-        assert "explore: no instances within these bounds" in proc.stderr
+        assert proc.stderr.endswith("\nqcong explore: error: no instances within these bounds\n")
 
 
 @pytest.mark.parametrize("target", ("closed-pipe", "dev-full"))
@@ -798,9 +803,9 @@ def test_failed_stdout_write_is_usage_error(target):
     finally:
         os.close(stdout)
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
-    usage, error = proc.stderr.splitlines()
-    assert usage.startswith("usage: qcong ")
-    assert error == f"qcong: error: cannot write stdout: {reason}"
+    usage, *_, error = proc.stderr.splitlines()
+    assert usage.startswith("usage: qcong verify ")
+    assert error == f"qcong verify: error: cannot write stdout: {reason}"
 
 
 def test_empty_sweep_is_usage_error():
@@ -836,10 +841,14 @@ def test_foreign_bound_flag_is_usage_error():
     proc = run("verify", "--suite", "stern", "--n-max", "3", "--k-max", "2")
     assert_usage_error(proc)
     assert proc.stderr.strip().splitlines()[-1] == (
-        "qcong: error: stern does not take --k-max (its bounds: --m-max)"
+        "qcong verify: error: stern does not take --k-max (its bounds: --m-max)"
     )
     assert_usage_error(run("explore", "--conjecture", "conj61", "--m-max", "3"))
-    assert_usage_error(run("explore", "--conjecture", "conj51", "--d-max", "3"))
+    # no explorer takes --d-max, so explore has no such flag: argparse refuses
+    # it, and reports it through the top-level parser
+    proc = run("explore", "--conjecture", "conj51", "--d-max", "3")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("\nqcong: error: unrecognized arguments: --d-max 3\n")
     # desarmenien's bound on k*m + n is --n-max
     proc = run("verify", "--suite", "desarmenien", "--k-max", "2", "--n-max", "3",
                "--format", "json")
@@ -878,10 +887,14 @@ def test_usage_errors_are_the_same_on_both_argv_routes(monkeypatch, capsys, tmp_
             m.setattr(cli, "_read_args", lambda argv: None)
             assert refusal(argv) == fast, argv
         code, out, err = fast
-        usage, error = err.splitlines()
+        # the command's usage lines and error prefix, as argparse prints them
+        # for an error of its own inside the command
+        prefix = f"qcong {argv[0]}: error: "
+        _, _, own = refusal((argv[0], "--format", "x"))
+        usage = own[: own.index(prefix)]
+        assert usage.startswith(f"usage: qcong {argv[0]} [-h] --"), argv
         assert (code, out) == (2, ""), argv
-        assert usage == "usage: qcong [-h] {compute,verify,explore} ...", argv
-        assert error.startswith("qcong: error: "), argv
+        assert err.startswith(usage + prefix) and err.count("\n") == usage.count("\n") + 1, argv
 
 
 # Tokens of the argv grammar the flag reader is checked on against argparse:

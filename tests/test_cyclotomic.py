@@ -17,19 +17,24 @@ from qcong.cyclotomic import (
     rem_cyclotomic,
 )
 from qcong.divisors import DIVISOR_FAMILIES, big_d, big_p, q_bar, q_hat, q_tilde
-from qcong.poly import IntPoly, ONE, SizeLimitExceeded, one_plus_q_power, q_power
-from qcong.qbinom import gauss, gauss_factored
+from qcong.poly import IntPoly, SizeLimitExceeded, q_power
+from qcong.qbinom import gauss
 from qcong.sequences import salie, salie_bar, salie_hat, salie_tilde, tangent
 from oracles import (
+    ONE,
     a_exponent,
     binomial_power_series,
     chain_binomials,
+    eval_int,
     full_binomial_series,
+    gauss_factored,
     gauss_series_estimate,
     naive_cyclotomic,
     naive_expand,
     naive_factored_divides,
     naive_mul,
+    one_plus_q_power,
+    poly_pow,
     series_estimate,
 )
 
@@ -91,7 +96,6 @@ def test_cyclotomic_takes_no_product_and_no_long_division(monkeypatch):
 
     monkeypatch.setattr(IntPoly, "_divmod", forbidden)
     monkeypatch.setattr(IntPoly, "__mul__", forbidden)
-    monkeypatch.setattr(IntPoly, "__pow__", forbidden)
     cyclotomic.cache_clear()
     qbinom._gauss.cache_clear()
     try:
@@ -105,7 +109,7 @@ def test_cyclotomic_takes_no_product_and_no_long_division(monkeypatch):
         phi_105 = cyclotomic(105).coeffs
         assert [i for i, c in enumerate(phi_105) if c == -2] == [7, 41]
         middle = gauss(200, 100)
-        assert middle.degree() == 100 * 100 and middle.eval_int(1) == comb(200, 100)
+        assert middle.degree() == 100 * 100 and eval_int(middle, 1) == comb(200, 100)
         assert gauss(1500, 1) == IntPoly((1,) * 1500)
         for factored, expected in expanded.items():
             assert factored.expand() == expected, factored
@@ -239,7 +243,7 @@ def test_expand_matches_the_multiply_out_oracle():
             assert factored.expand() == IntPoly(naive_expand(factored.factors)), factored
     for m in range(21):
         for n in range(m + 1):
-            factored = gauss_factored(m, n)
+            factored = FactoredPoly(gauss_factored(m, n))
             assert factored.expand() == IntPoly(naive_expand(factored.factors)), (m, n)
 
 
@@ -282,7 +286,7 @@ def test_factor_one_plus_qd_of_a_multiset_is_the_binomial_chain(exponents):
 
 
 def test_factor_one_plus_qd_of_no_exponent_is_one():
-    assert factor_one_plus_qd().is_one()
+    assert factor_one_plus_qd() == FactoredPoly()
     assert factor_one_plus_qd().expand() == ONE
 
 
@@ -303,7 +307,7 @@ def test_odd_exponent_uses_all_divisors():
 def test_expand_examples():
     assert FactoredPoly().expand() == ONE
     # (1+q)^2 (1+q^3) carries Phi_2 three times: twice alone, once inside 1+q^3
-    assert FactoredPoly({2: 3, 6: 1}).expand() == poly(1, 1) ** 2 * poly(1, 0, 0, 1)
+    assert FactoredPoly({2: 3, 6: 1}).expand() == poly_pow(poly(1, 1), 2) * poly(1, 0, 0, 1)
     assert FactoredPoly({2: 2, 6: 1}).expand() == poly(1, 1) * poly(1, 0, 0, 1)
     assert FactoredPoly({2: 1, 4: 1}).expand() == poly(1, 1) * poly(1, 0, 1)
 
@@ -312,7 +316,7 @@ def test_divides_with_witness():
     ok, quotient = FactoredPoly({2: 1}).divides(poly(1, 1))
     assert ok and quotient == ONE
 
-    ok, remainder = FactoredPoly({2: 3}).divides(poly(1, 1) ** 2)
+    ok, remainder = FactoredPoly({2: 3}).divides(poly_pow(poly(1, 1), 2))
     assert not ok and not remainder.is_zero()
 
     s4 = poly(0, 2, 4, 3, 2, 1)
@@ -353,7 +357,7 @@ def test_divides_matches_expanded_long_division():
         # q^i is a unit modulo every Phi_d, so this fails unless divisor is 1,
         # and the witness is the canonical remainder of the long division
         perturbed = p + q_power(p.degree() // 2 + len(divisor.factors))
-        assert assert_divides_like_oracle(divisor, perturbed) == divisor.is_one()
+        assert assert_divides_like_oracle(divisor, perturbed) == (not divisor.factors)
 
 
 # products of cyclotomic polynomials that are no product of binomials 1 + q^j
@@ -398,7 +402,7 @@ def test_divides_never_expands_or_multiplies(monkeypatch):
     monkeypatch.setattr(IntPoly, "__rmul__", forbidden)
     for divisor, p, perturbed in cases + unsplit:
         assert divisor.divides(p)[0]
-        assert divisor.divides(perturbed)[0] == divisor.is_one()
+        assert divisor.divides(perturbed)[0] == (not divisor.factors)
 
 
 @given(
@@ -461,8 +465,6 @@ def test_distinct_cyclotomics_are_coprime():
 
 def test_factored_algebra():
     a = FactoredPoly({2: 1, 6: 2})
-    b = FactoredPoly({2: 3, 10: 1})
-    assert a.lcm(b).factors == {2: 3, 6: 2, 10: 1}
     assert a.exponent(6) == 2 and a.exponent(30) == 0
     assert a.expand() == a.expand()  # deterministic
     assert str(FactoredPoly()) == "1"
@@ -470,7 +472,7 @@ def test_factored_algebra():
 
 
 def test_factored_validation():
-    assert FactoredPoly({4: 0}).is_one()  # zero exponents dropped
+    assert FactoredPoly({4: 0}) == FactoredPoly()  # zero exponents dropped
     assert FactoredPoly([(2, 1), (2, 2)]).factors == {2: 3}  # pairs merge
     with pytest.raises(ValueError):
         FactoredPoly({0: 1})

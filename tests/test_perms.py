@@ -5,10 +5,9 @@ from itertools import permutations
 import pytest
 
 from qcong.perms import alternating_gf, salie_perm_gf
-from qcong.poly import SizeLimitExceeded
-from qcong.poly import IntPoly, ONE
+from qcong.poly import IntPoly, SizeLimitExceeded
 from qcong.sequences import euler, salie_bar
-from oracles import inversions, is_alternating, is_salie, prefix_split_count
+from oracles import ONE, eval_int, inversions, is_alternating, is_salie, prefix_split_count
 
 
 def full_enumeration_gf(n, predicate):
@@ -64,7 +63,7 @@ def test_salie_gf_matches_half_salie_bar():
 
 def test_salie_count_at_one():
     # 6 Salie permutations of [4]
-    assert salie_perm_gf(2).eval_int(1) == 6
+    assert eval_int(salie_perm_gf(2), 1) == 6
 
 
 def test_every_salie_perm_has_exactly_two_splits():

@@ -6,16 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcong.cyclotomic import cyclotomic, factor_one_plus_qd
-from qcong.poly import (
-    IntPoly,
-    NonMonicModulus,
-    ONE,
-    Q,
-    ZERO,
-    one_plus_q_power,
-    q_power,
-)
-from oracles import naive_divmod, naive_mul
+from qcong.poly import IntPoly, NonMonicModulus, ZERO, q_power
+from oracles import ONE, Q, naive_divmod, naive_mul, one_plus_q_power, poly_pow
 
 
 def poly(*coeffs):
@@ -69,7 +61,6 @@ def test_add_basics():
 def test_sub_and_neg():
     assert -poly(1, -2) == poly(-1, 2)
     assert poly(1, 1) - poly(1, 1) == ZERO
-    assert 1 - Q == poly(1, -1)
     assert Q - 1 == poly(-1, 1)
 
 
@@ -79,7 +70,7 @@ def test_sub_matches_adding_the_negation(a, b, c):
     p, q = IntPoly(a), IntPoly(b)
     assert (p - q).coeffs == (p + IntPoly(-x for x in b)).coeffs
     assert p - p == ZERO
-    assert (c - p) == -(p - c) == IntPoly([c]) - p
+    assert -(p - c) == IntPoly([c]) - p
 
 
 def test_mul_small_cases():
@@ -145,14 +136,6 @@ def test_ring_axioms_random_triples():
         assert a * (b + c) == a * b + a * c
 
 
-def test_pow():
-    assert poly(1, 1) ** 0 == ONE
-    assert poly(1, 1) ** 3 == poly(1, 3, 3, 1)
-    assert ZERO ** 2 == ZERO
-    with pytest.raises(ValueError):
-        poly(1, 1) ** -1
-
-
 def monic(p):
     """p with its leading coefficient replaced by 1."""
     return IntPoly(p.coeffs[:-1] + (1,))
@@ -168,7 +151,7 @@ def test_exact_div_cyclotomic_extraction():
 def test_exact_div_salie4():
     # S_4 = 2q + 4q^2 + 3q^3 + 2q^4 + q^5 divided by (1+q)^2
     s4 = poly(0, 2, 4, 3, 2, 1)
-    assert s4._divmod(poly(1, 1) ** 2) == (poly(0, 2, 0, 1), ZERO)
+    assert s4._divmod(poly_pow(poly(1, 1), 2)) == (poly(0, 2, 0, 1), ZERO)
 
 
 def test_exact_div_self():
@@ -325,28 +308,11 @@ def test_substitute_power_composes():
         assert a.substitute_power(j).substitute_power(k) == a.substitute_power(j * k)
 
 
-def test_eval_int():
-    # (1+q)^2 (1+q^3) at q=1 is 2^3
-    p3 = poly(1, 1) ** 2 * poly(1, 0, 0, 1)
-    assert p3.eval_int(1) == 8
-    assert poly(0, 1, 2, 1, 1).eval_int(1) == 5
-    rng = random.Random(8)
-    for _ in range(100):
-        a = random_poly(rng)
-        assert a.eval_int(0) == a.coefficient(0)
-        x = rng.randint(-10, 10)
-        assert a.eval_int(x) == sum(c * x**i for i, c in enumerate(a.coeffs))
-
-
 def test_helpers():
     assert q_power(0) == ONE
     assert q_power(3) == poly(0, 0, 0, 1)
-    assert one_plus_q_power(1) == poly(1, 1)
-    assert one_plus_q_power(4) == poly(1, 0, 0, 0, 1)
     with pytest.raises(ValueError):
         q_power(-1)
-    with pytest.raises(ValueError):
-        one_plus_q_power(0)
 
 
 def test_equality_and_hash():

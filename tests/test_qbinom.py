@@ -10,10 +10,18 @@ from math import comb
 
 import pytest
 
-from qcong.cyclotomic import FactoredPoly, cyclotomic
-from qcong.poly import IntPoly, ONE, ZERO, q_power
-from qcong.qbinom import gauss, gauss_factored, q_lucas_holds
-from oracles import inject, naive_gauss
+from qcong.cyclotomic import FactoredPoly, cyclotomic, rem_cyclotomic
+from qcong.poly import IntPoly, ZERO, q_power
+from qcong.qbinom import gauss
+from oracles import (
+    ONE,
+    eval_int,
+    gauss_factored,
+    naive_expand,
+    naive_gauss,
+    q_lucas_holds,
+    q_lucas_sides,
+)
 
 
 def poly(*coeffs):
@@ -95,7 +103,7 @@ def test_gauss_symmetry_and_shape():
 def test_gauss_specializes_to_binomial():
     for m in range(31):
         for n in range(m + 1):
-            assert gauss(m, n).eval_int(1) == comb(m, n)
+            assert eval_int(gauss(m, n), 1) == comb(m, n)
 
 
 def test_cold_table_needs_no_deep_recursion():
@@ -106,7 +114,7 @@ def test_cold_table_needs_no_deep_recursion():
         sys.setrecursionlimit(200)
         from qcong.qbinom import gauss
         assert gauss(1500, 1).coeffs == (1,) * 1500
-        assert gauss(600, 2).eval_int(1) == 600 * 599 // 2
+        assert sum(gauss(600, 2).coeffs) == 600 * 599 // 2
         print("ok")
     """)
     proc = subprocess.run(
@@ -117,9 +125,10 @@ def test_cold_table_needs_no_deep_recursion():
 
 
 def test_gauss_factored_small():
-    assert gauss_factored(4, 2).factors == {3: 1, 4: 1}
-    assert gauss_factored(2, 1).factors == {2: 1}
-    assert gauss_factored(7, 0).factors == {}
+    # the floor-count factorization the tests check gauss against
+    assert gauss_factored(4, 2) == {3: 1, 4: 1}
+    assert gauss_factored(2, 1) == {2: 1}
+    assert gauss_factored(7, 0) == {}
     with pytest.raises(ValueError):
         gauss_factored(3, 4)
 
@@ -127,7 +136,7 @@ def test_gauss_factored_small():
 def test_gauss_factored_matches_pascal_route():
     for m in range(21):
         for n in range(m + 1):
-            assert gauss_factored(m, n).expand() == IntPoly(naive_gauss(m, n))
+            assert naive_expand(gauss_factored(m, n)) == list(naive_gauss(m, n))
 
 
 def test_pochhammer_cyclo_exponents():
@@ -146,35 +155,30 @@ def test_q_lucas_degenerate_and_small():
     # d = 1 reduces to plain binomials, d = 2 to evaluation at -1
     for m in range(13):
         for k in range(m + 1):
-            assert q_lucas_holds(m, k, 1)
-            assert q_lucas_holds(m, k, 2)
+            assert q_lucas_holds(m, k, 1, gauss)
+            assert q_lucas_holds(m, k, 2, gauss)
     for d in range(1, 7):
         for m in range(17):
             for k in range(m + 1):
-                assert q_lucas_holds(m, k, d)
+                assert q_lucas_holds(m, k, d, gauss)
 
 
 def test_q_lucas_specific_value():
     # [5 over 3] at a primitive cube root: 5=1*3+2, 3=1*3+0 -> C(1,1)*[2 over 0]
-    from qcong.qbinom import q_lucas_sides
-
-    lhs, rhs = q_lucas_sides(5, 3, 3)
+    lhs, rhs = q_lucas_sides(5, 3, 3, gauss)
     assert lhs == rhs
-    assert rhs == 1
+    assert rhs == [1]
     # and the raw reduction really is nontrivial
     assert gauss(5, 3).rem_monic(cyclotomic(3)) == ONE.rem_monic(cyclotomic(3))
 
 
 def test_q_lucas_sides_are_reduced_residues():
-    # both sides are bare IntPolys: the reference residues of the quotient ring
-    from qcong.qbinom import q_lucas_sides
-
+    # the sides, long-divided by Phi_d, are the library's residues in Z[q]/Phi_d
     for d in range(1, 9):
         for m in range(13):
             for k in range(m + 1):
-                lhs, rhs = q_lucas_sides(m, k, d)
-                assert type(lhs) is IntPoly and type(rhs) is IntPoly
-                assert lhs == inject(gauss(m, k), d).rep
+                lhs, rhs = q_lucas_sides(m, k, d, gauss)
+                assert IntPoly(lhs) == rem_cyclotomic(gauss(m, k), d)
                 a, b = divmod(m, d)
                 r, s = divmod(k, d)
-                assert rhs == (comb(a, r) * inject(gauss(b, s), d)).rep
+                assert IntPoly(rhs) == comb(a, r) * rem_cyclotomic(gauss(b, s), d)

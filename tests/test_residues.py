@@ -6,8 +6,8 @@ import pytest
 
 from qcong import residues, verify
 from qcong.cyclotomic import cyclotomic
-from qcong.poly import IntPoly, ONE, q_power
-from oracles import ModulusMismatch, ResidueElem, inject, root_power
+from qcong.poly import IntPoly, q_power
+from oracles import ONE, ModulusMismatch, ResidueElem, inject, root_power
 
 
 def poly(*coeffs):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcong import sequences
-from qcong.poly import IntPoly, ONE, Q, SizeLimitExceeded, q_power
+from qcong.poly import IntPoly, SizeLimitExceeded, q_power
 from qcong.qbinom import gauss
 from qcong.sequences import (
     SEQUENCE_FAMILIES,
@@ -26,7 +26,7 @@ from qcong.sequences import (
     tangent,
 )
 import oracles
-from oracles import zigzag_numbers
+from oracles import ONE, Q, eval_int, poly_pow, zigzag_numbers
 
 
 def poly(*coeffs):
@@ -56,7 +56,7 @@ def test_salie_first_values():
     assert salie(0) == ONE
     assert salie(1) == poly(1, 1)
     assert salie(2) == poly(0, 2, 4, 3, 2, 1)
-    assert salie(2) == Q * poly(2, 0, 1) * poly(1, 1) ** 2
+    assert salie(2) == Q * poly(2, 0, 1) * poly_pow(poly(1, 1), 2)
 
 
 def test_salie_bar_values():
@@ -70,7 +70,7 @@ def test_salie_hat_values():
     assert salie_hat(0) == ONE
     assert salie_hat(1) == poly(1, 0, 1)
     assert salie_hat(2) == Q * poly(1, 0, 1) * poly(1, 3, 1, 1)
-    assert salie_hat(3) == q_power(2) * poly(1, 0, 1) ** 2 * poly(1, 4, 7, 6, 6, 6, 5, 2, 1)
+    assert salie_hat(3) == q_power(2) * poly_pow(poly(1, 0, 1), 2) * poly(1, 4, 7, 6, 6, 6, 5, 2, 1)
 
 
 def test_salie_tilde_values():
@@ -111,7 +111,7 @@ def test_gen_euler_k1_is_monomial():
 def test_gen_euler_at_one_matches_integer_recurrence():
     for k in (1, 2, 3, 4):
         expected = oracles.gen_euler_at_one(k, 9)
-        assert [gen_euler(k, n).eval_int(1) for n in range(9)] == expected
+        assert [eval_int(gen_euler(k, n), 1) for n in range(9)] == expected
 
 
 # the integer route at q = 1 ---------------------------------------------------
@@ -130,7 +130,7 @@ def test_gen_euler_at_one_refuses_a_subscript_past_its_limit():
 def test_gen_euler_at_one_matches_polynomial_route():
     for k in range(1, 9):
         for n in range(10):
-            assert gen_euler_at_one(k, n) == gen_euler(k, n).eval_int(1), (k, n)
+            assert gen_euler_at_one(k, n) == eval_int(gen_euler(k, n), 1), (k, n)
 
 
 def test_gen_euler_at_one_is_signed_secant():
@@ -222,7 +222,7 @@ def test_salie_family_at_one_counts_split_words(name):
     zz = zigzag_numbers(61)
     for n in range(31):
         expected = sum(comb(2 * n, 2 * j) * zz[2 * (n - j)] for j in range(n + 1))
-        assert getattr(sequences, name)(n).eval_int(1) == expected, (name, n)
+        assert eval_int(getattr(sequences, name)(n), 1) == expected, (name, n)
 
 
 def test_widened_triangle_matches_fresh_one():
@@ -286,18 +286,18 @@ def test_cold_concurrent_fills_are_consistent():
 def test_euler_at_one_is_signed_secant():
     zz = zigzag_numbers(61)
     for n in range(31):
-        assert euler(n).eval_int(1) == (-1) ** n * zz[2 * n]
+        assert eval_int(euler(n), 1) == (-1) ** n * zz[2 * n]
 
 
 def test_tangent_at_one_is_tangent_numbers():
     zz = zigzag_numbers(62)
-    assert [tangent(n).eval_int(1) for n in range(4)] == [1, 2, 16, 272]
+    assert [eval_int(tangent(n), 1) for n in range(4)] == [1, 2, 16, 272]
     for n in range(31):
-        assert tangent(n).eval_int(1) == zz[2 * n + 1]
+        assert eval_int(tangent(n), 1) == zz[2 * n + 1]
 
 
 def test_salie_at_one_carlitz_divisibility():
-    values = [salie(n).eval_int(1) for n in range(9)]
+    values = [eval_int(salie(n), 1) for n in range(9)]
     assert values[:4] == [1, 2, 12, 152]
     for n, v in enumerate(values):
         assert v % 2**n == 0
@@ -345,7 +345,7 @@ def test_variant_constant_divisibilities():
 
 def test_salie_one_plus_q_power_divisibility():
     for n in range(1, 9):
-        assert salie(n).rem_monic(poly(1, 1) ** n).is_zero()
+        assert salie(n).rem_monic(poly_pow(poly(1, 1), n)).is_zero()
 
 
 # dispatch + concurrency ------------------------------------------------------
