@@ -7,7 +7,7 @@ cyclotomic factorizations, and quotient-ring arithmetic at roots of unity.
 
 from .cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd
 from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
-from .poly import IntPoly, NonMonicModulus, SizeLimitExceeded, ZERO, q_power
+from .poly import IntPoly, SizeLimitExceeded, ZERO, q_power
 from .qbinom import gauss
 from .residues import inject
 from .sequences import (
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FactoredPoly",
     "IntPoly",
-    "NonMonicModulus",
     "SEQUENCE_FAMILIES",
     "SizeLimitExceeded",
     "ZERO",

@@ -153,7 +153,7 @@ def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:
     Phi_m divides q^(m/2) + 1 for even m and q^m - 1 for odd m, so p is
     first folded modulo that binomial in one pass; only the rest, of degree
     below m, is long-divided by Phi_m.  Remainders modulo a monic
-    polynomial are unique, so this equals p.rem_monic(cyclotomic(m)).
+    polynomial are unique, so this is the remainder of p by Phi_m.
 
     >>> print(rem_cyclotomic(IntPoly((0, 0, 0, 1)), 6))
     -1
@@ -161,7 +161,7 @@ def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:
     if m < 1:
         raise ValueError("cyclotomic index must be positive")
     folded = p.rem_binomial(m // 2, -1) if m % 2 == 0 else p.rem_binomial(m, 1)
-    return folded.rem_monic(cyclotomic(m))
+    return folded._divmod(cyclotomic(m))[1]
 
 
 def factor_one_plus_qd(*exponents: int) -> "FactoredPoly":

@@ -24,10 +24,6 @@ slot: slots never overlap and the result is the exact schoolbook product.
 from collections.abc import Iterable
 
 
-class NonMonicModulus(ValueError):
-    """Polynomial division requested by a divisor that is not monic."""
-
-
 class SizeLimitExceeded(ValueError):
     """A request past the memory or the work limit, refused before it is built."""
 
@@ -122,9 +118,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     # ring operations -------------------------------------------------------
 
     def __add__(self, other) -> "IntPoly":
@@ -165,22 +158,14 @@ class IntPoly:
     def _divmod(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Quotient and canonical remainder by a monic divisor, by long division.
 
-        Monic divisors keep every quotient coefficient an integer, so the
-        remainder r is the unique one with degree(r) < degree(divisor) and
-        self = quotient * divisor + r.  Any other divisor, zero included,
-        raises NonMonicModulus.
+        The divisor must be monic, and is not checked: the one caller,
+        `rem_cyclotomic`, divides by Phi_m.  Then every quotient coefficient
+        is an integer, and the remainder r is the unique one with
+        degree(r) < degree(divisor) and self = quotient * divisor + r.
 
         >>> print(*IntPoly((-1, 0, 1))._divmod(IntPoly((1, 1))), sep=" | ")
         -1 + q | 0
-        >>> IntPoly((1, 1))._divmod(IntPoly((1, 2)))
-        Traceback (most recent call last):
-        ...
-        qcong.poly.NonMonicModulus: divisor 1 + 2q is not monic; integer division undefined
         """
-        if divisor.leading_coefficient() != 1:
-            raise NonMonicModulus(
-                f"divisor {divisor} is not monic; integer division undefined"
-            )
         dn, dd = self.degree(), divisor.degree()
         if dn < dd:
             return ZERO, self
@@ -196,17 +181,6 @@ class IntPoly:
             for i, c in terms:
                 rem[shift + i] -= t * c
         return IntPoly(quot), IntPoly(rem)
-
-    def rem_monic(self, modulus: "IntPoly") -> "IntPoly":
-        """Canonical remainder modulo a monic polynomial.
-
-        The result r satisfies degree(r) < degree(modulus) and
-        self = q * modulus + r over the integers.
-
-        >>> print(IntPoly((1, 0, 0, 0, 1)).rem_monic(IntPoly((1, 0, 1))))
-        2
-        """
-        return self._divmod(modulus)[1]
 
     def rem_binomial(self, d: int, c: int) -> "IntPoly":
         """Canonical remainder modulo q^d - c, for c = 1 or c = -1.

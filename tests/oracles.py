@@ -48,6 +48,12 @@ def naive_divmod(a: list, b: list) -> tuple[list, list]:
     return quot, rem
 
 
+def naive_rem(p, modulus) -> IntPoly:
+    """The remainder of the polynomial p by the monic coefficient sequence
+    `modulus`, by naive_divmod."""
+    return IntPoly(naive_divmod(list(p.coeffs), list(modulus))[1])
+
+
 @lru_cache(maxsize=None)
 def naive_cyclotomic(n: int) -> tuple:
     """Phi_n: q^n - 1 long-divided by Phi_d for every proper divisor d of n."""

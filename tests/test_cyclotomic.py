@@ -33,6 +33,7 @@ from oracles import (
     naive_expand,
     naive_factored_divides,
     naive_mul,
+    naive_rem,
     one_plus_q_power,
     poly_pow,
     series_estimate,
@@ -59,7 +60,7 @@ def test_first_cyclotomics():
 
 def test_cyclotomics_are_monic():
     for n in range(1, 60):
-        assert cyclotomic(n).leading_coefficient() == 1
+        assert cyclotomic(n).coeffs[-1] == 1
 
 
 def test_cyclotomics_match_sympy():
@@ -254,7 +255,7 @@ def test_expand_random_products_match_the_oracle(factors):
     factored = FactoredPoly(factors)
     expanded = factored.expand()
     assert expanded == IntPoly(naive_expand(factored.factors))
-    assert expanded.leading_coefficient() == 1
+    assert expanded.coeffs[-1] == 1
 
 
 def test_factor_one_plus_qd_small():
@@ -494,7 +495,7 @@ def test_factored_equality_hash():
 )
 def test_rem_cyclotomic_matches_long_division(a, m):
     p = IntPoly(a)
-    assert rem_cyclotomic(p, m) == p.rem_monic(cyclotomic(m))
+    assert rem_cyclotomic(p, m) == naive_rem(p, naive_cyclotomic(m))
 
 
 def test_rem_cyclotomic_rejects_bad_index():

@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from qcong import cli
 from qcong.cyclotomic import cyclotomic, factor_one_plus_qd
-from qcong.poly import IntPoly, NonMonicModulus, ZERO, q_power
+from qcong.poly import IntPoly, ZERO, q_power
 from oracles import ONE, Q, naive_divmod, naive_mul, one_plus_q_power, poly_pow
 
 
@@ -155,15 +156,12 @@ def test_exact_div_salie4():
 
 
 def test_exact_div_self():
-    # a monic p divides itself; any other p is refused as a divisor
+    # a monic p divides itself
     rng = random.Random(7)
     for _ in range(100):
         p = random_poly(rng)
         if not p.is_zero():
             assert monic(p)._divmod(monic(p)) == (ONE, ZERO)
-            if p.leading_coefficient() != 1:
-                with pytest.raises(NonMonicModulus):
-                    p._divmod(p)
 
 
 def test_exact_div_roundtrip_random():
@@ -173,21 +171,18 @@ def test_exact_div_roundtrip_random():
         if b.is_zero():
             continue
         assert (a * monic(b))._divmod(monic(b)) == (a, ZERO)
-        if b.leading_coefficient() != 1:
-            with pytest.raises(NonMonicModulus):
-                (a * b)._divmod(b)
 
 
 def test_rem_monic_examples():
     # E_4 = q(1+q)(1+q^2) + q^2, so mod 1 + q^2 only q^2 survives, and the
     # canonical remainder is its reduction q^2 = -1
     e4 = poly(0, 1, 2, 1, 1)
-    assert (e4 - q_power(2)).rem_monic(one_plus_q_power(2)).is_zero()
-    assert e4.rem_monic(one_plus_q_power(2)) == poly(-1)
+    assert (e4 - q_power(2))._divmod(one_plus_q_power(2))[1].is_zero()
+    assert e4._divmod(one_plus_q_power(2))[1] == poly(-1)
     # degree(p) < degree(m) keeps p
-    assert poly(1, 1).rem_monic(poly(1, 0, 0, 1)) == poly(1, 1)
+    assert poly(1, 1)._divmod(poly(1, 0, 0, 1))[1] == poly(1, 1)
     # (q^4 + 1) mod (q^2 + 1) = 2, and q^4 + 1 = (q^3 - q^2 + q - 1)(1 + q) + 2
-    assert (q_power(4) + 1).rem_monic(poly(1, 0, 1)) == poly(2)
+    assert (q_power(4) + 1)._divmod(poly(1, 0, 1))[1] == poly(2)
     assert (q_power(4) + 1)._divmod(poly(1, 1)) == (poly(-1, 1, -1, 1), poly(2))
 
 
@@ -198,12 +193,10 @@ def test_rem_monic_matches_naive_division():
         m = IntPoly(
             [rng.randint(-5, 5) for _ in range(rng.randint(1, 5))] + [1]
         )
-        r = a.rem_monic(m)
+        quotient, r = a._divmod(m)
         _, naive_r = naive_divmod(list(a.coeffs), list(m.coeffs))
         assert r.coeffs == tuple(naive_r)
         assert r.degree() < m.degree()
-        quotient, remainder = a._divmod(m)
-        assert remainder == r
         assert quotient * m + r == a
 
 
@@ -211,9 +204,9 @@ def test_rem_monic_matches_naive_division():
 def test_rem_monic_sparse_moduli_match_naive_division(a, d, use_cyclotomic):
     modulus = cyclotomic(d) if use_cyclotomic else one_plus_q_power(d)
     naive_q, naive_r = naive_divmod(a, list(modulus.coeffs))
-    r = IntPoly(a).rem_monic(modulus)
+    quotient, r = IntPoly(a)._divmod(modulus)
     assert r.coeffs == tuple(naive_r)
-    assert IntPoly(a)._divmod(modulus) == (IntPoly(naive_q), r)
+    assert quotient == IntPoly(naive_q)
 
 
 # 0 to 300 coefficients, long enough that every d <= 40 folds several blocks;
@@ -283,12 +276,28 @@ def test_shift_rejects_negative():
         poly(1, 1).shift(-1)
 
 
-def test_rem_monic_rejects_non_monic():
-    for divisor in (poly(1, 2), ZERO):
-        with pytest.raises(NonMonicModulus):
-            poly(1, 1).rem_monic(divisor)
-        with pytest.raises(NonMonicModulus):
-            poly(1, 1)._divmod(divisor)
+def test_every_division_on_a_cli_path_is_by_a_monic_divisor(monkeypatch, capsys):
+    # `_divmod` does not check that its divisor is monic; every default run
+    # of the suites and explorers divides, and only by monic divisors
+    divisors = []
+    divmod_ = IntPoly._divmod
+
+    def recorded(self, divisor):
+        divisors.append(divisor)
+        return divmod_(self, divisor)
+
+    monkeypatch.setattr(IntPoly, "_divmod", recorded)
+    monkeypatch.delenv(cli.ENV_CAP, raising=False)
+    for argv in (
+        ("verify", "--suite", "all"),
+        ("explore", "--conjecture", "conj51"),
+        ("explore", "--conjecture", "conj61"),
+    ):
+        cli.main([*argv, "--format", "json"])
+        capsys.readouterr()
+    assert divisors
+    non_monic = {d for d in divisors if d.coeffs[-1:] != (1,)}
+    assert not non_monic, non_monic
 
 
 def test_substitute_power():

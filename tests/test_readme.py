@@ -1,6 +1,9 @@
 """The figures README.md states about the source tree, and its code."""
 
+import re
 from pathlib import Path
+
+import qcong
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -12,6 +15,11 @@ def test_layout_sentence_counts_the_source_files_and_lines():
     lines = sum(f.read_bytes().count(b"\n") for f in files)
     sentence = f"`src/qcong` holds {len(files)} files, {lines:,} lines in all."
     assert sentence in README
+
+
+def test_layout_counts_the_names_in_all():
+    stated = re.findall(r"(\d+) names in `__all__`", README)
+    assert stated == [str(len(qcong.__all__))]
 
 
 def test_library_quick_tour_runs():

@@ -26,7 +26,7 @@ from qcong.sequences import (
     tangent,
 )
 import oracles
-from oracles import ONE, Q, eval_int, poly_pow, zigzag_numbers
+from oracles import ONE, Q, eval_int, naive_rem, poly_pow, zigzag_numbers
 
 
 def poly(*coeffs):
@@ -335,17 +335,15 @@ def test_salie_hat_tangent_convolution_small():
 
 
 def test_variant_constant_divisibilities():
-    one_q = poly(1, 1)
-    one_q2 = poly(1, 0, 1)
     for n in range(1, 16):
         assert all(c % 2 == 0 for c in salie_bar(n).coeffs)
-        assert salie_hat(n).rem_monic(one_q2).is_zero()
-        assert salie_tilde(n).rem_monic(one_q).is_zero()
+        assert naive_rem(salie_hat(n), (1, 0, 1)).is_zero()
+        assert naive_rem(salie_tilde(n), (1, 1)).is_zero()
 
 
 def test_salie_one_plus_q_power_divisibility():
     for n in range(1, 9):
-        assert salie(n).rem_monic(poly_pow(poly(1, 1), n)).is_zero()
+        assert naive_rem(salie(n), poly_pow(poly(1, 1), n).coeffs).is_zero()
 
 
 # dispatch + concurrency ------------------------------------------------------
