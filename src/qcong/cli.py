@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 at least one theorem check failed, 2 usage error,
 a failed write to stdout or --out among them.
 Coefficients are serialized as decimal strings (they outgrow 64-bit integers
 quickly); the json format emits one record per line followed, for verify and
-explore, by a summary object with counts.  Every JSON line, report, compute
+explore, by a summary object with counts.  Only `report_text` and
+`report_record` know a report's line.  Every JSON line, report, compute
 record and summary, is rendered from an f-string template, byte for byte the
 `json.dumps` of its record, so no process imports `json`.  compute asks each
 family for its largest index first, and the family refuses a bad or
@@ -59,6 +60,7 @@ BOUNDS = {
 # Coefficients and int witnesses are JSON strings; params hold ints and plain
 # identifiers, so their repr with double quotes is their JSON.
 _BOOL = ("false", "true")
+_STATUS = ("fails", "holds")  # a conjecture report's JSON status, by `passed`
 
 
 def _poly(p: IntPoly) -> str:
@@ -96,8 +98,35 @@ def report_record(r) -> str:
         )
     return (
         f'{{"conjecture": "{r.check}", "params": {params}, '
-        f'"status": "{r.status}", "witness": {witness}}}'
+        f'"status": "{_STATUS[r.passed]}", "witness": {witness}}}'
     )
+
+
+# kind -> the text verdict of a report that passes, and the label of the
+# witness of one that fails.
+_VERDICTS = {
+    "congruence": ("PASS", "FAIL witness"),
+    "divisibility": ("PASS", "FAIL remainder"),
+    "identity": ("PASS", "FAIL difference"),
+    "conjecture": ("holds", "fails witness"),
+}
+
+_CONGRUENT = ("incongruent", "congruent")
+
+
+def report_text(r) -> str:
+    """The text line of any verify/explore report."""
+    words = [f"{name}={value}" for name, value in r.params.items()]
+    if r.kind == "divisibility":
+        words = [r.family, f"n={r.index}", *words, f"divisor={r.divisor}"]
+    ok, fail = _VERDICTS[r.kind]
+    verdict = ok if r.passed else f"{fail}={r.witness}"
+    if r.kind == "congruence":
+        verdict = (
+            f"expected {_CONGRUENT[r.expected_equivalence]}, "
+            f"observed {_CONGRUENT[r.observed_congruence]} -> {verdict}"
+        )
+    return f"{' '.join([r.check, *words])}: {verdict}"
 
 
 def _fail(command: str, message: str):
@@ -294,7 +323,7 @@ def main(argv=None) -> int:
                 f'"passed": {passed}, "failed": {failed}}}'
             )
         else:
-            lines = (r.describe() for r in reports)
+            lines = (report_text(r) for r in reports)
             last = f"checked={checked} {words[0]}={passed} {words[1]}={failed}"
         lines = itertools.chain(lines, (last,))
         # conjecture explorers report, they never assert

@@ -1,13 +1,14 @@
 """Executable checks for the congruence, divisibility, and identity claims,
 plus numeric explorers for the two open conjectures.
 
-Every checker returns a `Report`.  Theorem checkers always test both
-directions of an if-and-only-if: a report passes when the observed congruence
-agrees with the predicted equivalence.  Conjecture explorers never assert;
-they report holds/fails per instance with a witness.  The identities share
-`_signed_gauss_sum` and `_identity`, and the claims at q = 1 `_gap_at_one`.
-`SUITES` maps each suite name of the command line to its sweep or explorer:
-its cases, its largest-value ask and its checks, run by the driver `_sweep`.
+Every checker returns a `Report`, a record that `cli` renders.  Theorem
+checkers always test both directions of an if-and-only-if: a report passes
+when the observed congruence agrees with the predicted equivalence.
+Conjecture explorers never assert; they report holds/fails per instance with
+a witness.  The identities share `_signed_gauss_sum` and `_identity`, and the
+claims at q = 1 `_gap_at_one`.  `SUITES` maps each suite name of the command
+line to its sweep or explorer: its cases, its largest-value ask and its
+checks, run by the driver `_sweep`.
 """
 
 import functools
@@ -48,20 +49,9 @@ def _v2(x: int) -> int:
 
 # reports ---------------------------------------------------------------------
 
-# kind -> describe() verdict when the report passes, and the label of the
-# witness when it fails.
-_VERDICTS = {
-    "congruence": ("PASS", "FAIL witness"),
-    "divisibility": ("PASS", "FAIL remainder"),
-    "identity": ("PASS", "FAIL difference"),
-    "conjecture": ("holds", "fails witness"),
-}
-
-_CONGRUENT = {True: "congruent", False: "incongruent"}
-
 
 class Report:
-    """One decision with its witness.
+    """One decision with its witness; `cli` renders its line.
 
     `kind` is "congruence", "divisibility", "identity" or "conjecture".  The
     witness is the remainder of a congruence, the quotient of a division that
@@ -94,33 +84,14 @@ class Report:
         for name, value in fields.items():
             setattr(self, name, value)
 
-    @classmethod
-    def congruence(cls, check, params, expected, observed, witness) -> "Report":
-        """A congruence report passes when observed agrees with expected."""
-        r = cls("congruence", check, params, expected == observed, witness)
-        r.expected_equivalence = expected
-        r.observed_congruence = observed
-        return r
 
-    @property
-    def status(self) -> str:
-        return "holds" if self.passed else "fails"
-
-    def describe(self) -> str:
-        words = [self.check]
-        if self.kind == "divisibility":
-            words += [self.family, f"n={self.index}"]
-        words += [f"{k}={v}" for k, v in self.params.items()]
-        if self.kind == "divisibility":
-            words.append(f"divisor={self.divisor}")
-        ok, fail = _VERDICTS[self.kind]
-        verdict = ok if self.passed else f"{fail}={self.witness}"
-        if self.kind == "congruence":
-            verdict = (
-                f"expected {_CONGRUENT[self.expected_equivalence]}, "
-                f"observed {_CONGRUENT[self.observed_congruence]} -> {verdict}"
-            )
-        return f"{' '.join(words)}: {verdict}"
+def _congruence(check, params, expected, remainder) -> Report:
+    """A congruence report: it passes when `remainder` is zero iff `expected`."""
+    observed = remainder.is_zero()
+    r = Report("congruence", check, params, expected == observed, remainder)
+    r.expected_equivalence = expected
+    r.observed_congruence = observed
+    return r
 
 
 def _divisibility(check, family, index, divisor, value, params=None) -> Report:
@@ -170,7 +141,7 @@ def _residue(c: int, m: int, n: int, s: int, e: int) -> IntPoly:
 def _iff_report(check: str, params: dict, remainder: IntPoly) -> Report:
     """Report of a congruence predicted to hold iff m = n mod d."""
     expected = (params["m"] - params["n"]) % params["d"] == 0
-    return Report.congruence(check, params, expected, remainder.is_zero(), remainder)
+    return _congruence(check, params, expected, remainder)
 
 
 def check_theorem1(m: int, n: int, d: int) -> Report:
@@ -193,10 +164,7 @@ def check_desarmenien(k: int, m: int, n: int) -> Report:
     (-1)^m is q^(km) modulo 1 + q^k, a multiple of Phi_{2k}."""
     _require(k >= 1 and m >= 0 and n >= 0, "need k >= 1 and m, n >= 0")
     remainder = rem_cyclotomic(_residue(2, k * m + n, n, k * m, k), 2 * k)
-    params = {"k": k, "m": m, "n": n}
-    return Report.congruence(
-        "desarmenien", params, True, remainder.is_zero(), remainder
-    )
+    return _congruence("desarmenien", {"k": k, "m": m, "n": n}, True, remainder)
 
 
 def check_corollary1(m: int, n: int) -> Report:
@@ -388,13 +356,15 @@ def _sweep(cases, largest, *checks) -> list[Report]:
     last value the cases read of each family) once the first case is drawn:
     a bound past a size limit then fails before any check, and bounds that
     leave no case call nothing and give [].  A case is a tuple of the
-    checks' arguments; `zip(range(...))` lists one-index cases."""
+    checks' arguments, drawn one at a time; `zip(range(...))` lists one-index cases."""
     cases = iter(cases)
     first = next(cases, None)
     if first is None:
         return []
     largest()
-    return [check(*case) for case in (first, *cases) for check in checks]
+    reports = [check(*first) for check in checks]
+    reports.extend(check(*case) for case in cases for check in checks)
+    return reports
 
 
 def _mn(m_max: int):

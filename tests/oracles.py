@@ -664,9 +664,39 @@ def _record_value(key: str, value):
 
 def report_dict(r) -> dict:
     """JSON-ready dict of any verify/explore report; a conjecture report's
-    "conjecture" is its check."""
-    attrs = {"conjecture": "check"}
-    return {key: _record_value(key, getattr(r, attrs.get(key, key))) for key in RECORD_KEYS[r.kind]}
+    "conjecture" is its check, and its "status" is "holds" if it passed,
+    else "fails"."""
+    derived = {"conjecture": r.check, "status": "holds" if r.passed else "fails"}
+    return {
+        key: _record_value(key, derived[key] if key in derived else getattr(r, key))
+        for key in RECORD_KEYS[r.kind]
+    }
+
+
+# The reference for `qcong.cli.report_text`: the text line of each kind of
+# report, restated from its fields.
+
+
+def report_text(r) -> str:
+    """`check [family n=index] params... [divisor=D]: verdict`, where the
+    verdict of a theorem check is PASS or FAIL with its witness, a
+    conjecture's is holds or fails with its witness, and a congruence's
+    verdict follows what it expected and observed."""
+    params = [f"{key}={value}" for key, value in r.params.items()]
+    if r.kind == "divisibility":
+        words = [r.check, r.family, f"n={r.index}", *params, f"divisor={r.divisor}"]
+    else:
+        words = [r.check, *params]
+    if r.kind == "conjecture":
+        verdict = "holds" if r.passed else f"fails witness={r.witness}"
+    else:
+        label = {"congruence": "witness", "divisibility": "remainder", "identity": "difference"}
+        verdict = "PASS" if r.passed else f"FAIL {label[r.kind]}={r.witness}"
+    if r.kind == "congruence":
+        said = {True: "congruent", False: "incongruent"}
+        verdict = (f"expected {said[r.expected_equivalence]}, "
+                   f"observed {said[r.observed_congruence]} -> {verdict}")
+    return " ".join(words) + ": " + verdict
 
 
 def compute_dict(family: str, index: int, poly, k=None, divisor=None) -> dict:

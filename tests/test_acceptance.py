@@ -13,6 +13,7 @@ sweep is asserted as stated rather than weakened around the defect.
 import time
 
 from qcong import verify as v
+from qcong.cli import report_text
 from qcong.cyclotomic import FactoredPoly, factor_one_plus_qd
 from qcong.divisors import big_p, q_bar
 from qcong.perms import alternating_gf, salie_perm_gf
@@ -60,7 +61,7 @@ def _start():
 
 
 def _failures(reports):
-    return [r.describe() for r in reports if not r.passed]
+    return [report_text(r) for r in reports if not r.passed]
 
 
 def test_criterion_01_first_values():
@@ -244,7 +245,7 @@ def test_criterion_14_conjecture_explorers():
     _start()
     r51 = v.explore_conjecture51(3, 10)
     r61 = v.explore_conjecture61(12)
-    fails = [r.describe() for r in r51 + r61 if not r.passed]
+    fails = [report_text(r) for r in r51 + r61 if not r.passed]
     _criterion(
         14,
         "conjecture explorers all-holds (2-adic refinement k <= 3, m <= 10; divisibility n <= 12)",

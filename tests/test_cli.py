@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from qcong import cli
 from qcong import verify as v
-from qcong.cli import report_record
+from qcong.cli import report_record, report_text
 from qcong.cyclotomic import FactoredPoly, cyclotomic
 from qcong.divisors import DIVISOR_FAMILIES, big_p
 from qcong.poly import IntPoly
@@ -1057,7 +1057,8 @@ def reports(draw):
     kind = draw(st.sampled_from(["congruence", "divisibility", "identity", "conjecture"]))
     if kind == "congruence":
         expected, observed = draw(st.booleans()), draw(st.booleans())
-        return v.Report.congruence(draw(checks), draw(int_params), expected, observed, witness)
+        return v.Report(kind, draw(checks), draw(int_params), expected == observed, witness,
+                        expected_equivalence=expected, observed_congruence=observed)
     if kind == "divisibility":
         fields = {
             "family": draw(st.sampled_from(sorted(SEQUENCE_FAMILIES))),
@@ -1077,6 +1078,11 @@ def reports(draw):
 @given(reports())
 def test_report_line_is_the_json_of_its_record(report):
     assert report_record(report) == json.dumps(oracles.report_dict(report))
+
+
+@given(reports())
+def test_report_text_matches_the_oracle(report):
+    assert report_text(report) == oracles.report_text(report)
 
 
 def assert_compute_json(capsys, records, *argv):

@@ -3,6 +3,7 @@ between independent code paths, and the pinned k=1 anomaly of the
 root-of-unity congruence family."""
 
 import inspect
+import json
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import oracles
 from oracles import ONE, naive_cyclotomic, naive_rem, one_plus_q_power
 from qcong import verify as v
+from qcong.cli import report_record, report_text
 from qcong.cyclotomic import FactoredPoly, rem_cyclotomic
 from qcong.poly import IntPoly, q_power
 from qcong.sequences import euler, gen_euler, gen_euler_at_one
@@ -20,7 +22,7 @@ def poly(*coeffs):
 
 
 def all_pass(reports):
-    bad = [r.describe() for r in reports if not r.passed]
+    bad = [report_text(r) for r in reports if not r.passed]
     assert not bad, f"{len(bad)} failing: {bad[:4]}"
 
 
@@ -341,7 +343,7 @@ def test_explorer_reports_do_not_raise():
     # explorers report rather than assert: passed is a plain field
     r = v.explore_conjecture61(2)[0]
     assert isinstance(r.passed, bool)
-    assert r.status == ("holds" if r.passed else "fails")
+    assert json.loads(report_record(r))["status"] == ("holds" if r.passed else "fails")
 
 
 def memo_tables():
@@ -371,24 +373,25 @@ def test_bounds_that_leave_no_case_give_no_reports_and_touch_no_memo():
 
 
 def test_congruence_report_pass_logic():
-    r = v.Report.congruence("x", {"m": 1}, True, False, ONE)
+    # a nonzero remainder observes no congruence
+    r = v._congruence("x", {"m": 1}, True, ONE)
     assert not r.passed
-    assert "FAIL" in r.describe()
-    r = v.Report.congruence("x", {"m": 1}, False, False, poly(1, 1))
+    assert "FAIL" in report_text(r)
+    r = v._congruence("x", {"m": 1}, False, poly(1, 1))
     assert r.passed
 
 
 def test_failed_report_descriptions():
     r = v.Report("divisibility", "theorem2-power", {"r": 1}, False, poly(1, 1),
                  family="salie", index=3, divisor=FactoredPoly({6: 1}))
-    assert r.describe() == (
+    assert report_text(r) == (
         "theorem2-power salie n=3 r=1 divisor=Phi_6: FAIL remainder=1 + q"
     )
     r = v.Report("identity", "eq23", {"n": 2}, False, poly(0, -2))
-    assert r.describe() == "eq23 n=2: FAIL difference=-2q"
+    assert report_text(r) == "eq23 n=2: FAIL difference=-2q"
     r = v.Report("conjecture", "conj51", {"k": 1, "m": 2, "n": 0, "s": 2}, False, 3)
     assert not r.passed
-    assert r.describe() == "conj51 k=1 m=2 n=0 s=2: fails witness=3"
+    assert report_text(r) == "conj51 k=1 m=2 n=0 s=2: fails witness=3"
 
 
 def test_summarize():
@@ -398,10 +401,10 @@ def test_summarize():
 
 
 def test_describe_strings():
-    assert "PASS" in v.check_theorem1(2, 0, 2).describe()
-    assert "holds" in v.explore_conjecture61(1)[0].describe()
-    assert "PASS" in v.check_theorem2(1).describe()
-    assert "PASS" in v.check_lemma41(1).describe()
+    assert "PASS" in report_text(v.check_theorem1(2, 0, 2))
+    assert "holds" in report_text(v.explore_conjecture61(1)[0])
+    assert "PASS" in report_text(v.check_theorem2(1))
+    assert "PASS" in report_text(v.check_lemma41(1))
 
 
 def test_v2():
@@ -465,7 +468,7 @@ def test_residue_checks_match_full_difference_route():
     seen = set()
     for report, remainder in full_difference_cases():
         seen.add(report.check)
-        assert report.witness == remainder, report.describe()
+        assert report.witness == remainder, report_text(report)
         assert report.observed_congruence == remainder.is_zero()
     assert seen == {"theorem1", "lemma31", "theorem52", "desarmenien", "theorem51"}
 
