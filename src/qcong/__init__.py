@@ -7,7 +7,7 @@ cyclotomic factorizations, and quotient-ring arithmetic at roots of unity.
 
 from .cyclotomic import FactoredPoly, cyclotomic, factor_one_plus_qd
 from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
-from .poly import IntPoly, SizeLimitExceeded, ZERO, q_power
+from .poly import IntPoly, SizeLimitExceeded, ZERO
 from .qbinom import gauss
 from .residues import inject
 from .sequences import (
@@ -40,7 +40,6 @@ __all__ = [
     "inject",
     "q_bar",
     "q_hat",
-    "q_power",
     "q_tilde",
     "salie",
     "salie_bar",

@@ -215,9 +215,6 @@ class FactoredPoly:
     def factors(self) -> dict[int, int]:
         return dict(self._factors)
 
-    def exponent(self, d: int) -> int:
-        return self._factors.get(d, 0)
-
     def _net(self) -> tuple[list[tuple[int, bool, bool]], int]:
         """The product as the passes (c, divide, plus) of `_binomial_series`,
         up to the sign (-1)^e_1, and its degree.
@@ -267,7 +264,7 @@ class FactoredPoly:
         """
         steps, degree = self._net()
         s = _binomial_series(steps, degree, count=count)
-        return IntPoly([-c for c in s] if self.exponent(1) % 2 else s)
+        return IntPoly([-c for c in s] if self._factors.get(1, 0) % 2 else s)
 
     def divides(self, p: IntPoly) -> tuple[bool, IntPoly]:
         """Whether the expanded product D divides p exactly.
@@ -292,7 +289,7 @@ class FactoredPoly:
         >>> FactoredPoly({3: 1}).divides(IntPoly((0, 0, 0, 1)))
         (False, IntPoly((1,)))
         """
-        if p.is_zero():
+        if not p:
             raise ValueError("divisibility of the zero polynomial is not tested")
         steps, degree = self._net()
         n = p.degree()

@@ -115,9 +115,6 @@ class IntPoly:
         """Degree of the leading term; -1 is the zero-polynomial sentinel."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     # ring operations -------------------------------------------------------
 
     def __add__(self, other) -> "IntPoly":
@@ -274,10 +271,3 @@ class IntPoly:
 
 
 ZERO = IntPoly()
-
-
-def q_power(n: int) -> IntPoly:
-    """The monomial q^n."""
-    if n < 0:
-        raise ValueError("monomial degree must be nonnegative")
-    return IntPoly((0,) * n + (1,))

@@ -137,7 +137,11 @@ _EULER: dict[int, _Triangle] = {}
 
 
 def _euler_triangle(k: int) -> _Triangle:
-    return _EULER.setdefault(k, _Triangle(k, lambda j: None if j else 0))
+    triangle = _EULER.get(k)
+    if triangle is None:
+        # setdefault keeps one triangle per k when two threads race here
+        triangle = _EULER.setdefault(k, _Triangle(k, lambda j: None if j else 0))
+    return triangle
 
 
 @functools.lru_cache(maxsize=None)

@@ -196,6 +196,13 @@ def one_plus_q_power(d: int) -> IntPoly:
     return IntPoly([1] + [0] * (d - 1) + [1])
 
 
+def q_power(n: int) -> IntPoly:
+    """The monomial q^n."""
+    if n < 0:
+        raise ValueError("monomial degree must be nonnegative")
+    return IntPoly([0] * n + [1])
+
+
 def poly_pow(p, e: int) -> IntPoly:
     """p^e by e schoolbook products."""
     if e < 0:
@@ -576,7 +583,7 @@ def loop_lemma41(n, gauss, salie, tangent):
         lhs = lhs - term if k % 2 else lhs + term
     t = tangent(n - 1)
     diff = lhs - (t - t.shift(2 * n))
-    return diff.is_zero(), diff
+    return not diff, diff
 
 
 def loop_eq23(n, gauss, salie_bar, euler):
@@ -586,7 +593,7 @@ def loop_eq23(n, gauss, salie_bar, euler):
         term = gauss(2 * n, 2 * k) * euler(k)
         rhs = rhs - term if k % 2 else rhs + term
     diff = salie_bar(n) - rhs
-    return diff.is_zero(), diff
+    return not diff, diff
 
 
 def loop_eq24(n, gauss, salie_hat, tangent):
@@ -599,7 +606,7 @@ def loop_eq24(n, gauss, salie_hat, tangent):
     t = tangent(n - 1)
     t = t + t.shift(1)
     diff = lhs - (t - t.shift(2 * n))
-    return diff.is_zero(), diff
+    return not diff, diff
 
 
 def at_one_corollary52(k, m, n, at_one):

@@ -17,7 +17,7 @@ from qcong.cli import report_text
 from qcong.cyclotomic import FactoredPoly, factor_one_plus_qd
 from qcong.divisors import big_p, q_bar
 from qcong.perms import alternating_gf, salie_perm_gf
-from qcong.poly import IntPoly, q_power
+from qcong.poly import IntPoly
 from qcong.qbinom import gauss
 from qcong.sequences import (
     euler,
@@ -36,6 +36,7 @@ from oracles import (
     naive_expand,
     poly_pow,
     q_lucas_holds,
+    q_power,
     zigzag_numbers,
 )
 

@@ -1,22 +1,26 @@
 """Every function and method in `src/qcong` is run by a decision: it is named
 in `src/qcong` outside its own definition, or it is a documented entry point.
-A helper only the tests call belongs in `tests/oracles.py`."""
+A helper only the tests call belongs in `tests/oracles.py`.  `qcong.__all__`
+names the documented entry points and seven fixed names, no more."""
 
 import ast
 from pathlib import Path
 
+import qcong
 from qcong import verify as v
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qcong"
 
-# The documented entry points: the sequence and divisor families,
+# The documented entry points are the sequence and divisor families,
 # `cyclotomic`, `gauss` and `factor_one_plus_qd`, and the targets of the
-# suite registry.
-ENTRY_POINTS = {
+# suite registry; all but the suite targets are public.
+DOCUMENTED = {
     "euler", "gen_euler", "tangent", "salie", "salie_bar", "salie_hat", "salie_tilde",
     "big_p", "big_d", "ev", "q_bar", "q_hat", "q_tilde",
     "cyclotomic", "gauss", "factor_one_plus_qd",
-    *(fn.__name__ for suites in v.SUITES.values() for fn in suites.values()),
+}
+ENTRY_POINTS = DOCUMENTED | {
+    fn.__name__ for suites in v.SUITES.values() for fn in suites.values()
 }
 
 
@@ -37,3 +41,11 @@ def test_every_function_in_src_has_a_caller_or_is_an_entry_point():
         and not (name.startswith("__") and name.endswith("__"))
     }
     assert not uncalled, f"named nowhere in src/qcong: {uncalled}"
+
+
+def test_all_is_the_documented_entry_points_and_seven_fixed_names():
+    # a new public name needs a deliberate edit here
+    others = {"IntPoly", "FactoredPoly", "SizeLimitExceeded", "ZERO", "SEQUENCE_FAMILIES",
+              "inject", "__version__"}
+    assert len(set(qcong.__all__)) == len(qcong.__all__)
+    assert set(qcong.__all__) == DOCUMENTED | others

@@ -1122,7 +1122,9 @@ def test_summary_line_is_the_json_of_its_counts(monkeypatch, capsys):
             bounds = cli.BOUNDS[command][each]
             capped = {b: None if d is None else min(d, 3) for b, d in bounds.items()}
             reports += v.SUITES[command][each](**capped)
-        checked, passed, failed = v.summarize(reports)
+        checked = len(reports)
+        passed = sum(r.passed for r in reports)
+        failed = checked - passed
         code = cli.main([command, f"--{option}", name, "--format", "json"])
         assert code == (1 if command == "verify" and failed else 0), name
         want = {option: name, "checked": checked, "passed": passed, "failed": failed}

@@ -17,7 +17,7 @@ from qcong.cyclotomic import (
     rem_cyclotomic,
 )
 from qcong.divisors import DIVISOR_FAMILIES, big_d, big_p, q_bar, q_hat, q_tilde
-from qcong.poly import IntPoly, SizeLimitExceeded, q_power
+from qcong.poly import IntPoly, SizeLimitExceeded
 from qcong.qbinom import gauss
 from qcong.sequences import salie, salie_bar, salie_hat, salie_tilde, tangent
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     naive_rem,
     one_plus_q_power,
     poly_pow,
+    q_power,
     series_estimate,
 )
 
@@ -318,7 +319,7 @@ def test_divides_with_witness():
     assert ok and quotient == ONE
 
     ok, remainder = FactoredPoly({2: 3}).divides(poly_pow(poly(1, 1), 2))
-    assert not ok and not remainder.is_zero()
+    assert not ok and remainder != IntPoly()
 
     s4 = poly(0, 2, 4, 3, 2, 1)
     ok, quotient = FactoredPoly({2: 2}).divides(s4)
@@ -417,7 +418,7 @@ def test_divides_random_products_match_the_oracle(factors, a):
     # odd powers of Phi_1, products that do not split, the empty product,
     # dividends shorter than the divisor, and their exact multiples
     divisor, p = FactoredPoly(factors), IntPoly(a)
-    if p.is_zero():
+    if not p:
         with pytest.raises(ValueError):
             divisor.divides(p)
         return
@@ -436,7 +437,7 @@ def test_binomial_series_from_a_starting_series(factors, start, cut):
     factored = FactoredPoly(factors)
     steps, degree = factored._net()
     cut = max(cut, len(start) - 1)
-    sign = -1 if factored.exponent(1) % 2 else 1
+    sign = -1 if factored.factors.get(1, 0) % 2 else 1
     product = [sign * c for c in naive_mul(start, naive_expand(factored.factors))]
     expected = (product + [0] * (cut + 1))[: cut + 1]
     assert _binomial_series(steps, cut, start=start) == expected
@@ -466,7 +467,7 @@ def test_distinct_cyclotomics_are_coprime():
 
 def test_factored_algebra():
     a = FactoredPoly({2: 1, 6: 2})
-    assert a.exponent(6) == 2 and a.exponent(30) == 0
+    assert a.factors.get(6, 0) == 2 and a.factors.get(30, 0) == 0
     assert a.expand() == a.expand()  # deterministic
     assert str(FactoredPoly()) == "1"
     assert str(a) == "Phi_2 * Phi_6^2"

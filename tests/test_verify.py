@@ -9,11 +9,11 @@ import sys
 import pytest
 
 import oracles
-from oracles import ONE, naive_cyclotomic, naive_rem, one_plus_q_power
+from oracles import ONE, naive_cyclotomic, naive_rem, one_plus_q_power, q_power
 from qcong import verify as v
 from qcong.cli import report_record, report_text
 from qcong.cyclotomic import FactoredPoly, rem_cyclotomic
-from qcong.poly import IntPoly, q_power
+from qcong.poly import IntPoly
 from qcong.sequences import euler, gen_euler, gen_euler_at_one
 
 
@@ -32,7 +32,7 @@ def all_pass(reports):
 def test_theorem1_examples():
     r = v.check_theorem1(2, 0, 2)
     assert r.expected_equivalence and r.observed_congruence and r.passed
-    assert r.witness.is_zero()
+    assert not r.witness
     # the raw congruence behind the (m, n, d) = (1, 0, 2) case, which sits
     # outside the checker's domain d <= m: E_2 - q E_0 = -1 - q mod 1 + q^2
     remainder = naive_rem(euler(1) - q_power(1) * euler(0), one_plus_q_power(2).coeffs)
@@ -45,7 +45,7 @@ def test_theorem1_incongruent_case():
     assert not r.expected_equivalence
     assert not r.observed_congruence
     assert r.passed
-    assert not r.witness.is_zero()
+    assert r.witness != IntPoly()
 
 
 def test_theorem1_d_one_always_congruent():
@@ -134,7 +134,7 @@ def test_theorem2_power_preconditions():
 
 def test_lemma41_n1():
     r = v.check_lemma41(1)
-    assert r.passed and r.witness.is_zero()
+    assert r.passed and not r.witness
 
 
 def test_identity_sweeps():
@@ -148,7 +148,6 @@ def test_eq24_excludes_n1():
         v.check_eq24(1)
     # and indeed the identity genuinely fails at n=1: that is why the
     # correction term exists
-    from qcong.poly import q_power
     from qcong.qbinom import gauss
     from qcong.sequences import salie_hat, tangent
 
@@ -223,7 +222,7 @@ def test_theorem52_examples():
     assert v.check_theorem52(2, 2, 0, 2).passed
     r = v.check_theorem52(2, 2, 1, 2)
     assert not r.expected_equivalence and not r.observed_congruence and r.passed
-    assert not r.witness.is_zero()
+    assert r.witness != IntPoly()
 
 
 def test_theorem52_k1_matches_theorem1():
@@ -394,12 +393,6 @@ def test_failed_report_descriptions():
     assert report_text(r) == "conj51 k=1 m=2 n=0 s=2: fails witness=3"
 
 
-def test_summarize():
-    reports = v.sweep_theorem1(4)
-    checked, passed, failed = v.summarize(reports)
-    assert checked == len(reports) and passed == checked and failed == 0
-
-
 def test_describe_strings():
     assert "PASS" in report_text(v.check_theorem1(2, 0, 2))
     assert "holds" in report_text(v.explore_conjecture61(1)[0])
@@ -419,7 +412,7 @@ def test_euler_memo_shared_with_checkers():
     # the checker and the raw sequence must agree on the same cache
     r = v.check_theorem1(3, 1, 2)
     assert r.observed_congruence == (
-        naive_rem(euler(3) - poly(0, 0, 1) * euler(1), (1, 0, 1)).is_zero()
+        naive_rem(euler(3) - poly(0, 0, 1) * euler(1), (1, 0, 1)) == IntPoly()
     )
 
 
@@ -469,7 +462,7 @@ def test_residue_checks_match_full_difference_route():
     for report, remainder in full_difference_cases():
         seen.add(report.check)
         assert report.witness == remainder, report_text(report)
-        assert report.observed_congruence == remainder.is_zero()
+        assert report.observed_congruence == (remainder == IntPoly())
     assert seen == {"theorem1", "lemma31", "theorem52", "desarmenien", "theorem51"}
 
 
