@@ -30,16 +30,18 @@ import operator
 from .poly import IntPoly, refuse
 
 
-def _refuse_series(passes: int, degree: int, at_one: int, count: int = 1) -> None:
+def _refuse_series(passes: int, degree: int, at_one: int | None, count: int = 1) -> None:
     """The size guard of `count` series of `passes` passes cut off above
     `degree` whose sum is about `at_one`.  A pass holds the list, a copy and
     two slices, four slots a coefficient, and, past the small ints CPython
-    shares, each coefficient old and new; a step is a word of a coefficient."""
-    bits = (at_one // (degree + 1)).bit_length()
+    shares, each coefficient old and new; a step is a word of a coefficient.
+    With `at_one` None, only the floor, four slots a coefficient, is stated."""
+    bits = 0 if at_one is None else (at_one // (degree + 1)).bit_length()
     ints = 0 if bits < 9 else 64 + bits // 30 * 8
     what = f"a degree-{degree} series in {passes} binomial pass(es)"
     what = what if count == 1 else f"{count} expansions, each about {what},"
-    refuse(what, (degree + 1) * (32 + ints), count * passes * (degree + 1) * (1 + bits // 64))
+    steps = 0 if at_one is None else count * passes * (degree + 1) * (1 + bits // 64)
+    refuse(what, (degree + 1) * (32 + ints), steps)
 
 
 def _binomial_series(steps, degree: int, start=(1,), count: int = 1) -> list[int]:
@@ -150,17 +152,17 @@ def cyclotomic(n: int) -> IntPoly:
 def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:
     """Canonical remainder of p modulo Phi_m.
 
-    Phi_m divides q^(m/2) + 1 for even m and q^m - 1 for odd m, so p is
-    first folded modulo that binomial in one pass; only the rest, of degree
-    below m, is long-divided by Phi_m.  Remainders modulo a monic
-    polynomial are unique, so this is the remainder of p by Phi_m.
+    For even m, Phi_m divides 1 + q^(m/2), so p is first folded modulo it
+    in one pass and only the rest, of degree below m/2, is long-divided;
+    at odd m, which no decision takes, p is long-divided whole.  Remainders
+    modulo a monic polynomial are unique, so this is p's remainder by Phi_m.
 
     >>> print(rem_cyclotomic(IntPoly((0, 0, 0, 1)), 6))
     -1
     """
     if m < 1:
         raise ValueError("cyclotomic index must be positive")
-    folded = p.rem_binomial(m // 2, -1) if m % 2 == 0 else p.rem_binomial(m, 1)
+    folded = p.rem_binomial(m // 2) if m % 2 == 0 else p
     return folded._divmod(cyclotomic(m))[1]
 
 

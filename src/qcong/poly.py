@@ -166,7 +166,7 @@ class IntPoly:
         dn, dd = self.degree(), divisor.degree()
         if dn < dd:
             return ZERO, self
-        # Only the nonzero terms subtract anything; 1 + q^d has two of d + 1.
+        # Only the nonzero terms subtract anything, and Phi_m has few.
         terms = [(i, c) for i, c in enumerate(divisor.coeffs) if c]
         rem = list(self.coeffs)
         quot = [0] * (dn - dd + 1)
@@ -179,25 +179,21 @@ class IntPoly:
                 rem[shift + i] -= t * c
         return IntPoly(quot), IntPoly(rem)
 
-    def rem_binomial(self, d: int, c: int) -> "IntPoly":
-        """Canonical remainder modulo q^d - c, for c = 1 or c = -1.
+    def rem_binomial(self, d: int) -> "IntPoly":
+        """Canonical remainder modulo 1 + q^d.
 
-        Since q^d = c in the quotient, the coefficient of q^(i*d + r) folds
-        onto q^r with the sign c^i: one pass over the coefficients, with no
-        long division.  1 + q^d is the case c = -1.
+        Since q^d = -1 in the quotient, the coefficient of q^(i*d + r) folds
+        onto q^r with the sign (-1)^i: one pass over the coefficients, with
+        no long division.
 
-        >>> print(IntPoly((1, 0, 0, 0, 1)).rem_binomial(2, -1))
+        >>> print(IntPoly((1, 0, 0, 0, 1)).rem_binomial(2))
         2
         """
         if d < 1:
             raise ValueError("binomial modulus needs d >= 1")
-        if c not in (1, -1):
-            raise ValueError("binomial modulus needs c = 1 or c = -1")
         cs = self.coeffs
         if len(cs) <= d:
             return self
-        if c == 1:
-            return IntPoly([sum(cs[r::d]) for r in range(d)])
         step = 2 * d
         return IntPoly([sum(cs[r::step]) - sum(cs[r + d :: step]) for r in range(d)])
 

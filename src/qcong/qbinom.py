@@ -11,7 +11,7 @@ reduction modulo Phi_d.
 
 import functools
 
-from .cyclotomic import _binomial_series
+from .cyclotomic import _binomial_series, _refuse_series
 from .poly import IntPoly, ZERO
 
 
@@ -34,8 +34,13 @@ def _gauss(m: int, n: int) -> IntPoly:
     # Step j multiplies by 1 - q^(m-n+j) and divides by 1 - q^j, so after
     # it the series is [m-n+j over j] exactly, of degree j(m-n), which is
     # coefficientwise at most [m over n]: no coefficient on the way is
-    # more than twice the largest of the result.
+    # more than twice the largest of the result.  The series weighs all 2n
+    # steps at q = 1, O(n^2) bit work, once they are built, so its floor in
+    # bytes is stated first, in its words: its passes are the n divisions
+    # and the multiplications with m - n + j <= degree.
+    degree = n * (m - n)
+    _refuse_series(n + min(n, max(0, degree - m + n)), degree, None)
     steps = [
         step for j in range(1, n + 1) for step in ((m - n + j, False, False), (j, True, False))
     ]
-    return IntPoly(_binomial_series(steps, n * (m - n)))
+    return IntPoly(_binomial_series(steps, degree))

@@ -16,7 +16,7 @@ import math
 
 from .cyclotomic import factor_one_plus_qd, rem_cyclotomic
 from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
-from .poly import IntPoly
+from .poly import IntPoly, refuse
 from .qbinom import gauss
 from .residues import inject
 from .sequences import (
@@ -120,7 +120,7 @@ def _divisibility(check, family, index, divisor, value, params=None) -> Report:
 def _turns(c: int, n: int, d: int) -> tuple[int, ...]:
     """r, -r, r for the d coefficients r of gen_euler(c, n) modulo 1 + q^d:
     as q^(2d) = 1 there, the d from j = (d - s) mod 2d on are those of -q^s r."""
-    r = gen_euler(c, n).rem_binomial(d, -1).coeffs
+    r = gen_euler(c, n).rem_binomial(d).coeffs
     r += (0,) * (d - len(r))
     return r + tuple([-x for x in r]) + r
 
@@ -391,6 +391,23 @@ def sweep_corollary1(m_max: int = 10):
     return _sweep(_mn(m_max), lambda: euler(m_max), check_corollary1)
 
 
+def _residue_table(k_max: int, n_max: int) -> None:
+    """Build E_{2 n_max}, then state desarmenien's `_turns` table to the guard.
+
+    Its m = 0 cases fold every index up to n_max modulo 1 + q^k for every
+    k <= k_max, each into the 3k slots of an entry, beside the at most k + 1
+    of Phi_2k, 8 bytes a slot.  A value of L coefficients, at most as many as
+    E_{2 n_max}, folds into at most min(k, L) new ints, and as many negatives,
+    none wider than E_{2 n_max}(1).  Half as much again is a margin for what
+    the allocator keeps of the shorter tuples each entry is built from."""
+    top = gen_euler(2, n_max)
+    t, bits = min(k_max, len(top.coeffs)), sum(map(abs, top.coeffs)).bit_length()
+    slots = (3 * n_max + 4) * k_max * (k_max + 1) // 2 + k_max
+    ints = (n_max + 1) * t * (2 * k_max - t + 1)
+    what = f"the residues of {n_max + 1} value(s) modulo 1 + q^k for each k <= {k_max}"
+    refuse(what, 3 * (8 * slots + ints * (32 + 4 * (bits // 30))) // 2, slots)
+
+
 def sweep_desarmenien(k_max: int = 4, n_max: int = 10):
     """Every (k, m, n) with k <= k_max and k*m + n <= n_max."""
     cases = (
@@ -399,7 +416,7 @@ def sweep_desarmenien(k_max: int = 4, n_max: int = 10):
         for m in range(n_max // k + 1)
         for n in range(n_max - k * m + 1)
     )
-    return _sweep(cases, lambda: gen_euler(2, n_max), check_desarmenien)
+    return _sweep(cases, lambda: _residue_table(k_max, n_max), check_desarmenien)
 
 
 def sweep_theorem2(n_max: int = 15):

@@ -734,7 +734,7 @@ def recording(what, peak_bytes, steps):
     estimates.append(peak_bytes)
     refuse(what, peak_bytes, steps)
 
-for name in ("cli", "cyclotomic", "perms", "sequences"):
+for name in ("cli", "cyclotomic", "perms", "sequences", "verify"):
     importlib.import_module("qcong." + name).refuse = recording
 sys.stdout = open(os.devnull, "w")
 code = cli.main(sys.argv[1:])

@@ -481,16 +481,20 @@ def test_huge_cyclotomic_index_is_refused_before_factoring():
 def test_huge_binomial_products_are_refused_before_factoring():
     # each family is a product of binomials 1 + q^d of degree sum(d), whose
     # expansion, one pass per binomial, is past the memory limit here, so no
-    # d is factored and no cyclotomic index is listed before the refusal
-    for family, n, degree, count in (
-        ("Qtilde", 20000, 200010000, 20000),
-        ("Ev", 10**8, 199609375, 9),
-        ("P", 200000, 13333334736, 200000),
-        ("Qbar", 200000, 13333530528, 199994),
-        ("Qhat", 200000, 13333530528, 199994),
+    # d is factored and no cyclotomic index is listed before the refusal;
+    # a Gaussian binomial, 2n binomials 1 - q^c, is refused on its degree
+    # before its steps are built or multiplied out at q = 1
+    for family, bounds, degree, count in (
+        ("Qtilde", "--n 20000", 200010000, 20000),
+        ("Ev", "--n 100000000", 199609375, 9),
+        ("P", "--n 200000", 13333334736, 200000),
+        ("Qbar", "--n 200000", 13333530528, 199994),
+        ("Qhat", "--n 200000", 13333530528, 199994),
+        ("gauss", "--n 400000 --k 200000", 40000000000, 400000),
+        ("gauss", "--n 100000000 --k 50000000", 2500000000000000, 100000000),
     ):
         start = time.perf_counter()
-        proc = run_capped("compute", "--family", family, "--n", str(n))
+        proc = run_capped("compute", "--family", family, *bounds.split())
         assert time.perf_counter() - start < 1, family
         assert_usage_error(proc)
         assert proc.stderr.strip().splitlines()[-1] == (
@@ -554,26 +558,30 @@ def test_divisor_family_asks_for_its_largest_index_first():
 
 
 # compute points of the q-Seidel triangle, then of the binomial series;
-# compute sizes the rendering of its output too.  gen_euler_at_one and the
-# enumerations hold about a megabyte or less at every input they admit,
-# too little to measure against a process's own size.
+# compute sizes the rendering of its output too; then desarmenien's residue
+# table.  gen_euler_at_one and the enumerations hold about a megabyte or less
+# at every input they admit, too little to measure against a process's own
+# size.  A compute point is named by its family and bounds.
 CALIBRATION_POINTS = (
-    ("euler", "--n", "45"),
-    ("gen-euler", "--k", "16", "--n", "7"),
-    ("salie", "--n", "40"),
-    ("gauss", "--n", "150000", "--k", "2"),
-    ("gauss", "--n", "700", "--k", "100"),
-    ("cyclotomic", "--n", "500009"),
+    ("compute", "--family", "euler", "--n", "45"),
+    ("compute", "--family", "gen-euler", "--k", "16", "--n", "7"),
+    ("compute", "--family", "salie", "--n", "40"),
+    ("compute", "--family", "gauss", "--n", "150000", "--k", "2"),
+    ("compute", "--family", "gauss", "--n", "700", "--k", "100"),
+    ("compute", "--family", "cyclotomic", "--n", "500009"),
+    ("verify", "--suite", "desarmenien", "--k-max", "2000", "--n-max", "1"),
 )
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-@pytest.mark.parametrize("argv", CALIBRATION_POINTS, ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", CALIBRATION_POINTS, ids=lambda argv: " ".join(argv).removeprefix("compute --family ")
+)
 def test_size_estimates_bound_each_builders_peak(argv):
     # the largest peak estimate a run states is at least what the run adds
     # to a bare process's peak, and at most 4 times it
     bare, _ = oracles.child_peak("compute", "--family", "cyclotomic", "--n", "1")
-    peak, estimates = oracles.child_peak("compute", "--family", *argv)
+    peak, estimates = oracles.child_peak(*argv)
     own = peak - bare
     assert own < 200 << 20
     assert own <= max(estimates) <= 4 * own, (own, estimates)
@@ -676,6 +684,20 @@ def test_q_at_one_sweeps_meet_the_subscript_limit_at_once():
         assert_usage_error(proc)
         assert proc.stderr.strip().splitlines()[-1] == (
             f"qcong {argv[0]}: error: {argv[2]}: {value} would take more than the limit of {limit}"
+        )
+
+
+def test_desarmenien_states_its_residue_table_before_any_check():
+    # every index up to n_max is folded modulo 1 + q^k for every k <= k_max:
+    # at k_max = 20000 that is gigabytes of residue slots, however small n_max
+    for k_max, n_max, values in (("20000", "1", 2), ("5000", "3", 4)):
+        start = time.perf_counter()
+        proc = run_capped("verify", "--suite", "desarmenien", "--k-max", k_max, "--n-max", n_max)
+        assert time.perf_counter() - start < 1
+        assert_usage_error(proc)
+        assert proc.stderr.strip().splitlines()[-1] == (
+            f"qcong verify: error: desarmenien: the residues of {values} value(s) modulo "
+            f"1 + q^k for each k <= {k_max} would take more than the limit of 1024 MB"
         )
 
 

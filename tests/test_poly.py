@@ -1,12 +1,13 @@
 """Exact polynomial arithmetic, checked against naive list-based oracles."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qcong import cli
-from qcong.cyclotomic import cyclotomic, factor_one_plus_qd
+from qcong.cyclotomic import cyclotomic, factor_one_plus_qd, rem_cyclotomic
 from qcong.poly import IntPoly, ZERO
 from oracles import ONE, Q, naive_divmod, naive_mul, one_plus_q_power, poly_pow, q_power
 
@@ -218,10 +219,8 @@ long_coeffs = st.tuples(big_coeffs, st.integers(0, 300)).map(
 
 @given(long_coeffs, st.integers(1, 40))
 def test_rem_binomial_matches_naive_division(a, d):
-    minus_one = [-1] + [0] * (d - 1) + [1]
-    for c, modulus in ((-1, list(one_plus_q_power(d).coeffs)), (1, minus_one)):
-        _, naive_r = naive_divmod(a, modulus)
-        assert IntPoly(a).rem_binomial(d, c).coeffs == tuple(naive_r)
+    _, naive_r = naive_divmod(a, list(one_plus_q_power(d).coeffs))
+    assert IntPoly(a).rem_binomial(d).coeffs == tuple(naive_r)
 
 
 @given(long_coeffs, st.integers(1, 40), st.lists(big_coeff, max_size=40))
@@ -261,9 +260,9 @@ def test_divmod_binomial_edge_cases():
 
 
 def test_rem_binomial_rejects_other_moduli():
-    for d, c in ((0, 1), (-2, -1), (3, 0), (3, 2), (3, -2)):
+    for d in (0, -2):
         with pytest.raises(ValueError):
-            poly(1, 2, 3, 4).rem_binomial(d, c)
+            poly(1, 2, 3, 4).rem_binomial(d)
 
 
 @given(big_coeffs, st.integers(0, 80))
@@ -278,15 +277,24 @@ def test_shift_rejects_negative():
 
 def test_every_division_on_a_cli_path_is_by_a_monic_divisor(monkeypatch, capsys):
     # `_divmod` does not check that its divisor is monic; every default run
-    # of the suites and explorers divides, and only by monic divisors
-    divisors = []
-    divmod_ = IntPoly._divmod
+    # of the suites and explorers divides, and only by monic divisors.  Each
+    # division is one `rem_cyclotomic`, every one modulo Phi_m of an even m,
+    # so `rem_binomial` folds modulo 1 + q^(m/2) alone
+    divisors, indices = [], []
+    divmod_, rem = IntPoly._divmod, rem_cyclotomic
 
     def recorded(self, divisor):
         divisors.append(divisor)
         return divmod_(self, divisor)
 
+    def recorded_rem(p, m):
+        indices.append(m)
+        return rem(p, m)
+
     monkeypatch.setattr(IntPoly, "_divmod", recorded)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcong") and getattr(module, "rem_cyclotomic", None) is rem:
+            monkeypatch.setattr(module, "rem_cyclotomic", recorded_rem)
     monkeypatch.delenv(cli.ENV_CAP, raising=False)
     for argv in (
         ("verify", "--suite", "all"),
@@ -298,6 +306,9 @@ def test_every_division_on_a_cli_path_is_by_a_monic_divisor(monkeypatch, capsys)
     assert divisors
     non_monic = {d for d in divisors if d.coeffs[-1:] != (1,)}
     assert not non_monic, non_monic
+    assert len(indices) == len(divisors)
+    odd = {m for m in indices if m % 2}
+    assert not odd, odd
 
 
 def test_substitute_power():

@@ -2,6 +2,7 @@
 the q-Pascal recurrence, with long division of q-Pochhammer symbols, and
 with the expanded cyclotomic factorization."""
 
+import importlib
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ from math import comb
 
 import pytest
 
+from qcong import qbinom
 from qcong.cyclotomic import FactoredPoly, rem_cyclotomic
 from qcong.poly import IntPoly, ZERO
 from qcong.qbinom import gauss
@@ -25,6 +27,8 @@ from oracles import (
     q_lucas_sides,
     q_power,
 )
+
+CYCLOTOMIC = importlib.import_module("qcong.cyclotomic")
 
 
 def poly(*coeffs):
@@ -107,6 +111,22 @@ def test_gauss_specializes_to_binomial():
     for m in range(31):
         for n in range(m + 1):
             assert eval_int(gauss(m, n), 1) == comb(m, n)
+
+
+def test_gauss_states_a_floor_of_its_series_first_in_the_same_words(monkeypatch):
+    # before its steps are built, `_gauss` states its series' bytes at 32 a
+    # coefficient and no steps; the series then states its own estimate, of
+    # the same passes and degree, in the same words
+    stated = []
+    monkeypatch.setattr(CYCLOTOMIC, "refuse", lambda *args: stated.append(args))
+    for m in range(41):
+        for n in range(m // 2 + 1):
+            stated.clear()
+            qbinom._gauss.__wrapped__(m, n)
+            (floor_what, floor_bytes, floor_steps), (what, peak, _) = stated
+            assert floor_what == what, (m, n)
+            assert floor_bytes == (n * (m - n) + 1) * 32 <= peak
+            assert floor_steps == 0
 
 
 def test_cold_table_needs_no_deep_recursion():

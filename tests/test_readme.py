@@ -54,4 +54,4 @@ def test_library_quick_tour_runs():
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
     names = {}
     exec(code, names)
-    assert names["ok"] and str(names["e10"].rem_binomial(3, -1)) == "1 - 2q^2"
+    assert names["ok"] and str(names["e10"].rem_binomial(3)) == "1 - 2q^2"

@@ -475,5 +475,5 @@ def test_residue_is_the_folded_full_difference():
                 for e in range(1, 2 * m + 1):
                     r = (m + n) % e
                     for s in {r, e - 1, e, e + r, 2 * e + r, 3 * e + r}:
-                        want = (top - gen_euler(c, n).shift(s)).rem_binomial(e, -1)
+                        want = (top - gen_euler(c, n).shift(s)).rem_binomial(e)
                         assert v._residue(c, m, n, s, e) == want, (c, m, n, s, e)
