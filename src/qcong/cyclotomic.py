@@ -149,23 +149,6 @@ def cyclotomic(n: int) -> IntPoly:
     return FactoredPoly({n: 1}).expand()
 
 
-def rem_cyclotomic(p: IntPoly, m: int) -> IntPoly:
-    """Canonical remainder of p modulo Phi_m.
-
-    For even m, Phi_m divides 1 + q^(m/2), so p is first folded modulo it
-    in one pass and only the rest, of degree below m/2, is long-divided;
-    at odd m, which no decision takes, p is long-divided whole.  Remainders
-    modulo a monic polynomial are unique, so this is p's remainder by Phi_m.
-
-    >>> print(rem_cyclotomic(IntPoly((0, 0, 0, 1)), 6))
-    -1
-    """
-    if m < 1:
-        raise ValueError("cyclotomic index must be positive")
-    folded = p.rem_binomial(m // 2) if m % 2 == 0 else p
-    return folded._divmod(cyclotomic(m))[1]
-
-
 def factor_one_plus_qd(*exponents: int) -> "FactoredPoly":
     """Cyclotomic factorization of prod (1 + q^d) over d in `exponents`; a
     repeated exponent raises the power.  For d = 2^v t with t odd, 1 + q^d

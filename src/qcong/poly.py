@@ -145,7 +145,7 @@ class IntPoly:
         if other is None:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return ZERO
+            return IntPoly()
         return IntPoly(_kronecker_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -156,7 +156,7 @@ class IntPoly:
         """Quotient and canonical remainder by a monic divisor, by long division.
 
         The divisor must be monic, and is not checked: the one caller,
-        `rem_cyclotomic`, divides by Phi_m.  Then every quotient coefficient
+        `residues.inject`, divides by Phi_m.  Then every quotient coefficient
         is an integer, and the remainder r is the unique one with
         degree(r) < degree(divisor) and self = quotient * divisor + r.
 
@@ -165,7 +165,7 @@ class IntPoly:
         """
         dn, dd = self.degree(), divisor.degree()
         if dn < dd:
-            return ZERO, self
+            return IntPoly(), self
         # Only the nonzero terms subtract anything, and Phi_m has few.
         terms = [(i, c) for i, c in enumerate(divisor.coeffs) if c]
         rem = list(self.coeffs)
@@ -264,6 +264,3 @@ class IntPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-ZERO = IntPoly()

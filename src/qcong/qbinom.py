@@ -12,7 +12,7 @@ reduction modulo Phi_d.
 import functools
 
 from .cyclotomic import _binomial_series, _refuse_series
-from .poly import IntPoly, ZERO
+from .poly import IntPoly
 
 
 def gauss(m: int, n: int) -> IntPoly:
@@ -24,7 +24,7 @@ def gauss(m: int, n: int) -> IntPoly:
     if m < 0:
         raise ValueError("upper index must be nonnegative")
     if n < 0 or n > m:
-        return ZERO
+        return IntPoly()
     return _gauss(m, min(n, m - n))
 
 

@@ -14,7 +14,7 @@ checks, run by the driver `_sweep`.
 import functools
 import math
 
-from .cyclotomic import factor_one_plus_qd, rem_cyclotomic
+from .cyclotomic import factor_one_plus_qd
 from .divisors import big_d, big_p, ev, q_bar, q_hat, q_tilde
 from .poly import IntPoly, refuse
 from .qbinom import gauss
@@ -147,7 +147,7 @@ def check_theorem1(m: int, n: int, d: int) -> Report:
 def check_lemma31(m: int, n: int, d: int) -> Report:
     """Same congruence as theorem1 but modulo the single factor Phi_{2d}."""
     _require(m > n >= 0 and 1 <= d <= m, "need m > n >= 0 and 1 <= d <= m")
-    remainder = rem_cyclotomic(_residue(2, m, n, m - n, d), 2 * d)
+    remainder = inject(_residue(2, m, n, m - n, d), 2 * d)
     return _iff_report("lemma31", {"m": m, "n": n, "d": d}, remainder)
 
 
@@ -156,7 +156,7 @@ def check_desarmenien(k: int, m: int, n: int) -> Report:
 
     (-1)^m is q^(km) modulo 1 + q^k, a multiple of Phi_{2k}."""
     _require(k >= 1 and m >= 0 and n >= 0, "need k >= 1 and m, n >= 0")
-    remainder = rem_cyclotomic(_residue(2, k * m + n, n, k * m, k), 2 * k)
+    remainder = inject(_residue(2, k * m + n, n, k * m, k), 2 * k)
     return _congruence("desarmenien", {"k": k, "m": m, "n": n}, True, remainder)
 
 
@@ -177,7 +177,7 @@ def _gen_euler_in_ring(k: int, n: int, ring: int) -> IntPoly:
 @functools.lru_cache(maxsize=None)
 def _root_in_ring(ring: int, j: int) -> IntPoly:
     """The residue of q^j in Z[q]/Phi_ring."""
-    return rem_cyclotomic(IntPoly((1,)).shift(j), ring)
+    return inject(IntPoly((1,)).shift(j), ring)
 
 
 def check_theorem51(k: int, m: int, n: int, d: int) -> Report:
@@ -189,7 +189,7 @@ def check_theorem51(k: int, m: int, n: int, d: int) -> Report:
     )
     ring = 2 * k * d
     rhs = _root_in_ring(ring, k * (m - n) % ring) * _gen_euler_in_ring(k, n, ring)
-    diff = _gen_euler_in_ring(k, m, ring) - rem_cyclotomic(rhs, ring)
+    diff = _gen_euler_in_ring(k, m, ring) - inject(rhs, ring)
     return _iff_report("theorem51", {"k": k, "m": m, "n": n, "d": d}, diff)
 
 

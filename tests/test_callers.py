@@ -43,9 +43,9 @@ def test_every_function_in_src_has_a_caller_or_is_an_entry_point():
     assert not uncalled, f"named nowhere in src/qcong: {uncalled}"
 
 
-def test_all_is_the_documented_entry_points_and_seven_fixed_names():
+def test_all_is_the_documented_entry_points_and_six_fixed_names():
     # a new public name needs a deliberate edit here
-    others = {"IntPoly", "FactoredPoly", "SizeLimitExceeded", "ZERO", "SEQUENCE_FAMILIES",
-              "inject", "__version__"}
+    others = {"IntPoly", "FactoredPoly", "SizeLimitExceeded", "SEQUENCE_FAMILIES", "inject",
+              "__version__"}
     assert len(set(qcong.__all__)) == len(qcong.__all__)
     assert set(qcong.__all__) == DOCUMENTED | others

@@ -14,7 +14,6 @@ from qcong.cyclotomic import (
     _moebius,
     cyclotomic,
     factor_one_plus_qd,
-    rem_cyclotomic,
 )
 from qcong.divisors import DIVISOR_FAMILIES, big_d, big_p, q_bar, q_hat, q_tilde
 from qcong.poly import IntPoly, SizeLimitExceeded
@@ -33,7 +32,6 @@ from oracles import (
     naive_expand,
     naive_factored_divides,
     naive_mul,
-    naive_rem,
     one_plus_q_power,
     poly_pow,
     q_power,
@@ -486,20 +484,3 @@ def test_factored_equality_hash():
     assert FactoredPoly({2: 1}) == FactoredPoly([(2, 1)])
     assert hash(FactoredPoly({2: 1})) == hash(FactoredPoly({2: 1}))
     assert FactoredPoly({2: 1}) != FactoredPoly({2: 2})
-
-
-@given(
-    st.integers(0, 250).flatmap(
-        lambda n: st.lists(st.integers(-(2**200), 2**200), min_size=n, max_size=n)
-    ),
-    st.integers(1, 60),
-)
-def test_rem_cyclotomic_matches_long_division(a, m):
-    p = IntPoly(a)
-    assert rem_cyclotomic(p, m) == naive_rem(p, naive_cyclotomic(m))
-
-
-def test_rem_cyclotomic_rejects_bad_index():
-    for m in (0, -1, -4):
-        with pytest.raises(ValueError):
-            rem_cyclotomic(poly(1, 1), m)

@@ -12,8 +12,9 @@ from math import comb
 import pytest
 
 from qcong import qbinom
-from qcong.cyclotomic import FactoredPoly, rem_cyclotomic
-from qcong.poly import IntPoly, ZERO
+from qcong.cyclotomic import FactoredPoly
+from qcong.poly import IntPoly
+from qcong.residues import inject
 from qcong.qbinom import gauss
 from oracles import (
     ONE,
@@ -76,8 +77,8 @@ def test_qpoch_small():
 def test_gauss_small():
     assert gauss(2, 1) == poly(1, 1)
     assert gauss(4, 2) == poly(1, 1, 2, 1, 1)
-    assert gauss(3, 5) == ZERO
-    assert gauss(3, -1) == ZERO
+    assert gauss(3, 5) == IntPoly()
+    assert gauss(3, -1) == IntPoly()
     assert gauss(5, 0) == ONE
     assert gauss(5, 5) == ONE
     with pytest.raises(ValueError):
@@ -201,7 +202,7 @@ def test_q_lucas_sides_are_reduced_residues():
         for m in range(13):
             for k in range(m + 1):
                 lhs, rhs = q_lucas_sides(m, k, d, gauss)
-                assert IntPoly(lhs) == rem_cyclotomic(gauss(m, k), d)
+                assert IntPoly(lhs) == inject(gauss(m, k), d)
                 a, b = divmod(m, d)
                 r, s = divmod(k, d)
-                assert IntPoly(rhs) == comb(a, r) * rem_cyclotomic(gauss(b, s), d)
+                assert IntPoly(rhs) == comb(a, r) * inject(gauss(b, s), d)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcong import residues, verify
 from qcong.poly import IntPoly
@@ -108,6 +109,17 @@ def test_library_inject_is_the_reference_rep():
         assert residues.inject(p, m) == inject(p, m).rep
 
 
+@given(
+    st.integers(0, 250).flatmap(
+        lambda n: st.lists(st.integers(-(2**200), 2**200), min_size=n, max_size=n)
+    ),
+    st.integers(1, 60),
+)
+def test_inject_matches_long_division(a, m):
+    p = IntPoly(a)
+    assert residues.inject(p, m) == naive_rem(p, naive_cyclotomic(m))
+
+
 def test_theorem51_root_residue_is_the_reference_rep():
     # theorem51 reduces each power of q, already taken mod the ring, once
     for m in range(1, 25):
@@ -115,3 +127,9 @@ def test_theorem51_root_residue_is_the_reference_rep():
             assert verify._root_in_ring(m, j) == root_power(m, j).rep
     with pytest.raises(ValueError):
         residues.inject(ONE, 0)
+
+
+def test_inject_rejects_bad_index():
+    for m in (0, -1, -4):
+        with pytest.raises(ValueError):
+            residues.inject(poly(1, 1), m)

@@ -85,8 +85,8 @@ def test_traced_congruence_run_touches_no_gaussian_binomial(tmp_path):
 
 
 def test_traced_theorem51_run_keeps_the_benchmark_layers(tmp_path):
-    # the tiny pass of bench/test_bench.py counts residue injections and
-    # products only through theorem51: each check reduces its values through
+    # of the tiny pass of bench/test_bench.py, only theorem51 reduces modulo
+    # Phi_m or takes a product: each check reduces its values through
     # residues.inject and takes one IntPoly product (its k = 1 slice fails
     # at m = 3 by design, so the run exits 1)
     data = traced_run(
@@ -98,3 +98,15 @@ def test_traced_theorem51_run_keeps_the_benchmark_layers(tmp_path):
     assert checks == 2 * (1 + 4 + 9 + 16)
     assert calls[tracer.INJECT] > 0
     assert calls[tracer.MUL] == checks
+
+
+def test_traced_root_of_unity_runs_count_every_remainder_as_an_injection(tmp_path):
+    # every remainder modulo Phi_m is one residues.inject, so lemma31 and
+    # desarmenien, modulo Phi_2d and Phi_2k, show one injection per division
+    tracer = load_tracer()
+    for argv in (
+        ("verify", "--suite", "lemma31", "--m-max", "6"),
+        ("verify", "--suite", "desarmenien", "--k-max", "3", "--n-max", "6"),
+    ):
+        calls = collections.Counter(span[0] for span in traced_run(tmp_path, *argv)["spans"])
+        assert calls[tracer.INJECT] == calls[tracer.DIVMOD] > 0, argv

@@ -12,8 +12,9 @@ import oracles
 from oracles import ONE, naive_cyclotomic, naive_rem, one_plus_q_power, q_power
 from qcong import verify as v
 from qcong.cli import report_record, report_text
-from qcong.cyclotomic import FactoredPoly, rem_cyclotomic
+from qcong.cyclotomic import FactoredPoly
 from qcong.poly import IntPoly
+from qcong.residues import inject
 from qcong.sequences import euler, gen_euler, gen_euler_at_one
 
 
@@ -420,7 +421,7 @@ def test_euler_memo_shared_with_checkers():
 #
 # The congruence checks reduce cached residues of each family value; the
 # full-difference route builds each difference at full degree and
-# long-divides it; theorem51's is reduced by rem_cyclotomic, with no value
+# long-divides it; theorem51's is reduced by inject, with no value
 # or power of q taken from the per-ring tables.  Remainders modulo a monic
 # polynomial are unique, so the two must agree on every verdict and every
 # witness.
@@ -454,7 +455,7 @@ def full_difference_cases():
             for n in range(m):
                 diff = top - q_power(k * (m - n)) * gen_euler(k, n).substitute_power(2)
                 for d in range(1, m + 1):
-                    yield v.check_theorem51(k, m, n, d), rem_cyclotomic(diff, 2 * k * d)
+                    yield v.check_theorem51(k, m, n, d), inject(diff, 2 * k * d)
 
 
 def test_residue_checks_match_full_difference_route():
