@@ -66,16 +66,6 @@ def _pack(coeffs: tuple[int, ...], width: int) -> int:
     return int.from_bytes(digits, "little") - _bias(width, len(coeffs))
 
 
-def _widen(packed: int, old: int, new: int) -> int:
-    """`packed` with its `old`-byte digits moved into `new`-byte slots."""
-    count = -(-packed.bit_length() // (8 * old))
-    data = packed.to_bytes(count * old, "little")
-    out = bytearray(count * new)
-    for b in range(old):
-        out[b::new] = data[b::old]
-    return int.from_bytes(out, "little")
-
-
 def _digits(packed: int, width: int, count: int, half: int = 0) -> list[int]:
     """The first `count` `width`-byte digits of `packed`, each less `half`."""
     raw = packed.to_bytes(count * width, "little")

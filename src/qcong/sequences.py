@@ -51,16 +51,17 @@ import functools
 import threading
 from math import comb, factorial
 
-from .poly import IntPoly, _digits, _widen, refuse
+from .poly import IntPoly, _digits, refuse
 
 
 class _Triangle:
     """The q-Seidel triangle of block length k and one source, advanced on demand.
 
     `source(j)` is the exponent l(j) of sigma(kj), or None where sigma(kj)
-    is 0.  The triangle keeps its last row, the digit width, and the packed
+    is 0.  The triangle keeps its last row, one digit width, and the packed
     value read at every row it has passed, so a smaller index asked after a
-    larger one is decoded, not recomputed.
+    larger one is decoded, not recomputed; a row that needs wider digits
+    builds the triangle again from row 0.
     """
 
     def __init__(self, k: int, source):
@@ -69,7 +70,7 @@ class _Triangle:
         self._lock = threading.Lock()
         self._row: list[int] = []
         self._width = 1
-        self._values: list[tuple[int, int]] = []  # (packed value, width) per row
+        self._values: list[int] = []  # the packed value of each row
 
     def value(self, length: int) -> IntPoly:
         """sigma(length) + sum_r F_length(r) as a polynomial."""
@@ -78,7 +79,7 @@ class _Triangle:
         with self._lock:
             if length >= len(self._values):
                 self._advance(length + 1)
-            packed, width = self._values[length]
+            packed, width = self._values[length], self._width
         return IntPoly(_digits(packed, width, -(-packed.bit_length() // (8 * width))))
 
     def _digit_bytes(self, length: int) -> int:
@@ -94,20 +95,21 @@ class _Triangle:
         return ((bound * (blocks + 1)).bit_length() + 7) // 8
 
     def _advance(self, stop: int) -> None:
-        """Step from the current row to row `stop`, keeping each row's value."""
+        """Step from the current row to row `stop`, keeping each row's value;
+        past the digit width, build again from row 0 at a wider one."""
         start, width = len(self._values), self._width
         if width < self._digit_bytes(stop):
-            # widen for a row half again as long, so widening is rare
+            # widen for a row half again as long, so rebuilding is rare
             width = max(self._digit_bytes(stop), self._digit_bytes(start + start // 2))
-        # row `stop` is stop entries of about stop^2/2 digits, held twice while
-        # it is widened; the packed values of the rows before it and an IntPoly
-        # of each, at 36 bytes more a coefficient, are a third of a row each.
+        # row `stop` is stop entries of about stop^2/2 digits, counted twice,
+        # as the allocator keeps much of what each row frees as it overwrites
+        # the last; the packed values of the rows before it and an IntPoly of
+        # each, at 36 bytes more a coefficient, are a third of a row each.
         # Row L takes L^3/2 digit additions, one step a machine word.
         what = f"row {stop} of the q-Seidel triangle"
         refuse(what, stop**3 * (4 * width + 18) // 3, stop**4 * width // 64)
         if width > self._width:
-            self._row = [_widen(x, self._width, width) for x in self._row]
-            self._width = width
+            self._row, self._values, self._width, start = [], [], width, 0
         # each row overwrites the last in place, entry by entry, so only
         # one row is held at a time
         bits, row = 8 * self._width, self._row
@@ -125,7 +127,7 @@ class _Triangle:
                     row[t] = acc << (t * bits)
                     acc += entry
                 row.append(acc << (length * bits))
-            self._values.append((acc, self._width))
+            self._values.append(acc)
 
 
 _SALIE = _Triangle(2, lambda j: j)

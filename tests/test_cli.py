@@ -740,11 +740,10 @@ def test_q_at_one_witnesses_past_the_int_string_limit_are_exact():
     assert max(map(len, expected)) > limit
 
 
-# Runs every suite at its default bounds, each in a child forked before any
-# value is built, and prints how many times each triangle advanced.
-ADVANCES_PER_SUITE = """
-import collections, os, sys
-from qcong import sequences, verify
+# A child's prelude that counts the advances of each triangle it builds.
+COUNTING_ADVANCES = """
+import collections, json, os, sys
+from qcong import cli, sequences, verify
 advance = sequences._Triangle._advance
 advances = collections.Counter()
 
@@ -753,6 +752,10 @@ def counting(self, stop):
     advance(self, stop)
 
 sequences._Triangle._advance = counting
+"""
+# Runs every suite at its default bounds, each in a child forked before any
+# value is built, and prints how many times each triangle advanced.
+ADVANCES_PER_SUITE = COUNTING_ADVANCES + """
 for suites in verify.SUITES.values():
     for name, sweep in suites.items():
         if os.fork() == 0:
@@ -766,7 +769,7 @@ for suites in verify.SUITES.values():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks a child per suite")
 def test_each_default_suite_advances_each_triangle_once():
     # every suite asks first for the last row of each triangle it reads, so
-    # no triangle steps again, or re-slots its row for a wider digit
+    # no triangle steps again
     proc = subprocess.run(
         [sys.executable, "-c", ADVANCES_PER_SUITE], capture_output=True, text=True, timeout=60
     )
@@ -776,6 +779,39 @@ def test_each_default_suite_advances_each_triangle_once():
     for name, counts in advances.items():
         assert counts == ["1"] * len(counts), name
     assert advances["theorem51"] == ["1"] * 3 and advances["theorem52"] == ["1"] * 2
+
+
+# Runs each verify and explore invocation the benchmark times, each in a
+# forked child with stdout to /dev/null, and prints its advances as JSON.
+ADVANCES_PER_BENCHMARK_INVOCATION = COUNTING_ADVANCES + """
+with open(sys.argv[1]) as fh:
+    keys = [key for key in json.load(fh) if key.split()[0] in ("verify", "explore")]
+for key in keys:
+    if os.fork() == 0:
+        report, sys.stdout = sys.stdout, open(os.devnull, "w")
+        cli.main(key.split())
+        print(json.dumps([key, sorted(advances.values())]), file=report, flush=True)
+        os._exit(0)
+    os.wait()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks a child per invocation")
+def test_each_benchmark_invocation_advances_each_triangle_once():
+    # each verify and explore run the benchmark times asks first for the last
+    # row of each triangle it reads, so none builds a triangle twice
+    proc = subprocess.run(
+        [sys.executable, "-c", ADVANCES_PER_BENCHMARK_INVOCATION, GOLDEN],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    advances = dict(map(json.loads, proc.stdout.splitlines()))
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    assert set(advances) == {key for key in golden if not key.startswith("compute ")}
+    for key, counts in advances.items():
+        assert counts == [1] * len(counts), key
+    assert any(advances.values())
 
 
 def test_theorem52_at_k_max_4_runs_under_the_row_limit():

@@ -226,8 +226,9 @@ def test_salie_family_at_one_counts_split_words(name):
 
 
 def test_widened_triangle_matches_fresh_one():
-    # a small index first fixes a narrow digit width; the larger ones that
-    # follow widen the kept row, and a smaller one read last is decoded
+    # a small index first fixes a narrow digit width; a larger one that
+    # needs wider digits rebuilds the triangle, and a smaller one read last
+    # is decoded
     salie_source = sequences._SALIE._source
     euler_source = sequences._euler_triangle(3)._source
     for k, source, lengths, value in (
@@ -240,6 +241,23 @@ def test_widened_triangle_matches_fresh_one():
         assert early == fresh, k
         assert early[2] == value, k
 
+
+def test_refused_wider_ask_keeps_the_built_rows(monkeypatch):
+    # row 100,001 is past the memory limit at once; the guard refuses it
+    # before the kept rows are dropped for a wider digit
+    expected = salie(5)
+    triangle = sequences._Triangle(2, sequences._SALIE._source)
+    triangle.value(20)
+    width, values = triangle._width, list(triangle._values)
+    with pytest.raises(SizeLimitExceeded):
+        triangle.value(100_000)
+    assert (triangle._width, triangle._values) == (width, values)
+
+    def advance_again(self, stop):
+        raise AssertionError("advanced again")
+
+    monkeypatch.setattr(sequences._Triangle, "_advance", advance_again)
+    assert triangle.value(10) == expected
 
 
 def test_euler_triangle_is_built_only_for_a_new_k(monkeypatch):
