@@ -11,7 +11,6 @@ from .poly import IntPoly, SizeLimitExceeded
 from .qbinom import gauss
 from .residues import inject
 from .sequences import (
-    SEQUENCE_FAMILIES,
     euler,
     gen_euler,
     salie,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FactoredPoly",
     "IntPoly",
-    "SEQUENCE_FAMILIES",
     "SizeLimitExceeded",
     "big_d",
     "big_p",

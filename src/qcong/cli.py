@@ -282,7 +282,6 @@ def _reject_foreign_bounds(args, command: str, name: str) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_args(argv) or build_parser().parse_args(argv)
-    cap = _env_cap(args.command)
     # witnesses are written as exact decimal strings, however many digits
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
@@ -299,6 +298,7 @@ def main(argv=None) -> int:
         else:
             lines = (f"{head} {p}" for p, head, _, _ in records)
     else:
+        cap = _env_cap(args.command)
         option = "suite" if args.command == "verify" else "conjecture"
         chosen = getattr(args, option)
         words = ("passed", "failed") if args.command == "verify" else ("holds", "fails")

@@ -26,6 +26,7 @@ import collections
 import functools
 import math
 import operator
+from itertools import islice
 
 from .poly import IntPoly, refuse
 
@@ -58,7 +59,8 @@ def _binomial_series(steps, degree: int, start=(1,), count: int = 1) -> list[int
     has already made; each is one map over a slice.  Every pass is empty
     when c > degree.  No coefficient above `top` is nonzero, so a multiply
     pass stops at top + c, and a divide pass at top when its last c entries
-    are zero (the quotient is then a polynomial of degree top - c).
+    are zero (a polynomial quotient, of degree top - c), else the same map
+    goes on to the cut-off (a power-series quotient).
 
     The guard sizes coefficients by the product of every step at q = 1,
     empty passes too (Phi_p(1) = p needs the pass 1 - q^p): c^(+-1) for
@@ -81,17 +83,15 @@ def _binomial_series(steps, degree: int, start=(1,), count: int = 1) -> list[int
             top = min(top + c, degree)
             s[c : top + 1] = map(op, s[c : top + 1], s[: top + 1 - c])
             continue
-        # += appends each entry as map makes it, and map reads t as it
-        # grows: t[i - c] is the quotient's entry when t[i] is made
-        t = s[: min(c, top + 1)]
+        # map reads t (or an islice of t) as += grows it, so t[i - c] exists when t[i] is made
+        t = s[:c]
         t += map(op, s[c : top + 1], t)
-        s[: top + 1] = t
         if top >= c and not any(t[top - c + 1 :]):
+            s[: top + 1] = t
             top -= c
             continue
-        for i in range(max(c, top + 1), degree + 1):
-            s[i] = op(s[i], s[i - c])
-        top = degree
+        t += map(op, s[len(t) :], islice(t, len(t) - c, None))
+        s, top = t, degree
     return s
 
 

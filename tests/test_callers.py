@@ -1,7 +1,7 @@
 """Every function and method in `src/qcong` is run by a decision: it is named
 in `src/qcong` outside its own definition, or it is a documented entry point.
 A helper only the tests call belongs in `tests/oracles.py`.  `qcong.__all__`
-names the documented entry points and seven fixed names, no more."""
+names the documented entry points and five fixed names, no more."""
 
 import ast
 from pathlib import Path
@@ -43,9 +43,8 @@ def test_every_function_in_src_has_a_caller_or_is_an_entry_point():
     assert not uncalled, f"named nowhere in src/qcong: {uncalled}"
 
 
-def test_all_is_the_documented_entry_points_and_six_fixed_names():
+def test_all_is_the_documented_entry_points_and_five_fixed_names():
     # a new public name needs a deliberate edit here
-    others = {"IntPoly", "FactoredPoly", "SizeLimitExceeded", "SEQUENCE_FAMILIES", "inject",
-              "__version__"}
+    others = {"IntPoly", "FactoredPoly", "SizeLimitExceeded", "inject", "__version__"}
     assert len(set(qcong.__all__)) == len(qcong.__all__)
     assert set(qcong.__all__) == DOCUMENTED | others

@@ -215,6 +215,14 @@ def test_env_cap_must_be_integer():
     assert proc.returncode == 2
 
 
+def test_compute_does_not_read_the_env_cap():
+    # compute has no sweep bound to cap, so even a malformed cap is not read
+    plain = run("compute", "--family", "euler", "--n", "2")
+    capped = run("compute", "--family", "euler", "--n", "2", env_extra={"QCONG_MAX_N": "x"})
+    assert plain.returncode == capped.returncode == 0
+    assert (capped.stdout, capped.stderr) == (plain.stdout, plain.stderr)
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "out.jsonl"
     proc = run("compute", "--family", "Qbar", "--n", "4", "--format", "json",

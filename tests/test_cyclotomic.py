@@ -138,6 +138,7 @@ def test_binomial_series_matches_full_passes(steps, degree):
 @given(STEPS, st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=40), st.integers(0, 60))
 @example([(3, True, True)], [1, 0, 0, 1], 3)  # (1 + q^3) / (1 + q^3), exact
 @example([(1, True, True), (2, True, True)], [1, 1], 9)  # 1 / (1 + q^2), a power series
+@example([(2, True, True)], [1, 0, 0, 1], 9)  # (1 + q^3) / (1 + q^2): on from index 4
 @example([(2, True, True)], [5], 0)  # nothing past the cut-off
 def test_binomial_series_matches_the_product_oracle(steps, start, cut):
     # start times each binomial's power series, multiplied out and cut off;

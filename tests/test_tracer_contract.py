@@ -69,9 +69,12 @@ def test_traced_run_matches_plain_run(tmp_path):
 def test_traced_foata_run_reads_tangent_by_its_name(tmp_path):
     # tangent comes from the q-Seidel triangle, which verify must reach
     # through the memoized family name the tracer wraps: one miss for each
-    # of tangent(1..4) and salie(1..4)
-    counters = traced_counters(tmp_path, "verify", "--suite", "foata", "--n-max", "4")
-    assert counters["sequences.misses"] == 8
+    # of tangent(1..4) and salie(1..4); each decision is a
+    # FactoredPoly.divides, a layer bench/test_bench.py asserts nonzero
+    data = traced_run(tmp_path, "verify", "--suite", "foata", "--n-max", "4")
+    assert data["counters"]["sequences.misses"] == 8
+    calls = collections.Counter(span[0] for span in data["spans"])
+    assert calls[load_tracer().DIVIDES] > 0
 
 
 def test_traced_congruence_run_touches_no_gaussian_binomial(tmp_path):
@@ -87,8 +90,9 @@ def test_traced_congruence_run_touches_no_gaussian_binomial(tmp_path):
 def test_traced_theorem51_run_keeps_the_benchmark_layers(tmp_path):
     # of the tiny pass of bench/test_bench.py, only theorem51 reduces modulo
     # Phi_m or takes a product: each check reduces its values through
-    # residues.inject and takes one IntPoly product (its k = 1 slice fails
-    # at m = 3 by design, so the run exits 1)
+    # residues.inject, which divides through IntPoly._divmod, and takes one
+    # IntPoly product (its k = 1 slice fails at m = 3 by design, so the run
+    # exits 1)
     data = traced_run(
         tmp_path, "verify", "--suite", "theorem51", "--k-max", "2", "--m-max", "4", code=1
     )
@@ -98,6 +102,8 @@ def test_traced_theorem51_run_keeps_the_benchmark_layers(tmp_path):
     assert checks == 2 * (1 + 4 + 9 + 16)
     assert calls[tracer.INJECT] > 0
     assert calls[tracer.MUL] == checks
+    assert calls[tracer.DIVMOD] > 0
+    assert data["counters"]["poly.divmod.steps"] > 0
 
 
 def test_traced_root_of_unity_runs_count_every_remainder_as_an_injection(tmp_path):
