@@ -354,13 +354,13 @@ def _write_blocks(fh, lines) -> None:
     """Write each line with its newline, in blocks of about BLOCK_CHARS."""
     block, size = [], 0
     for line in lines:
-        block.append(line)
+        block += line, "\n"
         size += len(line) + 1
         if size >= BLOCK_CHARS:
-            fh.write("\n".join(block) + "\n")
+            fh.write("".join(block))
             block, size = [], 0
     if block:
-        fh.write("\n".join(block) + "\n")
+        fh.write("".join(block))
 
 
 def console_entry() -> None:

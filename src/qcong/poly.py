@@ -212,8 +212,7 @@ class IntPoly:
         if k == 1 or not self.coeffs:
             return self
         out = [0] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
+        out[::k] = self.coeffs
         return IntPoly(out)
 
     # comparisons and rendering -------------------------------------------------

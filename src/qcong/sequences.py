@@ -84,13 +84,10 @@ class _Triangle:
 
     def _digit_bytes(self, length: int) -> int:
         """Bytes per coefficient that hold every entry of row `length`: one
-        below a block, with no k! taken; past row 4096, far past the size
-        limits, by L! < L^L, as a huge factorial is slow."""
+        below a block, with no k! taken."""
         blocks, top = divmod(length, self._k)
         if not blocks:
             return 1
-        if length > 4096:
-            return (length * length.bit_length() + blocks.bit_length() + 7) // 8
         bound = factorial(length) // (factorial(self._k) ** blocks * factorial(top))
         return ((bound * (blocks + 1)).bit_length() + 7) // 8
 
@@ -98,15 +95,16 @@ class _Triangle:
         """Step from the current row to row `stop`, keeping each row's value;
         past the digit width, build again from row 0 at a wider one."""
         start, width = len(self._values), self._width
-        if width < self._digit_bytes(stop):
-            # widen for a row half again as long, so rebuilding is rare
-            width = max(self._digit_bytes(stop), self._digit_bytes(start + start // 2))
         # row `stop` is stop entries of about stop^2/2 digits, counted twice,
         # as the allocator keeps much of what each row frees as it overwrites
         # the last; the packed values of the rows before it and an IntPoly of
         # each, at 36 bytes more a coefficient, are a third of a row each.
         # Row L takes L^3/2 digit additions, one step a machine word.
         what = f"row {stop} of the q-Seidel triangle"
+        refuse(what, stop**3 * 22 // 3, 0)  # at one-byte digits, before any factorial
+        if width < (need := self._digit_bytes(stop)):
+            # widen for a row half again as long, so rebuilding is rare
+            width = max(need, self._digit_bytes(start + start // 2))
         refuse(what, stop**3 * (4 * width + 18) // 3, stop**4 * width // 64)
         if width > self._width:
             self._row, self._values, self._width, start = [], [], width, 0

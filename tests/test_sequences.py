@@ -6,7 +6,7 @@ import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -258,6 +258,27 @@ def test_refused_wider_ask_keeps_the_built_rows(monkeypatch):
 
     monkeypatch.setattr(sequences._Triangle, "_advance", advance_again)
     assert triangle.value(10) == expected
+
+
+def test_a_row_past_its_floor_is_refused_before_any_factorial(monkeypatch):
+    # past row 527 a row is past the memory limit even at one-byte digits,
+    # so the guard refuses it, in the words of its full statement, before
+    # a factorial sizes its digits
+    def no_factorial(n):
+        raise AssertionError(f"took {n}!")
+
+    triangle = sequences._Triangle(2, sequences._SALIE._source)
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "factorial", no_factorial)
+        for row in (601, 2001, 4001):
+            with pytest.raises(SizeLimitExceeded) as refused:
+                triangle.value(row - 1)
+            assert str(refused.value) == (
+                f"row {row} of the q-Seidel triangle would take more than the limit of 1024 MB"
+            )
+    # a small row still builds at the digit width of 41! / 2!^20 times 21 tails
+    assert triangle.value(40) == salie(20)
+    assert triangle._width == ((factorial(41) // 2**20 * 21).bit_length() + 7) // 8
 
 
 def test_euler_triangle_is_built_only_for_a_new_k(monkeypatch):
