@@ -55,20 +55,19 @@ from .poly import IntPoly, _digits, refuse
 
 
 class _Triangle:
-    """The q-Seidel triangle of block length k and one source, advanced on demand.
+    """The q-Seidel triangle of block length k and one source, built on demand.
 
     `source(j)` is the exponent l(j) of sigma(kj), or None where sigma(kj)
-    is 0.  The triangle keeps its last row, one digit width, and the packed
-    value read at every row it has passed, so a smaller index asked after a
-    larger one is decoded, not recomputed; a row that needs wider digits
-    builds the triangle again from row 0.
+    is 0.  The triangle keeps one digit width and the packed value read at
+    each row it built, and no row: a smaller index asked after a larger one
+    is decoded, not recomputed, and an index past the built rows builds the
+    triangle again from row 0.
     """
 
     def __init__(self, k: int, source):
         self._k = k
         self._source = source
         self._lock = threading.Lock()
-        self._row: list[int] = []
         self._width = 1
         self._values: list[int] = []  # the packed value of each row
 
@@ -92,9 +91,8 @@ class _Triangle:
         return ((bound * (blocks + 1)).bit_length() + 7) // 8
 
     def _advance(self, stop: int) -> None:
-        """Step from the current row to row `stop`, keeping each row's value;
-        past the digit width, build again from row 0 at a wider one."""
-        start, width = len(self._values), self._width
+        """Build rows 0 .. stop - 1 at the digit width of row `stop`, keeping
+        each row's value in place of the values built before."""
         # row `stop` is stop entries of about stop^2/2 digits, counted twice,
         # as the allocator keeps much of what each row frees as it overwrites
         # the last; the packed values of the rows before it and an IntPoly of
@@ -102,16 +100,14 @@ class _Triangle:
         # Row L takes L^3/2 digit additions, one step a machine word.
         what = f"row {stop} of the q-Seidel triangle"
         refuse(what, stop**3 * 22 // 3, 0)  # at one-byte digits, before any factorial
-        if width < (need := self._digit_bytes(stop)):
-            # widen for a row half again as long, so rebuilding is rare
-            width = max(need, self._digit_bytes(start + start // 2))
+        width = self._digit_bytes(stop)
         refuse(what, stop**3 * (4 * width + 18) // 3, stop**4 * width // 64)
-        if width > self._width:
-            self._row, self._values, self._width, start = [], [], width, 0
-        # each row overwrites the last in place, entry by entry, so only
-        # one row is held at a time
-        bits, row = 8 * self._width, self._row
-        for length in range(start, stop):
+        # the old values go before the build, so they are never held with the
+        # new ones; each row overwrites the last in place, entry by entry, and
+        # the one row held goes when the build ends
+        self._width, self._values = width, []
+        bits, row = 8 * width, []
+        for length in range(stop):
             if length % self._k:
                 acc = 0
                 for t in range(length - 1, -1, -1):

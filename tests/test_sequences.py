@@ -4,6 +4,7 @@ the cross-identities that tie the derived recurrences together."""
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from math import comb, factorial
@@ -240,6 +241,24 @@ def test_widened_triangle_matches_fresh_one():
         fresh = [sequences._Triangle(k, source).value(length) for length in lengths]
         assert early == fresh, k
         assert early[2] == value, k
+
+
+@pytest.mark.parametrize("k, length", [(2, 80), (4, 60)])
+def test_built_triangle_holds_only_its_values(k, length):
+    # no working row outlives a build: what the triangle grew by is its
+    # packed values, list and entries, and a few objects more
+    source = sequences._SALIE._source if k == 2 else sequences._euler_triangle(k)._source
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        triangle = sequences._Triangle(k, source)
+        triangle.value(length)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    values = sys.getsizeof(triangle._values) + sum(map(sys.getsizeof, triangle._values))
+    assert len(triangle._values) == length + 1
+    assert grown <= 1.05 * values, (grown, values)
 
 
 def test_refused_wider_ask_keeps_the_built_rows(monkeypatch):
