@@ -88,17 +88,15 @@ class Report:
 def _congruence(check, params, expected, remainder) -> Report:
     """A congruence report: it passes when `remainder` is zero iff `expected`."""
     observed = not remainder
-    r = Report("congruence", check, params, expected == observed, remainder)
-    r.expected_equivalence = expected
-    r.observed_congruence = observed
-    return r
+    return Report("congruence", check, params, expected == observed, remainder,
+                  expected_equivalence=expected, observed_congruence=observed)
 
 
 def _divisibility(check, family, index, divisor, value, params=None) -> Report:
     """Whether `divisor` divides `value`, the `index`-th member of `family`."""
     ok, witness = divisor.divides(value)
-    fields = {"family": family, "index": index, "divisor": divisor}
-    return Report("divisibility", check, params or {}, ok, witness, **fields)
+    return Report("divisibility", check, params or {}, ok, witness,
+                  family=family, index=index, divisor=divisor)
 
 
 # congruence checkers -----------------------------------------------------------
@@ -131,24 +129,18 @@ def _residue(c: int, m: int, n: int, s: int, e: int) -> IntPoly:
     return IntPoly([a + b for a, b in zip(_turns(c, m, e), _turns(c, n, e)[j : j + e])])
 
 
-def _iff_report(check: str, params: dict, remainder: IntPoly) -> Report:
-    """Report of a congruence predicted to hold iff m = n mod d."""
-    expected = (params["m"] - params["n"]) % params["d"] == 0
-    return _congruence(check, params, expected, remainder)
-
-
 def check_theorem1(m: int, n: int, d: int) -> Report:
     """E_{2m} = q^(m-n) E_{2n} mod (1 + q^d) holds iff m = n mod d."""
     _require(m > n >= 0 and 1 <= d <= m, "need m > n >= 0 and 1 <= d <= m")
     remainder = _residue(2, m, n, m - n, d)
-    return _iff_report("theorem1", {"m": m, "n": n, "d": d}, remainder)
+    return _congruence("theorem1", {"m": m, "n": n, "d": d}, (m - n) % d == 0, remainder)
 
 
 def check_lemma31(m: int, n: int, d: int) -> Report:
     """Same congruence as theorem1 but modulo the single factor Phi_{2d}."""
     _require(m > n >= 0 and 1 <= d <= m, "need m > n >= 0 and 1 <= d <= m")
     remainder = inject(_residue(2, m, n, m - n, d), 2 * d)
-    return _iff_report("lemma31", {"m": m, "n": n, "d": d}, remainder)
+    return _congruence("lemma31", {"m": m, "n": n, "d": d}, (m - n) % d == 0, remainder)
 
 
 def check_desarmenien(k: int, m: int, n: int) -> Report:
@@ -190,7 +182,7 @@ def check_theorem51(k: int, m: int, n: int, d: int) -> Report:
     ring = 2 * k * d
     rhs = _root_in_ring(ring, k * (m - n) % ring) * _gen_euler_in_ring(k, n, ring)
     diff = _gen_euler_in_ring(k, m, ring) - inject(rhs, ring)
-    return _iff_report("theorem51", {"k": k, "m": m, "n": n, "d": d}, diff)
+    return _congruence("theorem51", {"k": k, "m": m, "n": n, "d": d}, (m - n) % d == 0, diff)
 
 
 def check_theorem52(k: int, m: int, n: int, d: int) -> Report:
@@ -199,9 +191,9 @@ def check_theorem52(k: int, m: int, n: int, d: int) -> Report:
         k >= 1 and m > n >= 0 and 1 <= d <= m,
         "need k >= 1, m > n >= 0 and 1 <= d <= m",
     )
-    half = 1 << (k - 1)
-    remainder = _residue(1 << k, m, n, half * (m - n), half * d)
-    return _iff_report("theorem52", {"k": k, "m": m, "n": n, "d": d}, remainder)
+    half = _block(k) >> 1
+    diff = _residue(2 * half, m, n, half * (m - n), half * d)
+    return _congruence("theorem52", {"k": k, "m": m, "n": n, "d": d}, (m - n) % d == 0, diff)
 
 
 # divisibility checkers -----------------------------------------------------------
@@ -290,9 +282,17 @@ def check_perm_salie(n: int) -> Report:
 # integer congruences at q = 1 -----------------------------------------------------
 
 
+def _block(k: int) -> int:
+    """2^k, refused past k = 64 before it is multiplied or written out: each
+    E^(2^k) value past index 0 takes at least (k + 1) 2^k / 16 bytes."""
+    if k > 64:
+        refuse(f"each value of E^(2^{k}) past index 0", (k + 1 << k) >> 4, 0)
+    return 1 << k
+
+
 def _gap_at_one(k: int, m: int, n: int) -> tuple[int, int]:
     """s = v2(m-n) + 1 and E^(2^k)_{2^k m}(1) - E^(2^k)_{2^k n}(1)."""
-    return _v2(m - n) + 1, gen_euler_at_one(1 << k, m) - gen_euler_at_one(1 << k, n)
+    return _v2(m - n) + 1, gen_euler_at_one(_block(k), m) - gen_euler_at_one(_block(k), n)
 
 
 def check_corollary52_and_stern(k: int, m: int, n: int) -> Report:
@@ -301,8 +301,7 @@ def check_corollary52_and_stern(k: int, m: int, n: int) -> Report:
     _require(k >= 1 and m > n >= 0, "need k >= 1 and m > n >= 0")
     s, diff = _gap_at_one(k, m, n)
     holds = diff % (1 << s) == 0 and (k > 1 or diff % (2 << s) != 0)
-    params = {"k": k, "m": m, "n": n, "s": s}
-    return Report("conjecture", "corollary52", params, holds, diff)
+    return Report("conjecture", "corollary52", {"k": k, "m": m, "n": n, "s": s}, holds, diff)
 
 
 def check_stern(m: int, n: int) -> Report:
@@ -438,12 +437,12 @@ def sweep_theorem51(k_max: int = 3, m_max: int = 6, d_max: int | None = None):
 def sweep_theorem52(k_max: int = 2, m_max: int = 8, d_max: int | None = None):
     cases = _each_k(k_max, _mnd, m_max, d_max)
     blocks = range(k_max, 0, -1)
-    return _sweep(cases, lambda: [gen_euler(1 << k, m_max) for k in blocks], check_theorem52)
+    return _sweep(cases, lambda: [gen_euler(_block(k), m_max) for k in blocks], check_theorem52)
 
 
 def sweep_corollary52(k_max: int = 2, m_max: int = 8):
-    cases = _each_k(k_max, _mn, m_max)
-    return _sweep(cases, lambda: gen_euler_at_one(1 << k_max, m_max), check_corollary52_and_stern)
+    cases, check = _each_k(k_max, _mn, m_max), check_corollary52_and_stern
+    return _sweep(cases, lambda: gen_euler_at_one(_block(k_max), m_max), check)
 
 
 def sweep_stern(m_max: int = 10):
@@ -484,7 +483,7 @@ def sweep_perm_salie(n_max: int = 3):
 
 def explore_conjecture51(k_max: int = 3, m_max: int = 10) -> list[Report]:
     cases = _each_k(k_max, _mn, m_max)
-    return _sweep(cases, lambda: gen_euler_at_one(1 << k_max, m_max), _conjecture51)
+    return _sweep(cases, lambda: gen_euler_at_one(_block(k_max), m_max), _conjecture51)
 
 
 def explore_conjecture61(n_max: int = 12) -> list[Report]:

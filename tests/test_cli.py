@@ -695,6 +695,27 @@ def test_q_at_one_sweeps_meet_the_subscript_limit_at_once():
         )
 
 
+def test_power_of_two_blocks_are_refused_before_2_to_the_k_is_written_out():
+    # 2^3000000 has 903,090 decimal digits: when it was written into the
+    # refusal, and squared and cubed for the size estimates, each of these
+    # took 13-27 s and wrote a last line of 1-2 MB
+    for argv in (
+        ("verify", "--suite", "corollary52"),
+        ("verify", "--suite", "theorem52"),
+        ("explore", "--conjecture", "conj51"),
+    ):
+        start = time.perf_counter()
+        proc = run_capped(*argv, "--k-max", "3000000", "--m-max", "2")
+        assert time.perf_counter() - start < 1, argv
+        assert_usage_error(proc)
+        last = proc.stderr.strip().splitlines()[-1]
+        assert len(last) < 200
+        assert last == (
+            f"qcong {argv[0]}: error: {argv[2]}: each value of E^(2^3000000) past index 0 "
+            "would take more than the limit of 1024 MB"
+        )
+
+
 def test_desarmenien_states_its_residue_table_before_any_check():
     # every index up to n_max is folded modulo 1 + q^k for every k <= k_max:
     # at k_max = 20000 that is gigabytes of residue slots, however small n_max
@@ -1237,7 +1258,8 @@ def test_startup_imports_only_what_a_decision_uses():
 
     def loaded(*argvs):
         proc = subprocess.run([sys.executable, "-S", "-c", STARTUP, *argvs],
-                              capture_output=True, text=True, env={"PYTHONPATH": src})
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0, proc.stderr
         return set(proc.stderr.split())
 

@@ -464,6 +464,13 @@ def test_residue_checks_match_full_difference_route():
         seen.add(report.check)
         assert report.witness == remainder, report_text(report)
         assert report.observed_congruence == (remainder == IntPoly())
+        # each report is whole as made: it passes iff observed agrees with the
+        # claim, which desarmenien always makes and each iff claim makes iff d | m - n
+        assert report.passed == (report.expected_equivalence == report.observed_congruence)
+        p = report.params
+        assert report.expected_equivalence == (
+            report.check == "desarmenien" or (p["m"] - p["n"]) % p["d"] == 0
+        )
     assert seen == {"theorem1", "lemma31", "theorem52", "desarmenien", "theorem51"}
 
 
